@@ -49,6 +49,7 @@ from .presentations import (
     Presentation,
     abelianize,
     orbifold_pi1,
+    pi1,
     pi1_nonorientable,
     pi1_orientable,
 )
@@ -117,6 +118,7 @@ __all__ = [
     "parse_fraction_text",
     "parse_group_text",
     "parse_symbol",
+    "pi1",
     "pi1_nonorientable",
     "pi1_orientable",
     "project_action",

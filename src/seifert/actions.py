@@ -8,7 +8,9 @@ The data of an action of a finite group G is recorded per element g as
 * ``theta2(i, g)``, the meridian rotation at boundary index i.
 
 Composition is the left action convention, phi(gh) = phi(g) o phi(h),
-which forces the cocycle laws checked by :func:`validate_action_spec`:
+which forces the cocycle laws checked by :func:`validate_action_spec`
+(stated once, in ``_COMPONENT_LAWS``, for the law scan and for the
+image groups of :mod:`seifert.structure`):
 
     (a)  alpha(gh) = alpha(g) * alpha(h)
     (b)  theta1(gh) = theta1(g) + alpha(g) * theta1(h)      (mod 1)
@@ -17,7 +19,9 @@ which forces the cocycle laws checked by :func:`validate_action_spec`:
     (e)  beta(g) may send i to j only if pair i equals pair j
 
 plus triviality of the identity element's datum.  Rotation numbers are
-exact fractions in [0, 1); all checks are exhaustive and exact.
+exact fractions in [0, 1); all checks are exhaustive and exact.  A spec
+or descriptor is law-scanned once: the report is kept on the frozen
+object, and every function that needs valid data reads it.
 
 The covering-translation machinery works on symbols whose pair list is
 doubled in blocks, pairs i and i+n equal for i < n.  The translation is
@@ -31,6 +35,7 @@ import json
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from pathlib import Path
 
 from .groups import FiniteGroup, group_from_constructor, parse_group_text
@@ -82,6 +87,10 @@ class ExtendedProductActionSpec:
             for v in row:
                 _check_rotation(v, "theta2")
 
+    @cached_property
+    def _law_report(self) -> ValidationReport:
+        return _scan_laws(self, _SPEC_LAWS)
+
 
 def _check_rotation(value: Fraction, where: str):
     if not isinstance(value, Fraction) or not 0 <= value < 1:
@@ -104,61 +113,86 @@ class ValidationReport:
 _PASS = ValidationReport(True, None, None, "all laws hold")
 
 
+# law -> (reported name, message); the scan fills in g, h, gh, i, value, want
+_SPEC_LAWS = {
+    "identity": ("identity", "the identity element must act by the trivial datum"),
+    "alpha": ("alpha", "alpha({gh}) != alpha({g})*alpha({h})"),
+    "theta1": ("theta1", "theta1({gh}) = {value}, law gives {want}"),
+    "beta": ("beta", "beta({gh}) is not beta({g}) o beta({h})"),
+    "theta2": ("theta2", "theta2({i},{gh}) = {value}, law gives {want}"),
+    "pairs": ("pairs", "beta({g}) moves pair {i} onto a different (q,p)"),
+}
+
+
+def _data(spec: ExtendedProductActionSpec) -> list[tuple]:
+    """Per-element datum (alpha, theta1, beta row, theta2 row)."""
+    return list(zip(spec.alpha, spec.theta1, spec.beta, spec.theta2))
+
+
+# Laws (a) to (d), one per datum component, in the order they are checked:
+# component k of the datum of gh from the data a of g and b of h.
+_COMPONENT_LAWS = (
+    ("alpha", lambda a, b: a[0] * b[0]),
+    ("theta1", lambda a, b: mod1(a[1] + a[0] * b[1])),
+    ("beta", lambda a, b: tuple(a[2][j] for j in b[2])),
+    ("theta2", lambda a, b: tuple(mod1(a[3][j] + a[0] * v) for j, v in zip(b[2], b[3]))),
+)
+
+
+def _compose(a: tuple, b: tuple) -> tuple:
+    """Datum of gh from the data a of g and b of h."""
+    return tuple(law(a, b) for _, law in _COMPONENT_LAWS)
+
+
+def _scan_laws(spec: ExtendedProductActionSpec, laws: dict) -> ValidationReport:
+    """Identity, then each law over all (g, h) before the next, then (e).
+
+    Stops at the first failure; ``laws`` names it and words its message.
+    """
+    def fail(law, witness, **values):
+        name, message = laws[law]
+        return ValidationReport(False, name, witness, message.format(**values))
+
+    n = len(spec.symbol.pairs)
+    if (spec.theta1[0] != 0 or spec.alpha[0] != 1
+            or spec.beta[0] != tuple(range(n)) or any(spec.theta2[0])):
+        return fail("identity", (0,))
+    data = _data(spec)
+    table = spec.group.table
+    for k, (law, component) in enumerate(_COMPONENT_LAWS):
+        for g, a in enumerate(data):
+            for h, b in enumerate(data):
+                gh = table[g][h]
+                got, want = data[gh][k], component(a, b)
+                if got == want:
+                    continue
+                if law != "theta2":
+                    return fail(law, (g, h), g=g, h=h, gh=gh, value=got, want=want)
+                i = next(i for i in range(n) if got[i] != want[i])
+                return fail(law, (g, h, i), gh=gh, i=i, value=got[i], want=want[i])
+    pairs = spec.symbol.pairs
+    for g, perm in enumerate(spec.beta):
+        for i in range(n):
+            if pairs[perm[i]] != pairs[i]:
+                return fail("pairs", (g, i), g=g, i=i)
+    return _PASS
+
+
 def validate_action_spec(spec: ExtendedProductActionSpec) -> ValidationReport:
     """Check the identity datum and the cocycle laws (a) to (e).
 
     Structure (table sizes, value ranges) is enforced at construction, so
     this checks only the laws, in a fixed order, returning the first
-    failure with its witness.
+    failure with its witness.  The scan runs on the first call for a
+    spec object; later calls return the report kept on it.
     """
-    group = spec.group
-    n = len(spec.symbol.pairs)
-    if (spec.theta1[0] != 0 or spec.alpha[0] != 1
-            or spec.beta[0] != tuple(range(n))
-            or any(v != 0 for v in spec.theta2[0])):
-        return ValidationReport(False, "identity", (0,),
-                                "the identity element must act by the trivial datum")
-    for g in group.elements():
-        for h in group.elements():
-            gh = group.mul(g, h)
-            if spec.alpha[gh] != spec.alpha[g] * spec.alpha[h]:
-                return ValidationReport(
-                    False, "alpha", (g, h),
-                    f"alpha({gh}) != alpha({g})*alpha({h})")
-    for g in group.elements():
-        for h in group.elements():
-            gh = group.mul(g, h)
-            want = mod1(spec.theta1[g] + spec.alpha[g] * spec.theta1[h])
-            if spec.theta1[gh] != want:
-                return ValidationReport(
-                    False, "theta1", (g, h),
-                    f"theta1({gh}) = {spec.theta1[gh]}, law gives {want}")
-    for g in group.elements():
-        for h in group.elements():
-            gh = group.mul(g, h)
-            composed = tuple(spec.beta[g][spec.beta[h][i]] for i in range(n))
-            if spec.beta[gh] != composed:
-                return ValidationReport(
-                    False, "beta", (g, h),
-                    f"beta({gh}) is not beta({g}) o beta({h})")
-    for g in group.elements():
-        for h in group.elements():
-            gh = group.mul(g, h)
-            for i in range(n):
-                want = mod1(spec.theta2[g][spec.beta[h][i]]
-                            + spec.alpha[g] * spec.theta2[h][i])
-                if spec.theta2[gh][i] != want:
-                    return ValidationReport(
-                        False, "theta2", (g, h, i),
-                        f"theta2({i},{gh}) = {spec.theta2[gh][i]}, law gives {want}")
-    pairs = spec.symbol.pairs
-    for g in group.elements():
-        for i in range(n):
-            if pairs[spec.beta[g][i]] != pairs[i]:
-                return ValidationReport(
-                    False, "pairs", (g, i),
-                    f"beta({g}) moves pair {i} onto a different (q,p)")
-    return _PASS
+    return spec._law_report
+
+
+def _require_valid(spec: ExtendedProductActionSpec):
+    report = validate_action_spec(spec)
+    if not report:
+        raise ValueError(f"spec fails validation at law {report.law}: {report.message}")
 
 
 @dataclass(frozen=True)
@@ -210,18 +244,15 @@ class TorusMapData:
 
 
 def induced_solid_torus_action(spec: ExtendedProductActionSpec,
-                               boundary_index: int, element: int,
-                               check: bool = True) -> TorusMapData:
+                               boundary_index: int, element: int) -> TorusMapData:
     """Conjugate one boundary datum through the filling.
 
     The boundary torus map (theta1, theta2, alpha) at index i lands in the
     solid torus glued at beta(g)(i); the rotation vector transforms by the
     inverse of that pair's gluing matrix and the sign is untouched.
+    Invalid specs are rejected.
     """
-    if check:
-        report = validate_action_spec(spec)
-        if not report:
-            raise ValueError(f"spec fails validation: {report.message}")
+    _require_valid(spec)
     target = spec.beta[element][boundary_index]
     glue = gluing_matrix(spec.symbol.pairs[target])
     longitude, meridian = glue.inverse_rotation(
@@ -269,30 +300,15 @@ def obstruction_witness(b: int, orbit_numbers) -> list[int] | None:
     return [c * scale for c in coeffs]
 
 
-def beta_orbit_numbers(spec: ExtendedProductActionSpec, check: bool = True) -> tuple[int, ...]:
-    """Sizes of the boundary-index orbits under all of beta, sorted."""
-    if check:
-        report = validate_action_spec(spec)
-        if not report:
-            raise ValueError(f"spec fails validation: {report.message}")
-    n = len(spec.symbol.pairs)
-    seen: set[int] = set()
-    sizes = []
-    for start in range(n):
-        if start in seen:
-            continue
-        orbit = {start}
-        frontier = [start]
-        while frontier:
-            v = frontier.pop()
-            for g in spec.group.elements():
-                w = spec.beta[g][v]
-                if w not in orbit:
-                    orbit.add(w)
-                    frontier.append(w)
-        seen |= orbit
-        sizes.append(len(orbit))
-    return tuple(sorted(sizes))
+def beta_orbit_numbers(spec: ExtendedProductActionSpec) -> tuple[int, ...]:
+    """Sizes of the boundary-index orbits under all of beta, sorted.
+
+    Invalid specs are rejected.
+    """
+    _require_valid(spec)
+    # beta is a homomorphism, so the images of i under all of G are its orbit
+    orbits = {frozenset(perm[i] for perm in spec.beta) for i in range(len(spec.symbol.pairs))}
+    return tuple(sorted(len(orbit) for orbit in orbits))
 
 
 @dataclass(frozen=True)
@@ -320,11 +336,12 @@ def _doubled_half(symbol: SeifertSymbol) -> int:
     return n2 // 2
 
 
-def check_tau_commuting(spec: ExtendedProductActionSpec, check: bool = True) -> TauReport:
+def check_tau_commuting(spec: ExtendedProductActionSpec) -> TauReport:
     """Does the action data commute with the covering translation?
 
-    The symbol must be block doubled and the action must preserve fiber
-    orientation (alpha identically +1); both are preconditions and raise.
+    The symbol must be block doubled, the action must preserve fiber
+    orientation (alpha identically +1) and pass the laws; all three are
+    preconditions and raise.
     The three commutation conditions are then checked exactly: every
     theta1 lies in {0, 1/2}, every beta commutes with sigma, and theta2
     is negated by sigma.
@@ -332,10 +349,7 @@ def check_tau_commuting(spec: ExtendedProductActionSpec, check: bool = True) -> 
     n = _doubled_half(spec.symbol)
     if any(a != 1 for a in spec.alpha):
         raise ValueError("commutation requires a fiber-orientation-preserving action (alpha == +1)")
-    if check:
-        report = validate_action_spec(spec)
-        if not report:
-            raise ValueError(f"spec fails validation: {report.message}")
+    _require_valid(spec)
     half = Fraction(1, 2)
     for g in spec.group.elements():
         if spec.theta1[g] not in (0, half):
@@ -396,53 +410,34 @@ class ProjectedActionDescriptor:
             for v in row:
                 _check_rotation(v, "theta2_bar")
 
+    @cached_property
+    def _law_report(self) -> ValidationReport:
+        return _scan_laws(_lift(self), _DESCRIPTOR_LAWS)
+
+
+# The spec laws read on the raw lift, named by the descriptor's fields.
+# There alpha is identically +1, the theta1 law is the epsilon law, and
+# for i < n the theta2 law is the folded theta2_bar law (for i >= n its
+# negation), so the first witness always names a folded index.
+_DESCRIPTOR_LAWS = {
+    "identity": _SPEC_LAWS["identity"],
+    "theta1": ("epsilon", "epsilon({gh}) != epsilon({g})*epsilon({h})"),
+    "beta": ("beta_bar", "beta_bar({gh}) is not beta_bar({g}) o beta_bar({h})"),
+    "theta2": ("theta2_bar", "theta2_bar({i},{gh}) = {value}, law gives {want}"),
+    "pairs": ("pairs", "beta_bar({g}) moves pair {i} onto a different (q,p)"),
+}
+
 
 def validate_descriptor(descriptor: ProjectedActionDescriptor) -> ValidationReport:
     """Cocycle laws for folded data.
 
     epsilon and beta_bar must be homomorphisms, theta2_bar obeys the
     folded law theta2_bar(i, gh) = epsilon(h) * theta2_bar(beta_bar(h)(i), g)
-    + theta2_bar(i, h), and beta_bar respects the (q, p) values.
+    + theta2_bar(i, h), and beta_bar respects the (q, p) values.  These
+    are the laws of :func:`validate_action_spec` on the lift, and are
+    checked there; like a spec, a descriptor is scanned once.
     """
-    group = descriptor.group
-    n = len(descriptor.base.pairs)
-    if (descriptor.epsilon[0] != 1
-            or descriptor.beta_bar[0] != tuple(range(n))
-            or any(v != 0 for v in descriptor.theta2_bar[0])):
-        return ValidationReport(False, "identity", (0,),
-                                "the identity element must act by the trivial datum")
-    for g in group.elements():
-        for h in group.elements():
-            gh = group.mul(g, h)
-            if descriptor.epsilon[gh] != descriptor.epsilon[g] * descriptor.epsilon[h]:
-                return ValidationReport(False, "epsilon", (g, h),
-                                        f"epsilon({gh}) != epsilon({g})*epsilon({h})")
-    for g in group.elements():
-        for h in group.elements():
-            gh = group.mul(g, h)
-            composed = tuple(descriptor.beta_bar[g][descriptor.beta_bar[h][i]]
-                             for i in range(n))
-            if descriptor.beta_bar[gh] != composed:
-                return ValidationReport(False, "beta_bar", (g, h),
-                                        f"beta_bar({gh}) is not beta_bar({g}) o beta_bar({h})")
-    for g in group.elements():
-        for h in group.elements():
-            gh = group.mul(g, h)
-            for i in range(n):
-                want = mod1(descriptor.epsilon[h]
-                            * descriptor.theta2_bar[g][descriptor.beta_bar[h][i]]
-                            + descriptor.theta2_bar[h][i])
-                if descriptor.theta2_bar[gh][i] != want:
-                    return ValidationReport(
-                        False, "theta2_bar", (g, h, i),
-                        f"theta2_bar({i},{gh}) = {descriptor.theta2_bar[gh][i]}, law gives {want}")
-    pairs = descriptor.base.pairs
-    for g in group.elements():
-        for i in range(n):
-            if pairs[descriptor.beta_bar[g][i]] != pairs[i]:
-                return ValidationReport(False, "pairs", (g, i),
-                                        f"beta_bar({g}) moves pair {i} onto a different (q,p)")
-    return _PASS
+    return descriptor._law_report
 
 
 def project_action(spec: ExtendedProductActionSpec) -> ProjectedActionDescriptor:
@@ -484,6 +479,11 @@ def lift_action(descriptor: ProjectedActionDescriptor) -> ExtendedProductActionS
     report = validate_descriptor(descriptor)
     if not report:
         raise ValueError(f"descriptor fails validation: {report.message}")
+    return _lift(descriptor)
+
+
+def _lift(descriptor: ProjectedActionDescriptor) -> ExtendedProductActionSpec:
+    # the construction of lift_action, on data not yet validated
     base = descriptor.base
     n = len(base.pairs)
     symbol = SeifertSymbol(base.genus - 1, Orientability.O1, base.pairs + base.pairs)
@@ -538,12 +538,18 @@ def format_fraction(value: Fraction) -> str:
     return f"{value.numerator}/{value.denominator}"
 
 
+def _string(value, name: str) -> str:
+    if not isinstance(value, str):
+        raise ValueError(f"{name} must be a string, got {value!r}")
+    return value
+
+
 def _group_from_field(value, base_dir: Path | None) -> FiniteGroup:
     if isinstance(value, str):
         return group_from_constructor(value)
     if isinstance(value, dict):
         if "file" in value:
-            path = Path(value["file"])
+            path = Path(_string(value["file"], "group file"))
             if base_dir is not None and not path.is_absolute():
                 path = base_dir / path
             try:
@@ -554,11 +560,17 @@ def _group_from_field(value, base_dir: Path | None) -> FiniteGroup:
             raise ValueError("group object needs 'order' and 'table' (or 'file')")
         order = value["order"]
         table = value["table"]
+        # JSON true/false and decimals are not integers here (type, not isinstance)
+        if type(order) is not int:
+            raise ValueError(f"group order must be an integer, got {order!r}")
         if not isinstance(table, list):
             raise ValueError("group table must be a list of rows")
         if len(table) != order:
             raise ValueError(f"group table has {len(table)} rows, order says {order}")
-        return FiniteGroup(tuple(tuple(int(v) for v in row) for row in table))
+        for row in table:
+            if not isinstance(row, list) or any(type(v) is not int for v in row):
+                raise ValueError(f"group table row {row!r} is not a list of integers")
+        return FiniteGroup(tuple(tuple(row) for row in table))
     raise ValueError("group field must be a constructor string or an object")
 
 
@@ -581,6 +593,16 @@ def _rotation_table(rows, order: int, n: int, name: str) -> tuple[tuple[Fraction
     return tuple(by_element)
 
 
+def _signs(doc: dict, name: str, order: int) -> tuple[int, ...]:
+    raw = _field(doc, name)
+    if not isinstance(raw, list) or len(raw) != order:
+        raise ValueError(f"{name} must list one sign per group element ({order})")
+    for v in raw:
+        if type(v) is not int or v not in (1, -1):
+            raise ValueError(f"{name} entries must be 1 or -1, got {v!r}")
+    return tuple(raw)
+
+
 def _permutation_table(rows, order: int, n: int, name: str) -> tuple[tuple[int, ...], ...]:
     if not isinstance(rows, list) or len(rows) != order:
         raise ValueError(f"{name} must list one permutation per group element ({order})")
@@ -589,7 +611,7 @@ def _permutation_table(rows, order: int, n: int, name: str) -> tuple[tuple[int, 
         if not isinstance(row, list) or len(row) != n:
             raise ValueError(f"{name} row {g} must have {n} entries")
         for v in row:
-            if not isinstance(v, int) or not 1 <= v <= n:
+            if type(v) is not int or not 1 <= v <= n:
                 raise ValueError(f"{name} row {g}: entries are 1-based indices in 1..{n}")
         out.append(tuple(v - 1 for v in row))
     return tuple(out)
@@ -608,7 +630,7 @@ def _load_document(text: str) -> dict:
 def parse_action_spec_text(text: str, base_dir: Path | None = None) -> ExtendedProductActionSpec:
     """Parse an action-spec document (JSON object, exact fractions)."""
     doc = _load_document(text)
-    symbol = parse_symbol(_field(doc, "symbol"))
+    symbol = parse_symbol(_string(_field(doc, "symbol"), "symbol"))
     group = _group_from_field(_field(doc, "group"), base_dir)
     order = group.order
     n = len(symbol.pairs)
@@ -616,34 +638,23 @@ def parse_action_spec_text(text: str, base_dir: Path | None = None) -> ExtendedP
     if not isinstance(raw_theta1, list) or len(raw_theta1) != order:
         raise ValueError(f"theta1 must list one fraction per group element ({order})")
     theta1 = tuple(mod1(parse_fraction_text(v)) for v in raw_theta1)
-    raw_alpha = _field(doc, "alpha")
-    if not isinstance(raw_alpha, list) or len(raw_alpha) != order:
-        raise ValueError(f"alpha must list one sign per group element ({order})")
-    for v in raw_alpha:
-        if v not in (1, -1) or isinstance(v, bool):
-            raise ValueError(f"alpha entries must be 1 or -1, got {v!r}")
-    alpha = tuple(raw_alpha)
     beta = _permutation_table(_field(doc, "beta"), order, n, "beta")
     theta2 = _rotation_table(_field(doc, "theta2"), order, n, "theta2")
-    return ExtendedProductActionSpec(symbol, group, theta1, alpha, beta, theta2)
+    return ExtendedProductActionSpec(symbol, group, theta1, _signs(doc, "alpha", order),
+                                     beta, theta2)
 
 
 def parse_descriptor_text(text: str, base_dir: Path | None = None) -> ProjectedActionDescriptor:
     """Parse a projected-descriptor document (JSON object)."""
     doc = _load_document(text)
-    base = parse_symbol(_field(doc, "symbol"))
+    base = parse_symbol(_string(_field(doc, "symbol"), "symbol"))
     group = _group_from_field(_field(doc, "group"), base_dir)
     order = group.order
     n = len(base.pairs)
-    raw_eps = _field(doc, "epsilon")
-    if not isinstance(raw_eps, list) or len(raw_eps) != order:
-        raise ValueError(f"epsilon must list one sign per group element ({order})")
-    for v in raw_eps:
-        if v not in (1, -1) or isinstance(v, bool):
-            raise ValueError(f"epsilon entries must be 1 or -1, got {v!r}")
     beta_bar = _permutation_table(_field(doc, "beta_bar"), order, n, "beta_bar")
     theta2_bar = _rotation_table(_field(doc, "theta2_bar"), order, n, "theta2_bar")
-    return ProjectedActionDescriptor(base, group, tuple(raw_eps), beta_bar, theta2_bar)
+    return ProjectedActionDescriptor(base, group, _signs(doc, "epsilon", order),
+                                     beta_bar, theta2_bar)
 
 
 def _read(path) -> tuple[str, Path]:

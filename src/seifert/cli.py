@@ -29,9 +29,9 @@ from .actions import (beta_orbit_numbers, check_tau_commuting, format_action_spe
                       load_descriptor, obstruction_witness, project_action,
                       validate_action_spec, validate_descriptor)
 from .homology import first_homology, smith_normal_form
-from .presentations import orbifold_pi1, pi1_nonorientable, pi1_orientable
+from .presentations import orbifold_pi1, pi1
 from .structure import analyze_structure
-from .symbols import (Orientability, base_quotient, equivalent, normalize,
+from .symbols import (base_quotient, equivalent, normalize,
                       obstruction_class, orientable_double_cover, parse_symbol,
                       total_sum)
 
@@ -57,12 +57,6 @@ def _reject(porcelain: bool, key: str, label: str, name, witness, message) -> in
         print(f"{key.replace('_', ' ')} check failed: {label} {name}, "
               f"witness {_witness(witness)}: {message}", file=sys.stderr)
     return 1
-
-
-def _pi1(symbol):
-    if symbol.orientability is Orientability.N2:
-        return pi1_nonorientable(symbol)
-    return pi1_orientable(symbol)
 
 
 def _print_presentation(pres, porcelain: bool):
@@ -155,7 +149,7 @@ def _cmd_quotient(args) -> int:
 
 
 def _cmd_pi1(args) -> int:
-    _print_presentation(_pi1(parse_symbol(args.symbol)), args.porcelain)
+    _print_presentation(pi1(parse_symbol(args.symbol)), args.porcelain)
     return 0
 
 
@@ -199,7 +193,7 @@ def _cmd_induced_torus(args) -> int:
     if not 0 <= args.element < spec.group.order:
         raise ValueError(f"group element must be in 0..{spec.group.order - 1}")
     i = args.index - 1
-    data = induced_solid_torus_action(spec, i, args.element, check=False)
+    data = induced_solid_torus_action(spec, i, args.element)
     print(f"longitude={format_fraction(data.longitude)}")
     print(f"meridian={format_fraction(data.meridian)}")
     print(f"sign={data.sign}")
@@ -213,7 +207,7 @@ def _cmd_check_tau(args) -> int:
     spec, failed = _validated_spec(args)
     if failed is not None:
         return failed
-    tau = check_tau_commuting(spec, check=False)
+    tau = check_tau_commuting(spec)
     if not tau:
         return _reject(args.porcelain, "commutes", "condition",
                        tau.condition, tau.witness, tau.message)
@@ -225,7 +219,7 @@ def _cmd_project(args) -> int:
     spec, failed = _validated_spec(args)
     if failed is not None:
         return failed
-    tau = check_tau_commuting(spec, check=False)
+    tau = check_tau_commuting(spec)
     if not tau:
         return _reject(args.porcelain, "commutes", "condition",
                        tau.condition, tau.witness, tau.message)
@@ -255,7 +249,7 @@ def _cmd_obstruction(args) -> int:
         spec, failed = _validated_spec(args)
         if failed is not None:
             return failed
-        orbits = list(beta_orbit_numbers(spec, check=False))
+        orbits = list(beta_orbit_numbers(spec))
         b = args.b if args.b is not None else obstruction_class(spec.symbol)
     else:
         if args.b is None or args.orbits is None:
@@ -283,7 +277,7 @@ def _cmd_orbits(args) -> int:
     spec, failed = _validated_spec(args)
     if failed is not None:
         return failed
-    numbers = beta_orbit_numbers(spec, check=False)
+    numbers = beta_orbit_numbers(spec)
     body = ",".join(str(v) for v in numbers)
     print(f"orbits={body}" if args.porcelain else body)
     return 0
@@ -384,3 +378,7 @@ def main(argv=None) -> int:
 
 def console():
     raise SystemExit(main(sys.argv[1:]))
+
+
+if __name__ == "__main__":
+    console()

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd
 
-from .presentations import abelianize, pi1_nonorientable, pi1_orientable
+from .presentations import abelianize, pi1
 from .symbols import Orientability, SeifertSymbol
 
 
@@ -137,10 +137,7 @@ def first_homology(symbol: SeifertSymbol) -> AbelianGroupStructure:
     >>> str(first_homology(SeifertSymbol(0, Orientability.O1, ())))
     'Z'
     """
-    if symbol.orientability is Orientability.N2:
-        pres = pi1_nonorientable(symbol)
-    else:
-        pres = pi1_orientable(symbol)
+    pres = pi1(symbol)
     invariants = smith_normal_form(abelianize(pres) or [[0] * len(pres.generators)])
     if not pres.generators:
         return AbelianGroupStructure(0, ())

@@ -99,119 +99,76 @@ def _handle_names(handles: int) -> list[str]:
     return names
 
 
+def _fibered_pi1(symbol: SeifertSymbol, handles: int, crosscaps: list[str]) -> Presentation:
+    """Generators a1, b1, ..., the crosscap generators, c1..cn, t.
+
+    The fiber t commutes with the handle and c generators, x conjugates
+    it to its inverse, y commutes with it, each pair imposes
+    ``cj^qj t^pj`` and the base surface imposes its boundary word.
+    """
+    n = len(symbol.pairs)
+    names = _handle_names(handles) + crosscaps + _named(n, "c") + ["t"]
+    x = 2 * handles
+    c0 = x + len(crosscaps)
+    t = len(names) - 1
+    relators = [_commutator(k, t) for k in [*range(x), *range(c0, t)]]
+    surface = [(c0 + j, 1) for j in range(n)]
+    for i in range(handles):
+        surface.extend(_commutator(2 * i, 2 * i + 1))
+    if crosscaps:
+        relators.append(word((x, 1), (t, 1), (x, -1), (t, 1)))   # x t x^-1 = t^-1
+    if len(crosscaps) == 2:
+        relators.append(_commutator(x + 1, t))                   # y t y^-1 = t
+        surface.extend(word((x, 1), (x + 1, 1), (x, -1), (x + 1, 1)))
+    elif crosscaps:
+        surface.append((x, -2))
+    relators += [word((c0 + j, pr.q), (t, pr.p)) for j, pr in enumerate(symbol.pairs)]
+    relators.append(word(*surface))
+    return _assemble(names, relators)
+
+
 def pi1_nonorientable(symbol: SeifertSymbol) -> Presentation:
     """Fundamental group of a class n2 symbol.
 
     With ``g = genus - 1`` handles on the covered base, the generators are
-    a1, b1, ..., x (plus y when g is odd), c1..cn, t.  The fiber t
-    commutes with the handle and c generators, x conjugates it to its
-    inverse, y commutes with it, each pair imposes ``cj^qj t^pj`` and the
-    base surface imposes its boundary word.
+    a1, b1, ..., x (plus y when g is odd), c1..cn, t.
     """
     if symbol.orientability is not Orientability.N2:
         raise ValueError("pi1_nonorientable expects a class n2 symbol")
     g = symbol.genus - 1
-    n = len(symbol.pairs)
-    handles = g // 2
-    names = _handle_names(handles) + ["x"]
-    odd = g % 2 == 1
-    if odd:
-        names.append("y")
-    names += _named(n, "c")
-    names.append("t")
-
-    x = names.index("x")
-    t = len(names) - 1
-    c0 = x + (2 if odd else 1)
-    relators: list[tuple[Syllable, ...]] = []
-    for i in range(handles):
-        relators.append(_commutator(2 * i, t))        # [a_i, t]
-        relators.append(_commutator(2 * i + 1, t))    # [b_i, t]
-    for j in range(n):
-        relators.append(_commutator(c0 + j, t))
-    relators.append(word((x, 1), (t, 1), (x, -1), (t, 1)))   # x t x^-1 = t^-1
-    if odd:
-        y = x + 1
-        relators.append(_commutator(y, t))                   # y t y^-1 = t
-    for j, pr in enumerate(symbol.pairs):
-        relators.append(word((c0 + j, pr.q), (t, pr.p)))
-    surface = [(c0 + j, 1) for j in range(n)]
-    for i in range(handles):
-        surface.extend(_commutator(2 * i, 2 * i + 1))
-    if odd:
-        surface.extend(word((x, 1), (y, 1), (x, -1), (y, 1)))
-    else:
-        surface.append((x, -2))
-    relators.append(word(*surface))
-    return _assemble(names, relators)
+    return _fibered_pi1(symbol, g // 2, ["x", "y"] if g % 2 else ["x"])
 
 
 def pi1_orientable(symbol: SeifertSymbol) -> Presentation:
     """Fundamental group of a class o1 symbol.
 
-    Generators a1, b1, ..., ag, bg, c1..cn, t; the fiber is central, each
-    pair imposes ``cj^qj t^pj`` and the base imposes
-    ``c1..cn [a1,b1]..[ag,bg]``.
+    Generators a1, b1, ..., ag, bg, c1..cn, t; the fiber is central and
+    the base imposes ``c1..cn [a1,b1]..[ag,bg]``.
     """
     if symbol.orientability is not Orientability.O1:
         raise ValueError("pi1_orientable expects a class o1 symbol")
-    g = symbol.genus
-    n = len(symbol.pairs)
-    names = _handle_names(g) + _named(n, "c") + ["t"]
-    c0 = 2 * g
-    t = len(names) - 1
-    relators: list[tuple[Syllable, ...]] = []
-    for i in range(g):
-        relators.append(_commutator(2 * i, t))
-        relators.append(_commutator(2 * i + 1, t))
-    for j in range(n):
-        relators.append(_commutator(c0 + j, t))
-    for j, pr in enumerate(symbol.pairs):
-        relators.append(word((c0 + j, pr.q), (t, pr.p)))
-    surface = [(c0 + j, 1) for j in range(n)]
-    for i in range(g):
-        surface.extend(_commutator(2 * i, 2 * i + 1))
-    relators.append(word(*surface))
-    return _assemble(names, relators)
+    return _fibered_pi1(symbol, symbol.genus, [])
+
+
+def pi1(symbol: SeifertSymbol) -> Presentation:
+    """Fundamental group of a symbol of either class."""
+    if symbol.orientability is Orientability.N2:
+        return pi1_nonorientable(symbol)
+    return pi1_orientable(symbol)
 
 
 def orbifold_pi1(symbol: SeifertSymbol) -> Presentation:
     """Base orbifold group: the fiber quotiented away.
 
-    Same generators without t; fiber commutators disappear, each filling
-    relator loses its t tail, the surface relator is unchanged.
+    The :func:`pi1` presentation with every t syllable deleted: t itself
+    is the last generator, fiber commutators and the crosscap relators
+    collapse to the empty word and are dropped, each filling relator
+    loses its t tail and the surface relator is unchanged.
     """
-    if symbol.orientability is Orientability.N2:
-        g = symbol.genus - 1
-        handles = g // 2
-        odd = g % 2 == 1
-    else:
-        g = symbol.genus
-        handles = g
-        odd = False
-    n = len(symbol.pairs)
-    names = _handle_names(handles)
-    if symbol.orientability is Orientability.N2:
-        names.append("x")
-        if odd:
-            names.append("y")
-    names += _named(n, "c")
-    c0 = len(names) - n
-    relators: list[tuple[Syllable, ...]] = []
-    for j, pr in enumerate(symbol.pairs):
-        relators.append(word((c0 + j, pr.q)))
-    surface = [(c0 + j, 1) for j in range(n)]
-    for i in range(handles):
-        surface.extend(_commutator(2 * i, 2 * i + 1))
-    if symbol.orientability is Orientability.N2:
-        x = names.index("x")
-        if odd:
-            y = x + 1
-            surface.extend(word((x, 1), (y, 1), (x, -1), (y, 1)))
-        else:
-            surface.append((x, -2))
-    relators.append(word(*surface))
-    return _assemble(names, relators)
+    pres = pi1(symbol)
+    t = len(pres.generators) - 1
+    return _assemble(list(pres.generators[:t]),
+                     [word(*(s for s in rel if s[0] != t)) for rel in pres.relators])
 
 
 def abelianize(presentation: Presentation) -> list[list[int]]:

@@ -19,7 +19,9 @@ Three report routes, most specific first:
   orientation-reversing element is an involution.
 
 H is the image group of the boundary shadow, H+ the same over the
-orientation-preserving part.
+orientation-preserving part.  Both image groups compose by the one datum
+composition of :mod:`seifert.actions`.  The law check reads the report
+the spec keeps, so a spec validated before costs no second scan.
 """
 
 from __future__ import annotations
@@ -28,61 +30,26 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
-from .actions import ExtendedProductActionSpec, check_tau_commuting, mod1, validate_action_spec
-from .groups import (FiniteGroup, GroupMap, cyclic_group, direct_product,
-                     is_homomorphism, is_injective)
-
-Shadow = tuple[tuple[int, ...], tuple[Fraction, ...], int]
+from .actions import (ExtendedProductActionSpec, _compose, _data, _require_valid,
+                      check_tau_commuting)
+from .groups import FiniteGroup, GroupMap, cyclic_group, direct_product, is_injective
 
 
-def _shadow(spec: ExtendedProductActionSpec, g: int) -> Shadow:
-    return (spec.beta[g], spec.theta2[g], spec.alpha[g])
-
-
-def _shadow_compose(a: Shadow, b: Shadow) -> Shadow:
-    pa, ra, sa = a
-    pb, rb, sb = b
-    n = len(pa)
-    perm = tuple(pa[pb[i]] for i in range(n))
-    rot = tuple(mod1(ra[pb[i]] + sa * rb[i]) for i in range(n))
-    return (perm, rot, sa * sb)
-
-
-def _datum(spec: ExtendedProductActionSpec, g: int):
-    return (spec.theta1[g], spec.alpha[g], spec.beta[g], spec.theta2[g])
-
-
-def _datum_compose(a, b):
-    ta, sa = a[0], a[1]
-    tb, sb = b[0], b[1]
-    perm, rot, sign = _shadow_compose((a[2], a[3], sa), (b[2], b[3], sb))
-    return (mod1(ta + sa * tb), sa * sb, perm, rot)
-
-
-def _image_group(values, identity, compose) -> tuple[FiniteGroup, dict]:
-    """Concrete group on the distinct values, identity at index 0."""
-    rest = sorted(set(values) - {identity})
-    elems = [identity] + rest
+def _image_group(values: list) -> tuple[FiniteGroup, dict]:
+    """Concrete group on the distinct data, values[0] (the identity's) at index 0."""
+    elems = [values[0]] + sorted(set(values) - {values[0]})
     index = {v: i for i, v in enumerate(elems)}
-    table = []
-    for a in elems:
-        row = []
-        for b in elems:
-            c = compose(a, b)
-            if c not in index:
-                raise RuntimeError("image of a homomorphism must be closed under composition")
-            row.append(index[c])
-        table.append(tuple(row))
-    return FiniteGroup(tuple(table)), index
+    table = tuple(tuple(index[_compose(a, b)] for b in elems) for a in elems)
+    return FiniteGroup(table), index
 
 
 @dataclass(frozen=True)
 class StructureReport:
     """Shape of the acting group as seen through its exact data.
 
-    ``embedding`` is the combined map into the reported target group;
-    ``embedding_ok`` says it is an injective homomorphism, i.e. the
-    modeled data already separates the group elements.
+    ``embedding`` is the combined map into the reported target group, a
+    homomorphism by the cocycle laws; ``embedding_ok`` says it is
+    injective, i.e. the modeled data already separates the group elements.
     """
 
     route: str
@@ -96,7 +63,7 @@ class StructureReport:
 
 def _tau_applies(spec: ExtendedProductActionSpec) -> bool:
     try:
-        return bool(check_tau_commuting(spec, check=False))
+        return bool(check_tau_commuting(spec))
     except ValueError:
         return False
 
@@ -108,17 +75,16 @@ def analyze_structure(spec: ExtendedProductActionSpec) -> StructureReport:
     rotations over the orientation-preserving part, so it is the order
     of the cyclic rotation factor in every route.
     """
-    verdict = validate_action_spec(spec)
-    if not verdict:
-        raise ValueError(f"spec fails validation at law {verdict.law}: {verdict.message}")
+    _require_valid(spec)
     group = spec.group
     kernel = [g for g in group.elements() if spec.alpha[g] == 1]
     rotation_order = lcm(*(spec.theta1[g].denominator for g in kernel))
     alpha_image_order = 2 if len(kernel) < group.order else 1
 
-    shadows = [_shadow(spec, g) for g in group.elements()]
-    identity_shadow = _shadow(spec, 0)
-    shadow_group, shadow_index = _image_group(shadows, identity_shadow, _shadow_compose)
+    data = _data(spec)
+    # the boundary shadow: each datum with its fiber rotation forgotten
+    shadows = [(sign, 0, perm, row) for sign, _, perm, row in data]
+    shadow_group, shadow_index = _image_group(shadows)
 
     if alpha_image_order == 1 and _tau_applies(spec):
         half = Fraction(1, 2)
@@ -132,9 +98,8 @@ def analyze_structure(spec: ExtendedProductActionSpec) -> StructureReport:
                        + shadow_index[shadows[g]] for g in group.elements())
         route, factors = "fiber-rotation", f"Z{rotation_order} x H"
     else:
-        data = [_datum(spec, g) for g in group.elements()]
-        target, datum_index = _image_group(data, _datum(spec, 0), _datum_compose)
-        images = tuple(datum_index[data[g]] for g in group.elements())
+        target, datum_index = _image_group(data)
+        images = tuple(datum_index[d] for d in data)
         route = "orientation-mixed"
         reversing_involution = any(
             spec.alpha[g] == -1 and group.mul(g, g) == 0 for g in group.elements())
@@ -144,6 +109,5 @@ def analyze_structure(spec: ExtendedProductActionSpec) -> StructureReport:
             factors = "no product decomposition (every orientation-reversing element has order > 2)"
 
     embedding = GroupMap(group, target, images)
-    embedding_ok = is_homomorphism(embedding) and is_injective(embedding)
     return StructureReport(route, rotation_order, alpha_image_order,
-                           shadow_group.order, factors, embedding_ok, embedding)
+                           shadow_group.order, factors, is_injective(embedding), embedding)

@@ -2,7 +2,8 @@
 
 Each oracle recomputes its answer from first principles, blind to how
 the library gets there: equivalence is decided by searching the actual
-move graph, Smith invariants come from minor gcds.  Keeping them apart
+move graph, Smith invariants come from minor gcds, descriptor laws are
+read straight off the folded tables.  Keeping them apart
 from the package means a bug cannot hide behind shared code.
 """
 
@@ -132,3 +133,36 @@ def snf_minor_gcd(matrix) -> list[int]:
         invariants.append(g // prev)
         prev = g
     return invariants
+
+
+def folded_law_scan(descriptor) -> tuple[bool, str | None, tuple | None]:
+    """(ok, law, witness) of the folded descriptor laws, scanned naively.
+
+    Laws in order: trivial identity datum; epsilon a homomorphism;
+    beta_bar a homomorphism; theta2_bar(i, gh) = epsilon(h) *
+    theta2_bar(beta_bar(h)(i), g) + theta2_bar(i, h) mod 1; beta_bar
+    keeps each (q, p).  The first failing (g, h[, i]) is the witness.
+    """
+    eps, perm, rot = descriptor.epsilon, descriptor.beta_bar, descriptor.theta2_bar
+    table = descriptor.group.table
+    m, n = len(table), len(descriptor.base.pairs)
+    if eps[0] != 1 or list(perm[0]) != list(range(n)) or any(v % 1 for v in rot[0]):
+        return False, "identity", (0,)
+    pairs_gh = [(g, h) for g in range(m) for h in range(m)]
+    for g, h in pairs_gh:
+        if eps[table[g][h]] != eps[g] * eps[h]:
+            return False, "epsilon", (g, h)
+    for g, h in pairs_gh:
+        if any(perm[table[g][h]][i] != perm[g][perm[h][i]] for i in range(n)):
+            return False, "beta_bar", (g, h)
+    for g, h in pairs_gh:
+        for i in range(n):
+            drift = (rot[table[g][h]][i] - eps[h] * rot[g][perm[h][i]] - rot[h][i])
+            if drift % 1:
+                return False, "theta2_bar", (g, h, i)
+    pairs = descriptor.base.pairs
+    for g in range(m):
+        for i in range(n):
+            if pairs[perm[g][i]] != pairs[i]:
+                return False, "pairs", (g, i)
+    return True, None, None

@@ -360,6 +360,62 @@ def test_criterion_07_validator_agrees_with_naive_law_scan():
     _pass(7, "validator agrees with a naive law scan on mutants")
 
 
+def _mutate_descriptor(rng, d) -> ProjectedActionDescriptor:
+    n = len(d.base.pairs)
+    epsilon = list(d.epsilon)
+    beta_bar = [list(row) for row in d.beta_bar]
+    theta2_bar = [list(row) for row in d.theta2_bar]
+    k = rng.randrange(d.group.order)
+    field = rng.choice(("epsilon", "beta_bar", "theta2_bar"))
+    if field == "epsilon":
+        epsilon[k] = -epsilon[k]
+    elif field == "beta_bar" and n > 1:
+        i, j = rng.sample(range(n), 2)
+        beta_bar[k][i], beta_bar[k][j] = beta_bar[k][j], beta_bar[k][i]
+    else:
+        i = rng.randrange(n)
+        while True:
+            value = Fraction(rng.randint(0, 11), rng.randint(1, 12)) % 1
+            if value != theta2_bar[k][i]:
+                break
+        theta2_bar[k][i] = value
+    return ProjectedActionDescriptor(
+        d.base, d.group, tuple(epsilon),
+        tuple(tuple(row) for row in beta_bar), tuple(tuple(row) for row in theta2_bar))
+
+
+def test_descriptor_validator_agrees_with_naive_folded_scan():
+    # validate_descriptor reads the spec laws on the lift; the oracle
+    # scans the folded laws directly, and both must name the same witness
+    bases = [
+        specbuild.z2_lens_descriptor(),
+        specbuild.z2z3_descriptor(),
+        project_action(specbuild.z2z3_block_spec()),
+        project_action(specbuild.z2_swap_spec()),
+        project_action(specbuild.mixed_crossing_spec()),
+        # unequal pairs: a swap at the involution breaks only the pairs law
+        ProjectedActionDescriptor(parse_symbol("(1,n2|(2,1),(3,1))"), cyclic_group(2),
+                                  (1, -1), ((0, 1),) * 2, ((ZERO, ZERO),) * 2),
+    ]
+    rng = random.Random(90019)
+    laws = set()
+    rejected = accepted = 0
+    for step in range(3000):
+        mutant = _mutate_descriptor(rng, bases[step % len(bases)])
+        report = validate_descriptor(mutant)
+        assert (report.ok, report.law, report.witness) == oracles.folded_law_scan(mutant)
+        if report.ok:
+            accepted += 1
+        else:
+            rejected += 1
+            laws.add(report.law)
+            assert report.message.startswith(
+                {"epsilon": "epsilon(", "beta_bar": "beta_bar(", "theta2_bar": "theta2_bar(",
+                 "pairs": "beta_bar(", "identity": "the identity"}[report.law])
+    assert rejected >= 1000 and accepted >= 20
+    assert laws == {"identity", "epsilon", "beta_bar", "theta2_bar", "pairs"}
+
+
 def test_criterion_08_covering_translation_goldens():
     ok = check_tau_commuting(specbuild.z2_swap_spec())
     assert ok.ok and ok.condition is None

@@ -1,14 +1,17 @@
 """Action-spec validation, fillings, the covering translation, lift/project,
 and the document format."""
 
+import dataclasses
 from fractions import Fraction
 
 import pytest
 
+import seifert.actions
 from seifert import (
     ExtendedProductActionSpec,
     ProjectedActionDescriptor,
     SeifertPair,
+    analyze_structure,
     beta_orbit_numbers,
     check_tau_commuting,
     cyclic_group,
@@ -199,9 +202,6 @@ def test_induced_rotation_rejects_invalid_spec():
                   alpha=(1, -1, -1, -1))
     with pytest.raises(ValueError, match="fails validation"):
         induced_solid_torus_action(bad, 0, 1)
-    # explicit opt-out skips the law check
-    rot = induced_solid_torus_action(bad, 0, 1, check=False)
-    assert rot.sign == -1
 
 
 # -- obstruction solving ---------------------------------------------------
@@ -316,6 +316,43 @@ def test_descriptor_structure_enforced():
     with pytest.raises(ValueError, match="not a permutation"):
         ProjectedActionDescriptor(good.base, good.group, good.epsilon,
                                   ((0,), (1,)), good.theta2_bar)
+
+
+@pytest.fixture
+def scans(monkeypatch):
+    """Every spec the law scan runs on, in order."""
+    seen = []
+    scan = seifert.actions._scan_laws
+
+    def counted(spec, laws):
+        seen.append(spec)
+        return scan(spec, laws)
+    monkeypatch.setattr(seifert.actions, "_scan_laws", counted)
+    return seen
+
+
+def test_spec_is_law_scanned_once(scans):
+    spec = specbuild.z2_swap_spec()
+    assert validate_action_spec(spec)
+    assert check_tau_commuting(spec)
+    descriptor = project_action(spec)
+    analyze_structure(spec)
+    beta_orbit_numbers(spec)
+    assert len(scans) == 1 and scans[0] is spec
+    # a descriptor is scanned once too, through its lift
+    assert validate_descriptor(descriptor)
+    assert lift_action(descriptor) == spec
+    assert len(scans) == 2 and scans[1] == spec
+
+
+def test_replaced_spec_is_scanned_afresh(scans):
+    spec = specbuild.z4_swap_spec()
+    assert validate_action_spec(spec)
+    broken = dataclasses.replace(spec, theta1=(ZERO, F(1, 3), F(1, 2), F(3, 4)))
+    report = validate_action_spec(broken)
+    assert (report.law, report.witness) == ("theta1", (1, 1))
+    assert validate_action_spec(dataclasses.replace(spec))
+    assert len(scans) == 3
 
 
 def test_descriptor_laws():

@@ -1,6 +1,11 @@
 """End-to-end command tests driving main() in process."""
 
+import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -260,6 +265,43 @@ def test_value_errors_exit_two(capsys):
     code, out, err = run(capsys, "normalize", "(0,o1")
     assert code == 2
     assert "syntax error at position" in err
+
+
+def _set_table_entry(doc, value):
+    doc["group"] = {"order": 4, "table": [[(g + h) % 4 for h in range(4)] for g in range(4)]}
+    doc["group"]["table"][1][2] = value
+
+
+@pytest.mark.parametrize("edit, fragment", [
+    (lambda doc: doc.update(symbol=5), "symbol must be a string"),
+    (lambda doc: doc.update(group={"file": 5}), "group file must be a string"),
+    (lambda doc: _set_table_entry(doc, 3.7), "is not a list of integers"),
+    (lambda doc: doc.update(group={"order": 4, "table": [[0, 1, 2, 3], None, [2, 3, 0, 1],
+                                                         [3, 0, 1, 2]]}),
+     "group table row None"),
+    (lambda doc: doc["beta"][0].__setitem__(0, True), "entries are 1-based indices"),
+    (lambda doc: doc.update(group={"order": "4", "table": doc["group"]["table"]}),
+     "group order must be an integer, got '4'"),
+    (lambda doc: doc["alpha"].__setitem__(1, 1.0), "alpha entries must be 1 or -1"),
+], ids=["symbol-int", "group-file-int", "float-entry", "null-row", "bool-beta",
+        "order-text", "float-alpha"])
+def test_mistyped_document_fields_exit_two(capsys, tmp_path, edit, fragment):
+    doc = json.loads(format_action_spec(specbuild.z4_swap_spec()))
+    edit(doc)
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    code, out, err = run(capsys, "validate-action", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and fragment in err
+
+
+@pytest.mark.parametrize("module", ["seifert", "seifert.cli"])
+def test_runs_as_a_module(module):
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-m", module, "h1", "(1,n2|(2,1))", "--porcelain"],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert (done.returncode, done.stdout) == (0, "free_rank=0\ntorsion=8\n")
 
 
 def test_missing_file_is_reported(capsys, docs):
