@@ -20,6 +20,7 @@ files; group elements are 0-based table indices with 0 the identity.
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 from pathlib import Path
 
@@ -330,6 +331,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("symbol")
     p = add("snf", _cmd_snf, "Smith normal form invariants of an integer matrix")
     p.add_argument("matrix", help="rows split by ';', entries by ',': '2,0;0,3'")
+    # argparse reads a word starting with "-" as an option unless it is a
+    # bare negative number; "-1,2;3,4" is a matrix, as is "-1,x" (bad row)
+    p._negative_number_matcher = re.compile(r"-\d")
     p = add("validate-action", _cmd_validate_action, "check the action laws of a spec file")
     p.add_argument("specfile")
     p = add("induced-torus", _cmd_induced_torus, "induced solid-torus rotation of one element")

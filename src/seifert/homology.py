@@ -1,8 +1,16 @@
 """Integer Smith normal form and first homology of a symbol.
 
-All arithmetic is exact over Python ints; matrices are small (rows and
-columns each a few dozen at most for any symbol this library builds), so
-the classic elimination with a minimal-absolute-value pivot is plenty.
+All arithmetic is exact over Python ints.  The relation matrices of
+symbols are sparse: a pair's row touches its own generator and the fiber,
+and the commutator rows of the abelianization vanish.  So the Smith form
+is a sparse elimination.  Rows are ``{column: entry}`` dicts and each
+column keeps the set of rows that use it.  The pivot is the entry of least
+absolute value, ties going to the least fill-in (Markowitz 1957), which
+keeps both the entries and the number of nonzeros small.  Row operations
+clear the pivot's column and column operations its row; any nonzero
+remainder is a smaller entry, and the search starts again.  What is left
+is a diagonal, and one closing pass replaces each pair (a, b) by
+(gcd, lcm), an equivalent diagonal, until the entries form a divisor chain.
 
 >>> smith_normal_form([[2, 0], [0, 3]])
 [1, 6]
@@ -19,6 +27,20 @@ from .presentations import abelianize, pi1
 from .symbols import Orientability, SeifertSymbol
 
 
+def _pivot(rows, cols):
+    """Entry of least |v|, then least fill-in (row nnz - 1)(col nnz - 1)."""
+    best = None
+    for i, row in rows.items():
+        others = len(row) - 1
+        for j, v in row.items():
+            key = (abs(v), others * (len(cols[j]) - 1))
+            if best is None or key < best:
+                best, at = key, (i, j)
+                if key == (1, 0):
+                    return at
+    return at
+
+
 def smith_normal_form(matrix) -> list[int]:
     """Diagonal of the Smith normal form, d1 | d2 | ... | dr, zeros last.
 
@@ -26,83 +48,61 @@ def smith_normal_form(matrix) -> list[int]:
     operations are unimodular throughout, so the product of the nonzero
     entries equals |det| for square input of full rank.
     """
-    a = [[int(v) for v in row] for row in matrix]
-    m = len(a)
-    n = len(a[0]) if m else 0
-    if any(len(row) != n for row in a):
+    dense = [[int(v) for v in row] for row in matrix]
+    n = len(dense[0]) if dense else 0
+    if any(len(row) != n for row in dense):
         raise ValueError("matrix rows must all have the same length")
-    size = min(m, n)
+    size = min(len(dense), n)
+    rows: dict[int, dict[int, int]] = {}
+    cols: list[set[int]] = [set() for _ in range(n)]
+    for i, row in enumerate(dense):
+        entries = {j: v for j, v in enumerate(row) if v}
+        if entries:
+            rows[i] = entries
+            for j in entries:
+                cols[j].add(i)
 
-    t = 0
-    while t < size:
-        # smallest nonzero entry of the trailing block becomes the pivot
-        best = None
-        for i in range(t, m):
-            for j in range(t, n):
-                if a[i][j] and (best is None or abs(a[i][j]) < abs(a[best[0]][best[1]])):
-                    best = (i, j)
-        if best is None:
-            break
-        bi, bj = best
-        a[t], a[bi] = a[bi], a[t]
-        for row in a:
-            row[t], row[bj] = row[bj], row[t]
+    diag = []
+    while rows:
+        pi, pj = _pivot(rows, cols)
+        prow = rows[pi]
+        p = prow[pj]
+        for i in cols[pj] - {pi}:
+            row = rows[i]
+            q = row[pj] // p
+            for j, v in prow.items():
+                w = row.get(j, 0) - q * v
+                if w:
+                    row[j] = w
+                    cols[j].add(i)
+                elif j in row:
+                    del row[j]
+                    cols[j].discard(i)
+            if not row:
+                del rows[i]
+        if len(cols[pj]) > 1:
+            continue
+        # the pivot column is zero off the pivot, so column operations
+        # change only the pivot row
+        for j in [j for j in prow if j != pj]:
+            w = prow[j] % p
+            if w:
+                prow[j] = w
+            else:
+                del prow[j]
+                cols[j].discard(pi)
+        if len(prow) > 1:
+            continue
+        diag.append(abs(p))
+        del rows[pi]
+        cols[pj].clear()
 
-        while True:
-            if a[t][t] < 0:
-                a[t] = [-v for v in a[t]]
-            pivot = a[t][t]
-            # clear the pivot column; a leftover remainder is a smaller
-            # pivot, promote it and start over
-            smaller = None
-            for i in range(t + 1, m):
-                if a[i][t]:
-                    q = a[i][t] // pivot
-                    if q:
-                        a[i] = [x - q * y for x, y in zip(a[i], a[t])]
-                    if a[i][t]:
-                        smaller = i
-            if smaller is not None:
-                a[t], a[smaller] = a[smaller], a[t]
-                continue
-            cleared = True
-            for j in range(t + 1, n):
-                if a[t][j]:
-                    q = a[t][j] // pivot
-                    if q:
-                        for row in a:
-                            row[j] -= q * row[t]
-                    if a[t][j]:
-                        for row in a:
-                            row[t], row[j] = row[j], row[t]
-                        cleared = False
-                        break
-            if not cleared:
-                continue
-            # divisibility repair: the pivot must divide the whole block
-            bad = None
-            for i in range(t + 1, m):
-                for j in range(t + 1, n):
-                    if a[i][j] % pivot:
-                        bad = i
-                        break
-                if bad is not None:
-                    break
-            if bad is None:
-                break
-            a[t] = [x + y for x, y in zip(a[t], a[bad])]
-        t += 1
-
-    diag = [abs(a[i][i]) for i in range(size)]
-    nonzero = [d for d in diag if d]
-    # belt and braces: enforce the divisor chain even if elimination left
-    # it intact already
-    for i in range(len(nonzero)):
-        for j in range(i + 1, len(nonzero)):
-            if nonzero[j] % nonzero[i]:
-                g = gcd(nonzero[i], nonzero[j])
-                nonzero[i], nonzero[j] = g, nonzero[i] * nonzero[j] // g
-    return nonzero + [0] * (size - len(nonzero))
+    for i in range(len(diag)):
+        for j in range(i + 1, len(diag)):
+            if diag[j] % diag[i]:
+                g = gcd(diag[i], diag[j])
+                diag[i], diag[j] = g, diag[i] * diag[j] // g
+    return diag + [0] * (size - len(diag))
 
 
 @dataclass(frozen=True)

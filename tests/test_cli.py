@@ -126,9 +126,23 @@ def test_h1_output(capsys):
 def test_snf_output(capsys):
     assert run(capsys, "snf", "2,0;0,3") == (0, "1,6\n", "")
     assert run(capsys, "snf", "--porcelain", "2,4;4,8") == (0, "invariants=2,0\n", "")
-    code, out, err = run(capsys, "snf", "2,x")
-    assert code == 2
-    assert "bad matrix row" in err
+    for bad in ("2,x", "-1,x"):
+        code, out, err = run(capsys, "snf", bad)
+        assert code == 2
+        assert "bad matrix row" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["-1,2;3,4"],
+    ["--", "-1,2;3,4"],
+    ["-1,2;3,4", "--porcelain"],
+    ["--porcelain", "-1,2;3,4"],
+    ["--porcelain", "--", "-1,2;3,4"],
+])
+def test_snf_matrix_starting_with_minus(capsys, argv):
+    code, out, err = run(capsys, "snf", *argv)
+    assert (code, err) == (0, "")
+    assert out == ("invariants=1,10\n" if "--porcelain" in argv else "1,10\n")
 
 
 # -- action-spec commands --------------------------------------------------

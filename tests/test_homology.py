@@ -1,6 +1,9 @@
 """Smith normal form and first homology."""
 
-from math import prod
+import random
+import signal
+from contextlib import contextmanager
+from math import gcd, prod
 
 import pytest
 from hypothesis import given
@@ -8,12 +11,18 @@ import hypothesis.strategies as st
 
 from seifert import (
     AbelianGroupStructure,
+    Orientability,
+    SeifertPair,
+    SeifertSymbol,
     abelianize,
     first_homology,
     normalize,
+    orientable_double_cover,
     parse_symbol,
+    pi1,
     pi1_orientable,
     smith_normal_form,
+    total_sum,
 )
 from oracles import exact_det, snf_minor_gcd
 from strategies import seifert_symbols
@@ -51,7 +60,7 @@ small_entries = st.integers(min_value=-5, max_value=5)
 
 
 @st.composite
-def small_matrices(draw, max_side=4, square=False):
+def small_matrices(draw, max_side=5, square=False):
     rows = draw(st.integers(min_value=1, max_value=max_side))
     cols = rows if square else draw(st.integers(min_value=1, max_value=max_side))
     return [[draw(small_entries) for _ in range(cols)] for _ in range(rows)]
@@ -68,6 +77,99 @@ def test_snf_divisor_chain_and_determinant(m):
     for a, b in zip(inv, inv[1:]):
         assert b == 0 if a == 0 else b % a == 0
     assert prod(inv) == abs(exact_det(m))
+
+
+@st.composite
+def permuted_copies(draw):
+    """A matrix and a copy with rows and columns permuted, some rows negated."""
+    m = draw(small_matrices(max_side=8))
+    rows = draw(st.permutations(range(len(m))))
+    cols = draw(st.permutations(range(len(m[0]))))
+    signs = draw(st.lists(st.sampled_from((1, -1)), min_size=len(m), max_size=len(m)))
+    return m, [[sign * m[i][j] for j in cols] for i, sign in zip(rows, signs)]
+
+
+@given(permuted_copies())
+def test_snf_invariant_under_permutation_and_negation(pair):
+    m, copy = pair
+    assert smith_normal_form(copy) == smith_normal_form(m)
+
+
+# -- differential test against sympy ---------------------------------------
+
+def sympy_invariants(matrix) -> list[int]:
+    sympy = pytest.importorskip("sympy")
+    from sympy.matrices.normalforms import invariant_factors
+    return [abs(int(d)) for d in invariant_factors(sympy.Matrix(matrix), domain=sympy.ZZ)]
+
+
+def seeded_symbol(rng, cls, pairs, genus):
+    chosen = []
+    for _ in range(pairs):
+        q = rng.randint(2, 12)
+        chosen.append(SeifertPair(q, rng.choice([p for p in range(-30, 31) if gcd(p, q) == 1])))
+    return SeifertSymbol(genus, cls, tuple(chosen))
+
+
+def seeded_matrices():
+    rng = random.Random(2018)
+    for density in (0.15, 1.0):
+        for _ in range(12):
+            rows, cols = rng.randint(1, 30), rng.randint(1, 30)
+            yield [[rng.randint(-9, 9) if rng.random() < density else 0
+                    for _ in range(cols)] for _ in range(rows)]
+
+
+def seeded_relation_matrices():
+    rng = random.Random(1957)
+    for _ in range(10):
+        cls = rng.choice((Orientability.O1, Orientability.N2))
+        symbol = seeded_symbol(rng, cls, rng.randint(0, 60), rng.randint(1, 3))
+        yield abelianize(pi1(symbol))
+    # a 60-pair cover: where a divisibility repair inside the elimination
+    # loop swells the entries until H1 never finishes
+    n2 = seeded_symbol(random.Random(30), Orientability.N2, 30, 2)
+    yield abelianize(pi1(orientable_double_cover(n2)))
+
+
+def test_snf_matches_sympy():
+    for matrix in [*seeded_matrices(), *seeded_relation_matrices()]:
+        assert smith_normal_form(matrix) == sympy_invariants(matrix)
+
+
+# -- no coefficient swell --------------------------------------------------
+
+@contextmanager
+def time_budget(seconds):
+    """Raise TimeoutError in place of a hang."""
+    def expire(signum, frame):
+        raise TimeoutError(f"over the {seconds} s budget")
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.mark.skipif(not hasattr(signal, "SIGALRM"), reason="needs SIGALRM")
+def test_ladder_h1_without_coefficient_swell():
+    # dense pivoting with a divisibility repair inside the loop swells on
+    # these: from 3.9 s to over a minute each
+    rng = random.Random(80)
+    with time_budget(10):
+        for n in (41, 44, 49, 60, 80):
+            symbol = parse_symbol(
+                "(2,o1|" + ",".join(f"({k},1)" for k in range(2, n + 2)) + ")")
+            h = first_homology(symbol)
+            assert h.free_rank == 4
+            assert prod(h.torsion) == abs(total_sum(symbol)) * prod(p.q for p in symbol.pairs)
+            matrix = abelianize(pi1(symbol))
+            rows = rng.sample(matrix, len(matrix))
+            cols = rng.sample(range(len(matrix[0])), len(matrix[0]))
+            shuffled = [[row[j] for j in cols] for row in rows]
+            assert smith_normal_form(shuffled) == smith_normal_form(matrix)
 
 
 # -- homology of symbols ---------------------------------------------------
