@@ -24,7 +24,9 @@ or descriptor is law-scanned once: the report is kept on the frozen
 object, and every function that needs valid data reads it.
 
 The covering-translation machinery works on symbols whose pair list is
-doubled in blocks, pairs i and i+n equal for i < n.  The translation is
+doubled in blocks, pairs i and i+n equal for i < n: exactly the
+symbols :func:`~seifert.symbols.orientable_double_cover` writes, one
+convention for cover, check, project and lift.  The translation is
 modeled on boundary data as the index swap sigma(i) = i + n together
 with inversion of the fiber and meridian coordinates.
 """
@@ -39,7 +41,8 @@ from functools import cached_property
 from pathlib import Path
 
 from .groups import FiniteGroup, group_from_constructor, parse_group_text
-from .symbols import Orientability, SeifertPair, SeifertSymbol, parse_symbol
+from .symbols import (Orientability, SeifertPair, SeifertSymbol, orientable_double_cover,
+                      parse_symbol)
 
 
 def mod1(value: Fraction) -> Fraction:
@@ -327,13 +330,14 @@ class TauReport:
 _TAU_PASS = TauReport(True, None, None, "commutes with the covering translation")
 
 
-def _doubled_half(symbol: SeifertSymbol) -> int:
+def _block_base(symbol: SeifertSymbol) -> SeifertSymbol:
+    """The class n2 base whose :func:`orientable_double_cover` is symbol."""
     if symbol.orientability is not Orientability.O1:
         raise ValueError("covering-translation checks need a class o1 symbol")
-    n2 = len(symbol.pairs)
-    if n2 % 2 or symbol.pairs[:n2 // 2] != symbol.pairs[n2 // 2:]:
+    base = SeifertSymbol(symbol.genus + 1, Orientability.N2, symbol.pairs[:len(symbol.pairs) // 2])
+    if orientable_double_cover(base) != symbol:
         raise ValueError("symbol pair list is not doubled in blocks (pair i must equal pair i+n)")
-    return n2 // 2
+    return base
 
 
 def check_tau_commuting(spec: ExtendedProductActionSpec) -> TauReport:
@@ -346,7 +350,7 @@ def check_tau_commuting(spec: ExtendedProductActionSpec) -> TauReport:
     theta1 lies in {0, 1/2}, every beta commutes with sigma, and theta2
     is negated by sigma.
     """
-    n = _doubled_half(spec.symbol)
+    n = len(_block_base(spec.symbol).pairs)
     if any(a != 1 for a in spec.alpha):
         raise ValueError("commutation requires a fiber-orientation-preserving action (alpha == +1)")
     _require_valid(spec)
@@ -457,8 +461,8 @@ def project_action(spec: ExtendedProductActionSpec) -> ProjectedActionDescriptor
     tau = check_tau_commuting(spec)
     if not tau:
         raise ValueError(f"action does not commute with the covering translation: {tau.message}")
-    n = len(spec.symbol.pairs) // 2
-    base = SeifertSymbol(spec.symbol.genus + 1, Orientability.N2, spec.symbol.pairs[:n])
+    base = _block_base(spec.symbol)
+    n = len(base.pairs)
     epsilon = tuple(1 if spec.theta1[g] == 0 else -1 for g in spec.group.elements())
     beta_bar = tuple(tuple(spec.beta[g][i] % n for i in range(n))
                      for g in spec.group.elements())
@@ -469,7 +473,7 @@ def project_action(spec: ExtendedProductActionSpec) -> ProjectedActionDescriptor
 def lift_action(descriptor: ProjectedActionDescriptor) -> ExtendedProductActionSpec:
     """Build the canonical commuting action over a folded descriptor.
 
-    The doubled symbol lists the base pairs twice in blocks.  Elements
+    The doubled symbol is the base's orientable double cover.  Elements
     with epsilon = -1 lift with fiber rotation 1/2 and cross the two
     blocks; elements with epsilon = +1 preserve each block.  theta2 is
     extended antisymmetrically.  The result always passes
@@ -486,7 +490,7 @@ def _lift(descriptor: ProjectedActionDescriptor) -> ExtendedProductActionSpec:
     # the construction of lift_action, on data not yet validated
     base = descriptor.base
     n = len(base.pairs)
-    symbol = SeifertSymbol(base.genus - 1, Orientability.O1, base.pairs + base.pairs)
+    symbol = orientable_double_cover(base)
     order = descriptor.group.order
     theta1 = tuple(Fraction(0) if descriptor.epsilon[g] == 1 else Fraction(1, 2)
                    for g in range(order))

@@ -256,41 +256,39 @@ def orientable_double_cover(symbol: SeifertSymbol) -> SeifertSymbol:
     """The orientable-base double cover of a class n2 symbol.
 
     ``(g+1, n2 | (q1,p1), ..., (qn,pn))`` is covered by
-    ``(g, o1 | (q1,p1), (q1,p1), ..., (qn,pn), (qn,pn))``: one handle
-    fewer than there were crosscaps, every pair listed twice, adjacent.
+    ``(g, o1 | (q1,p1), ..., (qn,pn), (q1,p1), ..., (qn,pn))``: one handle
+    fewer than there were crosscaps, the pair list doubled in blocks, so
+    pair i equals pair i+n, the layout the covering translation expects.
 
-    >>> str(orientable_double_cover(parse_symbol("(1,n2|(2,1))")))
-    '(0,o1|(2,1),(2,1))'
+    >>> str(orientable_double_cover(parse_symbol("(1,n2|(2,1),(3,1))")))
+    '(0,o1|(2,1),(3,1),(2,1),(3,1))'
     """
     if symbol.orientability is not Orientability.N2:
         raise ValueError("orientable_double_cover expects a class n2 symbol")
-    doubled = []
-    for pr in symbol.pairs:
-        doubled.append(pr)
-        doubled.append(pr)
-    return SeifertSymbol(symbol.genus - 1, Orientability.O1, tuple(doubled))
+    return SeifertSymbol(symbol.genus - 1, Orientability.O1, symbol.pairs + symbol.pairs)
 
 
 def _halved(pairs: tuple[SeifertPair, ...]) -> tuple[SeifertPair, ...] | None:
-    # Literal doubling patterns invert exactly: adjacent (a,a,b,b,...)
-    # and block (a,b,...,a,b,...).
+    # Literal doubling patterns invert exactly: block (a,b,...,a,b,...),
+    # the cover's own layout and so tried first, and adjacent (a,a,b,b,...).
     if len(pairs) % 2:
         return None
     n = len(pairs) // 2
-    if all(pairs[2 * i] == pairs[2 * i + 1] for i in range(n)):
-        return pairs[0::2]
     if pairs[:n] == pairs[n:]:
         return pairs[:n]
+    if all(pairs[2 * i] == pairs[2 * i + 1] for i in range(n)):
+        return pairs[0::2]
     return None
 
 
 def base_quotient(symbol: SeifertSymbol) -> SeifertSymbol | None:
     """Invert :func:`orientable_double_cover` when possible.
 
-    For a class o1 symbol whose pair list is literally doubled the halved
-    class n2 symbol is returned exactly.  Otherwise the normalized form is
-    inspected: if the exceptional multiset is a doubled multiset and the
-    obstruction class is even, a quotient is assembled from the halves
+    For a class o1 symbol whose pair list is literally doubled, in blocks
+    (the cover's layout) or adjacent, the halved class n2 symbol is
+    returned exactly.  Otherwise the normalized form is inspected: if
+    the exceptional multiset is a doubled multiset and the obstruction
+    class is even, a quotient is assembled from the halves
     (its cover is equivalent, not necessarily equal, to the input).
     Returns None when no quotient exists.
 

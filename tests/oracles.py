@@ -3,7 +3,8 @@
 Each oracle recomputes its answer from first principles, blind to how
 the library gets there: equivalence is decided by searching the actual
 move graph, Smith invariants come from minor gcds, descriptor laws are
-read straight off the folded tables.  Keeping them apart
+read straight off the folded tables, structure reports are recomputed
+from the action tables without building a group.  Keeping them apart
 from the package means a bug cannot hide behind shared code.
 """
 
@@ -11,7 +12,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
-from math import gcd
+from math import gcd, lcm
 
 from seifert import SeifertSymbol
 
@@ -166,3 +167,36 @@ def folded_law_scan(descriptor) -> tuple[bool, str | None, tuple | None]:
             if pairs[perm[g][i]] != pairs[i]:
                 return False, "pairs", (g, i)
     return True, None, None
+
+
+def structure_scan(spec) -> tuple[str, int, bool]:
+    """(route, shadow_order, embedding_ok) of a valid action, scanned naively.
+
+    The route is covering-translation when alpha is identically 1 and the
+    action commutes with the covering translation (symbol of class o1
+    doubled in blocks, theta1 in {0, 1/2}, beta commuting with i -> i+n,
+    theta2 negated by it), fiber-rotation for other alpha = 1 actions and
+    orientation-mixed otherwise.  shadow_order counts the distinct
+    (alpha, beta, theta2) rows.  embedding_ok asks that distinct elements
+    have distinct product coordinates (theta1 * n mod n, shadow), n the
+    least common denominator of theta1, when alpha is identically 1, and
+    distinct full data otherwise.
+    """
+    m = len(spec.group.table)
+    pairs = spec.symbol.pairs
+    n2 = len(pairs)
+    n = n2 // 2
+    shadows = [(spec.alpha[g], tuple(spec.beta[g]), tuple(spec.theta2[g])) for g in range(m)]
+    if any(a != 1 for a in spec.alpha):
+        coords = [(spec.theta1[g],) + shadows[g] for g in range(m)]
+        return "orientation-mixed", len(set(shadows)), len(set(coords)) == m
+    commutes = (spec.symbol.orientability.value == "o1" and n2 % 2 == 0
+                and pairs[:n] == pairs[n:]
+                and all(t in (0, Fraction(1, 2)) for t in spec.theta1)
+                and all(spec.beta[g][(i + n) % n2] == (spec.beta[g][i] + n) % n2
+                        and (spec.theta2[g][(i + n) % n2] + spec.theta2[g][i]) % 1 == 0
+                        for g in range(m) for i in range(n2)))
+    rotation = lcm(*(t.denominator for t in spec.theta1))
+    coords = [(int(spec.theta1[g] * rotation) % rotation, shadows[g]) for g in range(m)]
+    route = "covering-translation" if commutes else "fiber-rotation"
+    return route, len(set(shadows)), len(set(coords)) == m

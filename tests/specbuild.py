@@ -78,6 +78,22 @@ def z6_rotation_spec() -> ExtendedProductActionSpec:
     )
 
 
+def faithful_rotation_spec(m: int) -> ExtendedProductActionSpec:
+    """Z_m turning the fiber and the one meridian both by g/m.
+
+    Both the fiber rotation and the boundary shadow are faithful, so the
+    product Z_m x H has order m^2 while the action reaches only m of it.
+    """
+    return ExtendedProductActionSpec(
+        symbol=parse_symbol("(0,o1|(2,1))"),
+        group=cyclic_group(m),
+        theta1=tuple(F(g, m) for g in range(m)),
+        alpha=(1,) * m,
+        beta=((0,),) * m,
+        theta2=tuple((F(g, m),) for g in range(m)),
+    )
+
+
 def z2z3_block_spec() -> ExtendedProductActionSpec:
     """Z2 x Z3 on six equal pairs: half turns from Z2, block rotations from Z3.
 

@@ -185,7 +185,7 @@ def test_criterion_03_cover_goldens_and_quotient_inversion():
         ("(1,n2|(2,1))", "(0,o1|(2,1),(2,1))"),
         ("(1,n2|(3,1))", "(0,o1|(3,1),(3,1))"),
         ("(2,n2|(3,2))", "(1,o1|(3,2),(3,2))"),
-        ("(1,n2|(5,2),(1,1))", "(0,o1|(5,2),(5,2),(1,1),(1,1))"),
+        ("(1,n2|(5,2),(1,1))", "(0,o1|(5,2),(1,1),(5,2),(1,1))"),
     ]
     for base_text, cover_text in goldens:
         base = parse_symbol(base_text)
@@ -548,6 +548,26 @@ def test_criterion_11_structure_reports():
     assert blocks.embedding.target.order == 6
     assert sorted(blocks.embedding.images) == list(range(6))
     _pass(11, "structure analysis identifies both product routes")
+
+
+def test_structure_agrees_with_naive_scan():
+    # the report's image group against a scan of the tables that builds
+    # no group: every specbuild action (all three routes) and 200 lifts
+    specs = [specbuild.trivial_spec("(0,o1|(2,1))", cyclic_group(3)),
+             specbuild.trivial_spec("(0,o1|(3,1),(3,1))", cyclic_group(2)),
+             specbuild.faithful_rotation_spec(8)]
+    specs += [getattr(specbuild, name)() for name in dir(specbuild)
+              if name.endswith("_spec") and name not in ("trivial_spec", "faithful_rotation_spec")]
+    rng = random.Random(24593)
+    specs += [lift_action(_random_descriptor(rng)) for _ in range(200)]
+    routes = set()
+    for spec in specs:
+        report = analyze_structure(spec)
+        assert (report.route, report.shadow_order, report.embedding_ok) == oracles.structure_scan(spec)
+        assert is_homomorphism(report.embedding)
+        assert report.embedding.target.order == len(set(report.embedding.images))
+        routes.add(report.route)
+    assert routes == {"covering-translation", "fiber-rotation", "orientation-mixed"}
 
 
 def test_criterion_12_cli_round_trips_are_deterministic(capsys, cli_docs):

@@ -94,6 +94,20 @@ def test_cover_and_quotient(capsys):
     assert (code, out) == (0, "exists=true\nsymbol=(2,n2|)\n")
 
 
+def test_cover_output_feeds_the_action_pipeline(capsys, tmp_path):
+    code, out, _ = run(capsys, "cover", "(1,n2|(2,1),(3,1))")
+    assert (code, out) == (0, "(0,o1|(2,1),(3,1),(2,1),(3,1))\n")
+    spec_path = tmp_path / "trivial.json"
+    spec_path.write_text(format_action_spec(
+        specbuild.trivial_spec(out.strip(), specbuild.cyclic_group(1))), encoding="utf-8")
+    assert run(capsys, "check-tau", str(spec_path)) == (0, "commutes\n", "")
+    descr_path, lifted_path = tmp_path / "descr.json", tmp_path / "lifted.json"
+    assert run(capsys, "project", str(spec_path), "-o", str(descr_path))[0] == 0
+    assert json.loads(descr_path.read_text(encoding="utf-8"))["symbol"] == "(1,n2|(2,1),(3,1))"
+    assert run(capsys, "lift", str(descr_path), "-o", str(lifted_path))[0] == 0
+    assert lifted_path.read_text(encoding="utf-8") == spec_path.read_text(encoding="utf-8")
+
+
 def test_pi1_output(capsys):
     assert run(capsys, "pi1", "(1,n2|(2,1))") == (
         0,

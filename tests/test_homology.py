@@ -1,8 +1,6 @@
 """Smith normal form and first homology."""
 
 import random
-import signal
-from contextlib import contextmanager
 from math import gcd, prod
 
 import pytest
@@ -24,6 +22,7 @@ from seifert import (
     smith_normal_form,
     total_sum,
 )
+from budget import needs_alarm, time_budget
 from oracles import exact_det, snf_minor_gcd
 from strategies import seifert_symbols
 
@@ -139,21 +138,7 @@ def test_snf_matches_sympy():
 
 # -- no coefficient swell --------------------------------------------------
 
-@contextmanager
-def time_budget(seconds):
-    """Raise TimeoutError in place of a hang."""
-    def expire(signum, frame):
-        raise TimeoutError(f"over the {seconds} s budget")
-    previous = signal.signal(signal.SIGALRM, expire)
-    signal.alarm(seconds)
-    try:
-        yield
-    finally:
-        signal.alarm(0)
-        signal.signal(signal.SIGALRM, previous)
-
-
-@pytest.mark.skipif(not hasattr(signal, "SIGALRM"), reason="needs SIGALRM")
+@needs_alarm
 def test_ladder_h1_without_coefficient_swell():
     # dense pivoting with a divisibility repair inside the loop swells on
     # these: from 3.9 s to over a minute each

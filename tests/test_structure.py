@@ -3,6 +3,7 @@
 import pytest
 
 from seifert import analyze_structure, cyclic_group, is_homomorphism
+from budget import needs_alarm, time_budget
 import specbuild
 
 
@@ -49,6 +50,20 @@ def test_covering_translation_route():
     assert report.shadow_order == 3
     assert report.embedding.target.order == 6
     assert report.embedding_ok
+
+
+@needs_alarm
+@pytest.mark.parametrize("m", [32, 64])
+def test_faithful_rotations_report_without_the_product_table(m):
+    # Z_m x H has order m^2 here, and its table with the cubic
+    # associativity check took 102 s at m = 32; the image has order m
+    with time_budget(10):
+        report = analyze_structure(specbuild.faithful_rotation_spec(m))
+    assert report.route == "fiber-rotation"
+    assert report.rotation_order == report.shadow_order == m
+    assert report.factors == f"Z{m} x H"
+    assert report.embedding_ok
+    assert report.embedding.target.order == m
 
 
 def test_reflection_report():
