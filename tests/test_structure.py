@@ -55,8 +55,9 @@ def test_covering_translation_route():
 @needs_alarm
 @pytest.mark.parametrize("m", [32, 64])
 def test_faithful_rotations_report_without_the_product_table(m):
-    # Z_m x H has order m^2 here, and its table with the cubic
-    # associativity check took 102 s at m = 32; the image has order m
+    # Z_m x H has order m^2 here, and building its table with the cubic
+    # associativity check overruns this budget at both m; the image has
+    # order m
     with time_budget(10):
         report = analyze_structure(specbuild.faithful_rotation_spec(m))
     assert report.route == "fiber-rotation"
