@@ -19,9 +19,13 @@ image groups of :mod:`seifert.structure`):
     (e)  beta(g) may send i to j only if pair i equals pair j
 
 plus triviality of the identity element's datum.  Rotation numbers are
-exact fractions in [0, 1); all checks are exhaustive and exact.  A spec
-or descriptor is law-scanned once: the report is kept on the frozen
-object, and every function that needs valid data reads it.
+exact fractions in [0, 1), and every check is exact.  Laws (a) to (d)
+are decided over G x S, S the group's generating set: the composition
+is associative, so datum(gs) = datum(g) o datum(s) for every g and
+every s in S gives them for all pairs.  Only when that fails does the
+full scan over all pairs run, to name the first witness in a fixed
+order.  A spec or descriptor is law-scanned once: the report is kept on
+the frozen object, and every function that needs valid data reads it.
 
 The covering-translation machinery works on symbols whose pair list is
 doubled in blocks, pairs i and i+n equal for i < n: exactly the
@@ -148,9 +152,11 @@ def _compose(a: tuple, b: tuple) -> tuple:
 
 
 def _scan_laws(spec: ExtendedProductActionSpec, laws: dict) -> ValidationReport:
-    """Identity, then each law over all (g, h) before the next, then (e).
+    """Identity, then laws (a) to (d) over G x S, then (e).
 
     Stops at the first failure; ``laws`` names it and words its message.
+    When the G x S test fails, the full scan, each law over all (g, h)
+    before the next, finds the witness, so reports do not depend on S.
     """
     def fail(law, witness, **values):
         name, message = laws[law]
@@ -162,17 +168,22 @@ def _scan_laws(spec: ExtendedProductActionSpec, laws: dict) -> ValidationReport:
         return fail("identity", (0,))
     data = _data(spec)
     table = spec.group.table
-    for k, (law, component) in enumerate(_COMPONENT_LAWS):
-        for g, a in enumerate(data):
-            for h, b in enumerate(data):
-                gh = table[g][h]
-                got, want = data[gh][k], component(a, b)
-                if got == want:
-                    continue
-                if law != "theta2":
-                    return fail(law, (g, h), g=g, h=h, gh=gh, value=got, want=want)
-                i = next(i for i in range(n) if got[i] != want[i])
-                return fail(law, (g, h, i), gh=gh, i=i, value=got[i], want=want[i])
+    # _compose is associative with the trivial datum as identity, so
+    # datum(gs) = datum(g) o datum(s) for every generator s extends to
+    # datum(gh) = datum(g) o datum(h) by induction on the word length of h
+    if not all(data[table[g][s]] == _compose(a, data[s])
+               for g, a in enumerate(data) for s in spec.group.generators):
+        for k, (law, component) in enumerate(_COMPONENT_LAWS):
+            for g, a in enumerate(data):
+                for h, b in enumerate(data):
+                    gh = table[g][h]
+                    got, want = data[gh][k], component(a, b)
+                    if got == want:
+                        continue
+                    if law != "theta2":
+                        return fail(law, (g, h), g=g, h=h, gh=gh, value=got, want=want)
+                    i = next(i for i in range(n) if got[i] != want[i])
+                    return fail(law, (g, h, i), gh=gh, i=i, value=got[i], want=want[i])
     pairs = spec.symbol.pairs
     for g, perm in enumerate(spec.beta):
         for i in range(n):
@@ -415,8 +426,12 @@ class ProjectedActionDescriptor:
                 _check_rotation(v, "theta2_bar")
 
     @cached_property
+    def _raw_lift(self) -> ExtendedProductActionSpec:
+        return _lift(self)
+
+    @cached_property
     def _law_report(self) -> ValidationReport:
-        return _scan_laws(_lift(self), _DESCRIPTOR_LAWS)
+        return _scan_laws(self._raw_lift, _DESCRIPTOR_LAWS)
 
 
 # The spec laws read on the raw lift, named by the descriptor's fields.
@@ -483,7 +498,7 @@ def lift_action(descriptor: ProjectedActionDescriptor) -> ExtendedProductActionS
     report = validate_descriptor(descriptor)
     if not report:
         raise ValueError(f"descriptor fails validation: {report.message}")
-    return _lift(descriptor)
+    return descriptor._raw_lift
 
 
 def _lift(descriptor: ProjectedActionDescriptor) -> ExtendedProductActionSpec:
@@ -624,7 +639,7 @@ def _permutation_table(rows, order: int, n: int, name: str) -> tuple[tuple[int, 
 def _load_document(text: str) -> dict:
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise ValueError(f"malformed document: {exc}") from None
     if not isinstance(doc, dict):
         raise ValueError("document must be a JSON object with named fields")

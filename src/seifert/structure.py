@@ -4,11 +4,13 @@ The acting group is examined through its exact data: per element the
 datum (alpha, theta1, beta row, theta2 row).  The data compose by the
 one datum composition of :mod:`seifert.actions`, so g -> datum(g) is a
 homomorphism by the cocycle laws, and its image, the set of distinct
-data, is a concrete finite group we build the table of.  That image is
-the target on every route; it sits inside the product the route names.
-The surface behavior away from the boundary is not modeled; when the
-data fail to separate group elements the report says so (embedding_ok
-false) instead of erroring.
+data, is a concrete finite group.  That image is the target on every
+route; it sits inside the product the route names.  The six reported
+fields are counts over the data, O(|G| n); the image's table, the
+``embedding`` of a report, is built only when it is read.  The surface
+behavior away from the boundary is not modeled; when the data fail to
+separate group elements the report says so (embedding_ok false) instead
+of erroring.
 
 Three report routes, most specific first:
 
@@ -29,20 +31,13 @@ before costs no second scan.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from math import lcm
 
 from .actions import (ExtendedProductActionSpec, _compose, _data, _require_valid,
                       check_tau_commuting)
-from .groups import FiniteGroup, GroupMap, is_injective
-
-
-def _image_group(values: list) -> tuple[FiniteGroup, dict]:
-    """Concrete group on the distinct data, values[0] (the identity's) at index 0."""
-    elems = [values[0]] + sorted(set(values) - {values[0]})
-    index = {v: i for i, v in enumerate(elems)}
-    table = tuple(tuple(index[_compose(a, b)] for b in elems) for a in elems)
-    return FiniteGroup(table), index
+from .groups import FiniteGroup, GroupMap
 
 
 @dataclass(frozen=True)
@@ -54,7 +49,8 @@ class StructureReport:
     names, of order at most |G|.  It is a homomorphism by the cocycle
     laws; ``embedding_ok`` says it is injective, i.e. the modeled data
     already separates the group elements.  ``shadow_order`` is |H|, the
-    number of distinct boundary shadows.
+    number of distinct boundary shadows.  ``embedding`` is computed on
+    first read, from the spec the report was made from.
     """
 
     route: str
@@ -63,7 +59,16 @@ class StructureReport:
     shadow_order: int
     factors: str
     embedding_ok: bool
-    embedding: GroupMap
+    spec: ExtendedProductActionSpec = field(repr=False, compare=False)
+
+    @cached_property
+    def embedding(self) -> GroupMap:
+        # the distinct data with the identity's first, so it lands at index 0
+        data = _data(self.spec)
+        elems = [data[0]] + sorted(set(data) - {data[0]})
+        index = {v: i for i, v in enumerate(elems)}
+        table = tuple(tuple(index[_compose(a, b)] for b in elems) for a in elems)
+        return GroupMap(self.spec.group, FiniteGroup(table), tuple(index[d] for d in data))
 
 
 def _tau_applies(spec: ExtendedProductActionSpec) -> bool:
@@ -100,9 +105,7 @@ def analyze_structure(spec: ExtendedProductActionSpec) -> StructureReport:
             factors = "no product decomposition (every orientation-reversing element has order > 2)"
 
     data = _data(spec)
-    target, index = _image_group(data)
-    embedding = GroupMap(group, target, tuple(index[d] for d in data))
     # the shadow map is a homomorphism, so its image is its set of values
     shadow_order = len({(sign, perm, row) for sign, _, perm, row in data})
     return StructureReport(route, rotation_order, alpha_image_order,
-                           shadow_order, factors, is_injective(embedding), embedding)
+                           shadow_order, factors, len(set(data)) == group.order, spec)

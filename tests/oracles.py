@@ -2,9 +2,10 @@
 
 Each oracle recomputes its answer from first principles, blind to how
 the library gets there: equivalence is decided by searching the actual
-move graph, Smith invariants come from minor gcds, descriptor laws are
-read straight off the folded tables, structure reports are recomputed
-from the action tables without building a group.  Keeping them apart
+move graph, Smith invariants come from minor gcds, group and map laws
+are checked on every triple or pair, action and descriptor laws are
+read straight off the tables, structure reports are recomputed from the
+action tables without building a group.  Keeping them apart
 from the package means a bug cannot hide behind shared code.
 """
 
@@ -134,6 +135,57 @@ def snf_minor_gcd(matrix) -> list[int]:
         invariants.append(g // prev)
         prev = g
     return invariants
+
+
+def naive_associative(table) -> bool:
+    """(gh)k == g(hk) for every triple of a multiplication table."""
+    m = len(table)
+    return all(table[table[g][h]][k] == table[g][table[h][k]]
+               for g in range(m) for h in range(m) for k in range(m))
+
+
+def naive_homomorphism(source, target, images) -> bool:
+    """f(gh) == f(g)f(h) for every pair of source elements (tables)."""
+    m = len(source)
+    return all(images[source[g][h]] == target[images[g]][images[h]]
+               for g in range(m) for h in range(m))
+
+
+def law_scan(spec) -> tuple[bool, str | None, tuple | None]:
+    """(ok, law, witness) of the action laws, scanned naively.
+
+    Laws in order: trivial identity datum; alpha multiplicative; theta1(gh)
+    = theta1(g) + alpha(g) * theta1(h) mod 1; beta(gh) = beta(g) o beta(h);
+    theta2(i, gh) = theta2(beta(h)(i), g) + alpha(g) * theta2(i, h) mod 1;
+    beta keeps each (q, p).  Each law runs over every (g, h) before the
+    next, and the first failing (g, h[, i]) is the witness.
+    """
+    alpha, theta1, beta, theta2 = spec.alpha, spec.theta1, spec.beta, spec.theta2
+    table = spec.group.table
+    m, n = len(table), len(spec.symbol.pairs)
+    if theta1[0] % 1 or alpha[0] != 1 or list(beta[0]) != list(range(n)) or any(
+            v % 1 for v in theta2[0]):
+        return False, "identity", (0,)
+    pairs_gh = [(g, h) for g in range(m) for h in range(m)]
+    for g, h in pairs_gh:
+        if alpha[table[g][h]] != alpha[g] * alpha[h]:
+            return False, "alpha", (g, h)
+    for g, h in pairs_gh:
+        if (theta1[table[g][h]] - theta1[g] - alpha[g] * theta1[h]) % 1:
+            return False, "theta1", (g, h)
+    for g, h in pairs_gh:
+        if any(beta[table[g][h]][i] != beta[g][beta[h][i]] for i in range(n)):
+            return False, "beta", (g, h)
+    for g, h in pairs_gh:
+        for i in range(n):
+            if (theta2[table[g][h]][i] - theta2[g][beta[h][i]] - alpha[g] * theta2[h][i]) % 1:
+                return False, "theta2", (g, h, i)
+    pairs = spec.symbol.pairs
+    for g in range(m):
+        for i in range(n):
+            if pairs[beta[g][i]] != pairs[i]:
+                return False, "pairs", (g, i)
+    return True, None, None
 
 
 def folded_law_scan(descriptor) -> tuple[bool, str | None, tuple | None]:

@@ -5,6 +5,7 @@ failure shows up as the usual pytest FAILED line for that criterion.
 Randomized criteria use fixed seeds so reruns are byte-for-byte stable.
 """
 
+import dataclasses
 import math
 import random
 import time
@@ -358,6 +359,55 @@ def test_criterion_07_validator_agrees_with_naive_law_scan():
     assert rejected >= 1000
     assert accepted >= 20
     _pass(7, "validator agrees with a naive law scan on mutants")
+
+
+def _edit_element(rng, spec, k) -> ExtendedProductActionSpec:
+    """spec with one entry of the datum of element k changed."""
+    field = rng.choice(("theta1", "alpha", "beta", "theta2"))
+    rows = list(getattr(spec, field))
+    shift = Fraction(rng.randint(1, 11), 12)
+    n = len(spec.symbol.pairs)
+    if field == "alpha":
+        rows[k] = -rows[k]
+    elif field == "theta1":
+        rows[k] = (rows[k] + shift) % 1
+    elif field == "beta" and n > 1:
+        row = list(rows[k])
+        i, j = rng.sample(range(n), 2)
+        row[i], row[j] = row[j], row[i]
+        rows[k] = tuple(row)
+    else:
+        field, rows = "theta2", list(spec.theta2)
+        i = rng.randrange(n)
+        rows[k] = rows[k][:i] + ((rows[k][i] + shift) % 1,) + rows[k][i + 1:]
+    return dataclasses.replace(spec, **{field: tuple(rows)})
+
+
+def test_non_generator_edits_agree_with_naive_law_scan():
+    # the generators' data stay intact, so only the G x S rows through
+    # the edited element see the edit, and the full-scan fallback must
+    # name the same first witness as the naive scan
+    rng = random.Random(90023)
+    bases = [specbuild.z4_swap_spec(), specbuild.z2z3_block_spec(), specbuild.z6_rotation_spec(),
+             specbuild.faithful_rotation_spec(12), specbuild.alternating_alpha_spec(),
+             lift_action(specbuild.z2z3_descriptor())]
+    bases += [lift_action(_random_descriptor(rng)) for _ in range(20)]
+    laws = set()
+    verdicts = []
+    for step in range(600):
+        base = bases[step % len(bases)]
+        others = [k for k in base.group.elements() if k and k not in base.group.generators]
+        if not others:
+            continue
+        assert oracles.law_scan(base) == (True, None, None)
+        mutant = _edit_element(rng, base, rng.choice(others))
+        report = validate_action_spec(mutant)
+        assert (report.ok, report.law, report.witness) == oracles.law_scan(mutant)
+        laws.add(report.law)
+        verdicts.append(report.ok)
+    # the generators' data determine every datum, so no edit survives
+    assert verdicts and not any(verdicts)
+    assert laws == {"alpha", "theta1", "beta", "theta2"}
 
 
 def _mutate_descriptor(rng, d) -> ProjectedActionDescriptor:

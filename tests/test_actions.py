@@ -101,6 +101,17 @@ def test_alpha_must_be_multiplicative():
     assert (report.law, report.witness) == ("alpha", (1, 1))
 
 
+def test_every_generator_is_checked():
+    # Klein four, generators 1 and 2: theta1 is a homomorphism along
+    # generator 1 but element 2 turns by 1/3, which has no order two
+    klein = seifert.direct_product(cyclic_group(2), cyclic_group(2))
+    assert klein.generators == (1, 2)
+    spec = replace(specbuild.trivial_spec("(0,o1|(2,1))", klein),
+                   theta1=(ZERO, F(1, 2), F(1, 3), F(5, 6)))
+    report = validate_action_spec(spec)
+    assert (report.law, report.witness) == ("theta1", (2, 2))
+
+
 def test_theta1_drift_is_caught_with_witness():
     spec = replace(specbuild.z4_swap_spec(),
                    theta1=(ZERO, F(1, 3), F(1, 2), F(3, 4)))
@@ -343,6 +354,21 @@ def test_spec_is_law_scanned_once(scans):
     assert validate_descriptor(descriptor)
     assert lift_action(descriptor) == spec
     assert len(scans) == 2 and scans[1] == spec
+
+
+def test_descriptor_is_lifted_once(monkeypatch):
+    lifted = []
+    lift = seifert.actions._lift
+
+    def counted(descriptor):
+        lifted.append(descriptor)
+        return lift(descriptor)
+    monkeypatch.setattr(seifert.actions, "_lift", counted)
+    descriptor = specbuild.z2_lens_descriptor()
+    assert lift_action(descriptor) == specbuild.z2_swap_spec()
+    assert validate_descriptor(descriptor)
+    assert lift_action(descriptor) == specbuild.z2_swap_spec()
+    assert lifted == [descriptor]
 
 
 def test_replaced_spec_is_scanned_afresh(scans):

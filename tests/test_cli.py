@@ -323,6 +323,23 @@ def test_mistyped_document_fields_exit_two(capsys, tmp_path, edit, fragment):
     assert err.startswith("error: ") and fragment in err
 
 
+def test_deep_nesting_exits_two(capsys, tmp_path):
+    # both inputs once ran out of recursion depth and escaped main
+    doc = json.loads(format_action_spec(specbuild.trivial_spec("(0,o1|(2,1))",
+                                                               specbuild.cyclic_group(1))))
+    deep = "product:" * 1200 + "cyclic:1" + ",cyclic:1" * 1200
+    path = tmp_path / "doc.json"
+    for group, want in ((deep, (0, "valid\n")), (deep[:-len(",cyclic:1")], (2, ""))):
+        path.write_text(json.dumps(dict(doc, group=group)), encoding="utf-8")
+        code, out, err = run(capsys, "validate-action", str(path))
+        assert (code, out) == want
+    assert err.startswith("error: product: expects two operands")
+    path.write_text("[" * 100_000, encoding="utf-8")
+    code, out, err = run(capsys, "validate-action", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: malformed document:")
+
+
 @pytest.mark.parametrize("module", ["seifert", "seifert.cli"])
 def test_runs_as_a_module(module):
     src = str(Path(__file__).resolve().parents[1] / "src")

@@ -1,6 +1,10 @@
 """Multiplication-table groups, constructors, and map checking."""
 
+import random
+
 import pytest
+
+import oracles
 
 from seifert import (
     FiniteGroup,
@@ -119,3 +123,117 @@ def test_map_validation():
         GroupMap(z2, z2, (0,))
     with pytest.raises(ValueError, match="out of range"):
         GroupMap(z2, z2, (0, 5))
+
+
+def dihedral_table(n: int) -> tuple[tuple[int, ...], ...]:
+    """D_n with r^k s^e at index e*n + k."""
+    def mul(x, y):
+        (e1, k1), (e2, k2) = divmod(x, n), divmod(y, n)
+        return (e1 ^ e2) * n + (k1 + (-1) ** e1 * k2) % n
+    return tuple(tuple(mul(x, y) for y in range(2 * n)) for x in range(2 * n))
+
+
+def relabel(rng, table):
+    """The same group under a seeded relabelling that keeps 0 the identity."""
+    m = len(table)
+    perm = [0] + rng.sample(range(1, m), m - 1)
+    out = [[0] * m for _ in range(m)]
+    for x in range(m):
+        for y in range(m):
+            out[perm[x]][perm[y]] = perm[table[x][y]]
+    return tuple(tuple(row) for row in out)
+
+
+def intercalate_switch(rng, table):
+    """Flip one 2x2 subsquare a b / b a off row and column 0, or None.
+
+    The result is still a Latin square with identity 0, usually not a
+    group.
+    """
+    m = len(table)
+    for _ in range(200 if m > 2 else 0):
+        r1, r2 = rng.sample(range(1, m), 2)
+        c1 = rng.randrange(1, m)
+        a, b = table[r1][c1], table[r2][c1]
+        c2 = table[r2].index(a)
+        if c2 != 0 and table[r1][c2] == b:
+            out = [list(row) for row in table]
+            out[r1][c1], out[r1][c2], out[r2][c1], out[r2][c2] = b, a, a, b
+            return tuple(tuple(row) for row in out)
+    return None
+
+
+def seeded_tables(rng):
+    tables = [cyclic_group(m).table for m in (1, 2, 3, 4, 6, 8, 9, 12)]
+    tables += [group_from_constructor(text).table for text in (
+        "product:cyclic:2,cyclic:2", "product:cyclic:2,cyclic:4", "product:cyclic:3,cyclic:3",
+        "product:product:cyclic:2,cyclic:2,cyclic:2", "product:cyclic:2,cyclic:6")]
+    tables += [dihedral_table(n) for n in (3, 4, 5, 6)]
+    return tables + [relabel(rng, t) for t in tables if len(t) > 2]
+
+
+def closure(table, gens):
+    reached, frontier = {0}, [0]
+    while frontier:
+        frontier = [table[x][s] for x in frontier for s in gens if table[x][s] not in reached]
+        reached.update(frontier)
+    return reached
+
+
+def test_generators():
+    assert cyclic_group(1).generators == ()
+    assert all(cyclic_group(m).generators == (1,) for m in (2, 5, 64))
+    assert group_from_constructor(
+        "product:cyclic:12,product:cyclic:2,cyclic:6").generators == (1, 6, 12)
+    for table in seeded_tables(random.Random(5101)):
+        group = FiniteGroup(table)
+        assert closure(table, group.generators) == set(group.elements())
+
+
+def test_associativity_agrees_with_naive_scan():
+    # Light's test over the generators against every triple, on groups
+    # and on Latin squares one intercalate away from a group
+    rng = random.Random(5102)
+    verdicts = []
+    for table in seeded_tables(rng):
+        for square in [table] + [intercalate_switch(rng, table) for _ in range(6)]:
+            if square is None:
+                continue
+            try:
+                FiniteGroup(square)
+                accepted = True
+            except ValueError as exc:
+                assert str(exc).startswith("associativity fails at (")
+                accepted = False
+            assert accepted == oracles.naive_associative(square)
+            verdicts.append(accepted)
+    assert verdicts.count(False) >= 50 and verdicts.count(True) >= 30
+
+
+def test_homomorphism_agrees_with_pair_scan():
+    # identity, trivial and power maps are homomorphisms; random maps and
+    # one-entry edits of any of them mostly are not
+    rng = random.Random(5103)
+    groups = [FiniteGroup(t) for t in seeded_tables(rng)]
+    verdicts = []
+    for _ in range(400):
+        source, target = rng.choice(groups), rng.choice(groups)
+        kind, t = rng.choice(("identity", "trivial", "power", "random")), rng.randrange(target.order)
+        if kind == "identity":
+            target, images = source, list(source.elements())
+        elif kind == "trivial":
+            images = [0] * source.order
+        elif (kind == "power" and source.table == cyclic_group(source.order).table
+              and source.order % target.element_order(t) == 0):
+            images = [0]
+            while len(images) < source.order:
+                images.append(target.mul(images[-1], t))
+        else:
+            images = [0] + [rng.randrange(target.order) for _ in range(source.order - 1)]
+        if rng.random() < 0.3:
+            images[rng.randrange(source.order)] = rng.randrange(target.order)
+        f = GroupMap(source, target, tuple(images))
+        verdict = is_homomorphism(f)
+        assert verdict == oracles.naive_homomorphism(source.table, target.table, f.images)
+        verdicts.append(verdict)
+    assert verdicts.count(False) >= 50 and verdicts.count(True) >= 50

@@ -2,7 +2,8 @@
 
 import pytest
 
-from seifert import analyze_structure, cyclic_group, is_homomorphism
+from seifert import (analyze_structure, cyclic_group, group_from_constructor, is_homomorphism,
+                     validate_action_spec)
 from budget import needs_alarm, time_budget
 import specbuild
 
@@ -65,6 +66,22 @@ def test_faithful_rotations_report_without_the_product_table(m):
     assert report.factors == f"Z{m} x H"
     assert report.embedding_ok
     assert report.embedding.target.order == m
+
+
+@needs_alarm
+@pytest.mark.parametrize("m", [256, 512])
+def test_faithful_rotations_at_large_orders(m):
+    # without the generating set the group table check is cubic in m and
+    # the law scan and the report quadratic; at m = 512 that overruns
+    # this budget
+    with time_budget(10):
+        group = group_from_constructor(f"cyclic:{m}")
+        spec = specbuild.faithful_rotation_spec(m)
+        assert validate_action_spec(spec)
+        report = analyze_structure(spec)
+    assert group == spec.group
+    assert report.rotation_order == report.shadow_order == m
+    assert report.embedding_ok
 
 
 def test_reflection_report():
