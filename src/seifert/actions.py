@@ -19,8 +19,14 @@ image groups of :mod:`seifert.structure`):
     (e)  beta(g) may send i to j only if pair i equals pair j
 
 plus triviality of the identity element's datum.  Rotation numbers are
-exact fractions in [0, 1), and every check is exact.  Laws (a) to (d)
-are decided over G x S, S the group's generating set: the composition
+exact fractions in [0, 1), the type of every public field, document
+and report.  The checks read them as integers mod N, N the lcm of a
+spec's rotation denominators: each spec computes that integer view of
+its data once and keeps it, and the law scan, the covering-translation
+test and the image groups of :mod:`seifert.structure` all compose in
+it.  v -> v*N is exact and keeps the order of [0, 1), so every verdict
+and witness is the one the fractions give.  Laws (a) to (d) are
+decided over G x S, S the group's generating set: the composition
 is associative, so datum(gs) = datum(g) o datum(s) for every g and
 every s in S gives them for all pairs.  Only when that fails does the
 full scan over all pairs run, to name the first witness in a fixed
@@ -42,6 +48,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from math import lcm
 from pathlib import Path
 
 from .groups import FiniteGroup, group_from_constructor, parse_group_text
@@ -95,6 +102,17 @@ class ExtendedProductActionSpec:
                 _check_rotation(v, "theta2")
 
     @cached_property
+    def _int_view(self) -> tuple[int, tuple[tuple, ...]]:
+        """(N, per-element datum (alpha, theta1*N, beta row, theta2*N row))."""
+        denominators = {v.denominator for row in (self.theta1, *self.theta2) for v in row}
+        mod = lcm(*denominators)
+        scale = {d: mod // d for d in denominators}
+
+        def ints(row):
+            return tuple(v.numerator * scale[v.denominator] for v in row)
+        return mod, tuple(zip(self.alpha, ints(self.theta1), self.beta, map(ints, self.theta2)))
+
+    @cached_property
     def _law_report(self) -> ValidationReport:
         return _scan_laws(self, _SPEC_LAWS)
 
@@ -131,24 +149,20 @@ _SPEC_LAWS = {
 }
 
 
-def _data(spec: ExtendedProductActionSpec) -> list[tuple]:
-    """Per-element datum (alpha, theta1, beta row, theta2 row)."""
-    return list(zip(spec.alpha, spec.theta1, spec.beta, spec.theta2))
-
-
 # Laws (a) to (d), one per datum component, in the order they are checked:
-# component k of the datum of gh from the data a of g and b of h.
+# component k of the datum of gh from the integer data a of g and b of h,
+# rotations mod N.
 _COMPONENT_LAWS = (
-    ("alpha", lambda a, b: a[0] * b[0]),
-    ("theta1", lambda a, b: mod1(a[1] + a[0] * b[1])),
-    ("beta", lambda a, b: tuple(a[2][j] for j in b[2])),
-    ("theta2", lambda a, b: tuple(mod1(a[3][j] + a[0] * v) for j, v in zip(b[2], b[3]))),
+    ("alpha", lambda a, b, mod: a[0] * b[0]),
+    ("theta1", lambda a, b, mod: (a[1] + a[0] * b[1]) % mod),
+    ("beta", lambda a, b, mod: tuple(a[2][j] for j in b[2])),
+    ("theta2", lambda a, b, mod: tuple((a[3][j] + a[0] * v) % mod for j, v in zip(b[2], b[3]))),
 )
 
 
-def _compose(a: tuple, b: tuple) -> tuple:
-    """Datum of gh from the data a of g and b of h."""
-    return tuple(law(a, b) for _, law in _COMPONENT_LAWS)
+def _compose(a: tuple, b: tuple, mod: int) -> tuple:
+    """Integer datum of gh from the data a of g and b of h, rotations mod N."""
+    return tuple(law(a, b, mod) for _, law in _COMPONENT_LAWS)
 
 
 def _scan_laws(spec: ExtendedProductActionSpec, laws: dict) -> ValidationReport:
@@ -157,33 +171,36 @@ def _scan_laws(spec: ExtendedProductActionSpec, laws: dict) -> ValidationReport:
     Stops at the first failure; ``laws`` names it and words its message.
     When the G x S test fails, the full scan, each law over all (g, h)
     before the next, finds the witness, so reports do not depend on S.
+    Both read the integer view; a rotation in a message is Fraction(v, N).
     """
     def fail(law, witness, **values):
         name, message = laws[law]
         return ValidationReport(False, name, witness, message.format(**values))
 
     n = len(spec.symbol.pairs)
-    if (spec.theta1[0] != 0 or spec.alpha[0] != 1
-            or spec.beta[0] != tuple(range(n)) or any(spec.theta2[0])):
+    mod, data = spec._int_view
+    if data[0] != (1, 0, tuple(range(n)), (0,) * n):
         return fail("identity", (0,))
-    data = _data(spec)
     table = spec.group.table
     # _compose is associative with the trivial datum as identity, so
     # datum(gs) = datum(g) o datum(s) for every generator s extends to
     # datum(gh) = datum(g) o datum(h) by induction on the word length of h
-    if not all(data[table[g][s]] == _compose(a, data[s])
+    if not all(data[table[g][s]] == _compose(a, data[s], mod)
                for g, a in enumerate(data) for s in spec.group.generators):
         for k, (law, component) in enumerate(_COMPONENT_LAWS):
             for g, a in enumerate(data):
                 for h, b in enumerate(data):
                     gh = table[g][h]
-                    got, want = data[gh][k], component(a, b)
+                    got, want = data[gh][k], component(a, b, mod)
                     if got == want:
                         continue
-                    if law != "theta2":
-                        return fail(law, (g, h), g=g, h=h, gh=gh, value=got, want=want)
-                    i = next(i for i in range(n) if got[i] != want[i])
-                    return fail(law, (g, h, i), gh=gh, i=i, value=got[i], want=want[i])
+                    if law == "theta2":
+                        i = next(i for i in range(n) if got[i] != want[i])
+                        return fail(law, (g, h, i), gh=gh, i=i, value=Fraction(got[i], mod),
+                                    want=Fraction(want[i], mod))
+                    if law == "theta1":
+                        got, want = Fraction(got, mod), Fraction(want, mod)
+                    return fail(law, (g, h), g=g, h=h, gh=gh, value=got, want=want)
     pairs = spec.symbol.pairs
     for g, perm in enumerate(spec.beta):
         for i in range(n):
@@ -357,17 +374,17 @@ def check_tau_commuting(spec: ExtendedProductActionSpec) -> TauReport:
     The symbol must be block doubled, the action must preserve fiber
     orientation (alpha identically +1) and pass the laws; all three are
     preconditions and raise.
-    The three commutation conditions are then checked exactly: every
-    theta1 lies in {0, 1/2}, every beta commutes with sigma, and theta2
-    is negated by sigma.
+    The three commutation conditions are then checked exactly, on the
+    integer view: every theta1 lies in {0, 1/2} (2 * theta1 is 0 mod N),
+    every beta commutes with sigma, and theta2 is negated by sigma.
     """
     n = len(_block_base(spec.symbol).pairs)
     if any(a != 1 for a in spec.alpha):
         raise ValueError("commutation requires a fiber-orientation-preserving action (alpha == +1)")
     _require_valid(spec)
-    half = Fraction(1, 2)
-    for g in spec.group.elements():
-        if spec.theta1[g] not in (0, half):
+    mod, data = spec._int_view
+    for g, (_, t, _, _) in enumerate(data):
+        if 2 * t % mod:
             return TauReport(False, "half-rotation", (g,),
                              f"theta1({g}) = {spec.theta1[g]} is not 0 or 1/2")
     two_n = 2 * n
@@ -377,10 +394,10 @@ def check_tau_commuting(spec: ExtendedProductActionSpec) -> TauReport:
             if spec.beta[g][sigma_i] != (spec.beta[g][i] + n) % two_n:
                 return TauReport(False, "sigma-equivariance", (g, i),
                                  f"beta({g}) does not commute with the index swap at {i}")
-    for g in spec.group.elements():
+    for g, (_, _, _, row) in enumerate(data):
         for i in range(two_n):
             sigma_i = (i + n) % two_n
-            if spec.theta2[g][sigma_i] != mod1(-spec.theta2[g][i]):
+            if row[sigma_i] != -row[i] % mod:
                 return TauReport(False, "meridian-antisymmetry", (g, i),
                                  f"theta2({sigma_i},{g}) is not -theta2({i},{g})")
     return _TAU_PASS

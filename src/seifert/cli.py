@@ -22,6 +22,7 @@ from __future__ import annotations
 import argparse
 import re
 import sys
+from functools import cache
 from pathlib import Path
 
 from .actions import (beta_orbit_numbers, check_tau_commuting, format_action_spec,
@@ -298,7 +299,9 @@ def _cmd_analyze_group(args) -> int:
     return 0
 
 
+@cache
 def _build_parser() -> argparse.ArgumentParser:
+    # built once per process: parse_args keeps no state between calls
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--porcelain", action="store_true",
                         help="line-oriented key=value output")

@@ -111,16 +111,8 @@ def cyclic_group(n: int) -> FiniteGroup:
 def direct_product(a: FiniteGroup, b: FiniteGroup) -> FiniteGroup:
     """Componentwise product; (i, j) lives at index i*|b| + j."""
     nb = b.order
-    size = a.order * nb
-    table = []
-    for g in range(size):
-        row = []
-        for h in range(size):
-            i = a.mul(g // nb, h // nb)
-            j = b.mul(g % nb, h % nb)
-            row.append(i * nb + j)
-        table.append(tuple(row))
-    return FiniteGroup(tuple(table))
+    return FiniteGroup(tuple(tuple(x * nb + y for x in a_row for y in b_row)
+                             for a_row in a.table for b_row in b.table))
 
 
 def parse_group_text(text: str) -> FiniteGroup:

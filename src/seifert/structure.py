@@ -1,7 +1,9 @@
 """Group-theoretic shape of a validated extended product action.
 
 The acting group is examined through its exact data: per element the
-datum (alpha, theta1, beta row, theta2 row).  The data compose by the
+datum (alpha, theta1, beta row, theta2 row), read in the spec's integer
+view, rotations as integers mod N with N the lcm of their denominators;
+the reports themselves carry no rotations.  The data compose by the
 one datum composition of :mod:`seifert.actions`, so g -> datum(g) is a
 homomorphism by the cocycle laws, and its image, the set of distinct
 data, is a concrete finite group.  That image is the target on every
@@ -33,10 +35,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from math import lcm
+from math import gcd
 
-from .actions import (ExtendedProductActionSpec, _compose, _data, _require_valid,
-                      check_tau_commuting)
+from .actions import ExtendedProductActionSpec, _compose, _require_valid, check_tau_commuting
 from .groups import FiniteGroup, GroupMap
 
 
@@ -63,11 +64,12 @@ class StructureReport:
 
     @cached_property
     def embedding(self) -> GroupMap:
-        # the distinct data with the identity's first, so it lands at index 0
-        data = _data(self.spec)
+        # the distinct data with the identity's first, so it lands at index 0;
+        # v -> v*N keeps the order of rotations, so the numbering is theirs
+        mod, data = self.spec._int_view
         elems = [data[0]] + sorted(set(data) - {data[0]})
         index = {v: i for i, v in enumerate(elems)}
-        table = tuple(tuple(index[_compose(a, b)] for b in elems) for a in elems)
+        table = tuple(tuple(index[_compose(a, b, mod)] for b in elems) for a in elems)
         return GroupMap(self.spec.group, FiniteGroup(table), tuple(index[d] for d in data))
 
 
@@ -87,9 +89,11 @@ def analyze_structure(spec: ExtendedProductActionSpec) -> StructureReport:
     """
     _require_valid(spec)
     group = spec.group
-    kernel = [g for g in group.elements() if spec.alpha[g] == 1]
-    rotation_order = lcm(*(spec.theta1[g].denominator for g in kernel))
-    alpha_image_order = 2 if len(kernel) < group.order else 1
+    mod, data = spec._int_view
+    kernel_rotations = [t for a, t, _, _ in data if a == 1]
+    # t/N has denominator N/gcd(t, N); their lcm is N/gcd(N, all t)
+    rotation_order = mod // gcd(mod, *kernel_rotations)
+    alpha_image_order = 2 if len(kernel_rotations) < group.order else 1
 
     if alpha_image_order == 1 and _tau_applies(spec):
         route, factors = "covering-translation", "Z2 x H"
@@ -104,7 +108,6 @@ def analyze_structure(spec: ExtendedProductActionSpec) -> StructureReport:
         else:
             factors = "no product decomposition (every orientation-reversing element has order > 2)"
 
-    data = _data(spec)
     # the shadow map is a homomorphism, so its image is its set of values
     shadow_order = len({(sign, perm, row) for sign, _, perm, row in data})
     return StructureReport(route, rotation_order, alpha_image_order,

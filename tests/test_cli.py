@@ -1,5 +1,6 @@
 """End-to-end command tests driving main() in process."""
 
+import argparse
 import json
 import os
 import subprocess
@@ -11,6 +12,7 @@ import pytest
 
 from seifert import ExtendedProductActionSpec, ProjectedActionDescriptor
 from seifert import format_action_spec, format_descriptor, parse_symbol
+import seifert.cli
 from seifert.cli import main
 import specbuild
 from specbuild import ZERO
@@ -284,6 +286,25 @@ def test_usage_errors(capsys):
     assert run(capsys, "no-such-command")[0] == 2
     assert run(capsys)[0] == 2
     assert run(capsys, "equiv", "(0,o1|)")[0] == 2
+
+
+def test_parser_is_built_once(capsys, monkeypatch, docs):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    seifert.cli._build_parser.cache_clear()
+    first = run(capsys, "no-such-command")
+    once = len(built)
+    assert once and first[0] == 2 and first[2]
+    assert run(capsys, "no-such-command") == first
+    assert run(capsys, "validate-action", docs["z4"])[0] == 0
+    assert run(capsys, "h1", "(1,n2|(2,1))")[0] == 0
+    assert run(capsys, "no-such-command") == first
+    assert len(built) == once
 
 
 def test_value_errors_exit_two(capsys):

@@ -210,6 +210,19 @@ def test_associativity_agrees_with_naive_scan():
     assert verdicts.count(False) >= 50 and verdicts.count(True) >= 30
 
 
+def test_direct_product_is_componentwise():
+    # the table read off the definition, (i, j)(k, l) = (ik, jl) at i*|b| + j
+    rng = random.Random(5104)
+    factors = [FiniteGroup(t) for t in seeded_tables(rng) if len(t) <= 8]
+    for _ in range(40):
+        a, b = rng.choice(factors), rng.choice(factors)
+        nb = b.order
+        product = direct_product(a, b)
+        assert product.table == tuple(
+            tuple(a.mul(g // nb, h // nb) * nb + b.mul(g % nb, h % nb)
+                  for h in range(a.order * nb)) for g in range(a.order * nb))
+
+
 def test_homomorphism_agrees_with_pair_scan():
     # identity, trivial and power maps are homomorphisms; random maps and
     # one-entry edits of any of them mostly are not
