@@ -1,11 +1,19 @@
 """Finite group actions on a fibered space in extended product form.
 
-The data of an action of a finite group G is recorded per element g as
+The data of an action of a finite group G is a set of element tables,
+one entry per element g, each of one of four kinds: a rotation in Q/Z,
+a sign +-1, a permutation of the n boundary indices, or a row of n
+rotations.  An extended product action spec has
 
-* ``theta1(g)``, the rotation of the trivially fibered part in Q/Z,
-* ``alpha(g) = +-1``, whether g preserves the fiber orientation,
-* ``beta(g)``, the permutation of the filled boundary fibers,
-* ``theta2(i, g)``, the meridian rotation at boundary index i.
+* ``theta1(g)``, a rotation: the turn of the trivially fibered part,
+* ``alpha(g)``, a sign: whether g preserves the fiber orientation,
+* ``beta(g)``, a permutation of the filled boundary fibers,
+* ``theta2(i, g)``, a row of rotations: the meridian turn at index i,
+
+and a projected descriptor has the sign ``epsilon``, the permutation
+``beta_bar`` and the rotation row ``theta2_bar``.  Each type lists its
+tables by kind once, in field order (``_tables``); one shape check, one
+document reader and one writer serve both.
 
 Composition is the left action convention, phi(gh) = phi(g) o phi(h),
 which forces the cocycle laws checked by :func:`validate_action_spec`
@@ -76,30 +84,12 @@ class ExtendedProductActionSpec:
     beta: tuple[tuple[int, ...], ...]
     theta2: tuple[tuple[Fraction, ...], ...]
 
+    # the element tables in field order, by kind (module docstring)
+    _tables = {"theta1": "rotation", "alpha": "sign", "beta": "permutation",
+               "theta2": "rotation rows"}
+
     def __post_init__(self):
-        order = self.group.order
-        n = len(self.symbol.pairs)
-        if len(self.theta1) != order:
-            raise ValueError(f"theta1 has {len(self.theta1)} entries, group order is {order}")
-        if len(self.alpha) != order:
-            raise ValueError(f"alpha has {len(self.alpha)} entries, group order is {order}")
-        if len(self.beta) != order:
-            raise ValueError(f"beta has {len(self.beta)} rows, group order is {order}")
-        if len(self.theta2) != order:
-            raise ValueError(f"theta2 has {len(self.theta2)} rows, group order is {order}")
-        for v in self.theta1:
-            _check_rotation(v, "theta1")
-        for v in self.alpha:
-            if v not in (1, -1):
-                raise ValueError(f"alpha values must be +1 or -1, got {v}")
-        for row in self.beta:
-            if len(row) != n or sorted(row) != list(range(n)):
-                raise ValueError(f"beta row {row} is not a permutation of {n} indices")
-        for row in self.theta2:
-            if len(row) != n:
-                raise ValueError(f"theta2 row has {len(row)} entries, symbol has {n} pairs")
-            for v in row:
-                _check_rotation(v, "theta2")
+        _check_tables(self, len(self.symbol.pairs), "symbol")
 
     @cached_property
     def _int_view(self) -> tuple[int, tuple[tuple, ...]]:
@@ -117,9 +107,34 @@ class ExtendedProductActionSpec:
         return _scan_laws(self, _SPEC_LAWS)
 
 
-def _check_rotation(value: Fraction, where: str):
-    if not isinstance(value, Fraction) or not 0 <= value < 1:
-        raise ValueError(f"{where}: rotation numbers must be fractions in [0,1), got {value!r}")
+def _check_tables(data, n: int, symbol_field: str):
+    """Shape check of the element tables of a spec or descriptor.
+
+    ``type(data)._tables`` names them, in field order, with their kinds;
+    all lengths are checked before any value.
+    """
+    order = data.group.order
+    for name, kind in data._tables.items():
+        table = getattr(data, name)
+        if len(table) != order:
+            unit = "entries" if kind in ("rotation", "sign") else "rows"
+            raise ValueError(f"{name} has {len(table)} {unit}, group order is {order}")
+    for name, kind in data._tables.items():
+        for entry in getattr(data, name):
+            if kind == "sign":
+                if entry not in (1, -1):
+                    raise ValueError(f"{name} values must be +1 or -1, got {entry}")
+            elif kind == "permutation":
+                if len(entry) != n or sorted(entry) != list(range(n)):
+                    raise ValueError(f"{name} row {entry} is not a permutation of {n} indices")
+            else:
+                if kind == "rotation rows" and len(entry) != n:
+                    raise ValueError(f"{name} row has {len(entry)} entries, "
+                                     f"{symbol_field} has {n} pairs")
+                for v in entry if kind == "rotation rows" else (entry,):
+                    if not isinstance(v, Fraction) or not 0 <= v < 1:
+                        raise ValueError(f"{name}: rotation numbers must be fractions "
+                                         f"in [0,1), got {v!r}")
 
 
 @dataclass(frozen=True)
@@ -419,28 +434,12 @@ class ProjectedActionDescriptor:
     beta_bar: tuple[tuple[int, ...], ...]
     theta2_bar: tuple[tuple[Fraction, ...], ...]
 
+    _tables = {"epsilon": "sign", "beta_bar": "permutation", "theta2_bar": "rotation rows"}
+
     def __post_init__(self):
         if self.base.orientability is not Orientability.N2:
             raise ValueError("descriptor base symbol must be class n2")
-        order = self.group.order
-        n = len(self.base.pairs)
-        if len(self.epsilon) != order:
-            raise ValueError(f"epsilon has {len(self.epsilon)} entries, group order is {order}")
-        if len(self.beta_bar) != order:
-            raise ValueError(f"beta_bar has {len(self.beta_bar)} rows, group order is {order}")
-        if len(self.theta2_bar) != order:
-            raise ValueError(f"theta2_bar has {len(self.theta2_bar)} rows, group order is {order}")
-        for v in self.epsilon:
-            if v not in (1, -1):
-                raise ValueError(f"epsilon values must be +1 or -1, got {v}")
-        for row in self.beta_bar:
-            if len(row) != n or sorted(row) != list(range(n)):
-                raise ValueError(f"beta_bar row {row} is not a permutation of {n} indices")
-        for row in self.theta2_bar:
-            if len(row) != n:
-                raise ValueError(f"theta2_bar row has {len(row)} entries, base has {n} pairs")
-            for v in row:
-                _check_rotation(v, "theta2_bar")
+        _check_tables(self, len(self.base.pairs), "base")
 
     @cached_property
     def _raw_lift(self) -> ExtendedProductActionSpec:
@@ -616,81 +615,62 @@ def _field(doc: dict, name: str):
     return doc[name]
 
 
-def _rotation_table(rows, order: int, n: int, name: str) -> tuple[tuple[Fraction, ...], ...]:
-    # document orientation: outer index = boundary index, inner = element
-    if not isinstance(rows, list) or len(rows) != n:
-        raise ValueError(f"{name} must list {n} boundary rows, got {len(rows) if isinstance(rows, list) else rows!r}")
-    for i, row in enumerate(rows):
-        if not isinstance(row, list) or len(row) != order:
-            raise ValueError(f"{name} row {i} must have one entry per group element ({order})")
-    by_element = []
-    for g in range(order):
-        by_element.append(tuple(mod1(parse_fraction_text(rows[i][g])) for i in range(n)))
-    return tuple(by_element)
+def _read_tables(doc: dict, kinds: dict, order: int, n: int) -> list[tuple]:
+    """The element tables of a document, in field order, indexed by element."""
+    tables = []
+    for name, kind in kinds.items():
+        raw = _field(doc, name)
+        if kind != "rotation rows" and (not isinstance(raw, list) or len(raw) != order):
+            entry = "fraction" if kind == "rotation" else kind
+            raise ValueError(f"{name} must list one {entry} per group element ({order})")
+        if kind == "rotation":
+            tables.append(tuple(mod1(parse_fraction_text(v)) for v in raw))
+        elif kind == "sign":
+            for v in raw:
+                if type(v) is not int or v not in (1, -1):
+                    raise ValueError(f"{name} entries must be 1 or -1, got {v!r}")
+            tables.append(tuple(raw))
+        elif kind == "permutation":
+            for g, row in enumerate(raw):
+                if not isinstance(row, list) or len(row) != n:
+                    raise ValueError(f"{name} row {g} must have {n} entries")
+                for v in row:
+                    if type(v) is not int or not 1 <= v <= n:
+                        raise ValueError(f"{name} row {g}: entries are 1-based indices in 1..{n}")
+            tables.append(tuple(tuple(v - 1 for v in row) for row in raw))
+        else:
+            # one row per boundary index, one entry per element: the transpose
+            if not isinstance(raw, list) or len(raw) != n:
+                got = len(raw) if isinstance(raw, list) else raw
+                raise ValueError(f"{name} must list {n} boundary rows, got {got!r}")
+            for i, row in enumerate(raw):
+                if not isinstance(row, list) or len(row) != order:
+                    raise ValueError(f"{name} row {i} must have one entry per group element ({order})")
+            tables.append(tuple(tuple(mod1(parse_fraction_text(raw[i][g])) for i in range(n))
+                                for g in range(order)))
+    return tables
 
 
-def _signs(doc: dict, name: str, order: int) -> tuple[int, ...]:
-    raw = _field(doc, name)
-    if not isinstance(raw, list) or len(raw) != order:
-        raise ValueError(f"{name} must list one sign per group element ({order})")
-    for v in raw:
-        if type(v) is not int or v not in (1, -1):
-            raise ValueError(f"{name} entries must be 1 or -1, got {v!r}")
-    return tuple(raw)
-
-
-def _permutation_table(rows, order: int, n: int, name: str) -> tuple[tuple[int, ...], ...]:
-    if not isinstance(rows, list) or len(rows) != order:
-        raise ValueError(f"{name} must list one permutation per group element ({order})")
-    out = []
-    for g, row in enumerate(rows):
-        if not isinstance(row, list) or len(row) != n:
-            raise ValueError(f"{name} row {g} must have {n} entries")
-        for v in row:
-            if type(v) is not int or not 1 <= v <= n:
-                raise ValueError(f"{name} row {g}: entries are 1-based indices in 1..{n}")
-        out.append(tuple(v - 1 for v in row))
-    return tuple(out)
-
-
-def _load_document(text: str) -> dict:
+def _parse_document(text: str, base_dir: Path | None, cls):
     try:
         doc = json.loads(text)
     except (json.JSONDecodeError, RecursionError) as exc:
         raise ValueError(f"malformed document: {exc}") from None
     if not isinstance(doc, dict):
         raise ValueError("document must be a JSON object with named fields")
-    return doc
+    symbol = parse_symbol(_string(_field(doc, "symbol"), "symbol"))
+    group = _group_from_field(_field(doc, "group"), base_dir)
+    return cls(symbol, group, *_read_tables(doc, cls._tables, group.order, len(symbol.pairs)))
 
 
 def parse_action_spec_text(text: str, base_dir: Path | None = None) -> ExtendedProductActionSpec:
     """Parse an action-spec document (JSON object, exact fractions)."""
-    doc = _load_document(text)
-    symbol = parse_symbol(_string(_field(doc, "symbol"), "symbol"))
-    group = _group_from_field(_field(doc, "group"), base_dir)
-    order = group.order
-    n = len(symbol.pairs)
-    raw_theta1 = _field(doc, "theta1")
-    if not isinstance(raw_theta1, list) or len(raw_theta1) != order:
-        raise ValueError(f"theta1 must list one fraction per group element ({order})")
-    theta1 = tuple(mod1(parse_fraction_text(v)) for v in raw_theta1)
-    beta = _permutation_table(_field(doc, "beta"), order, n, "beta")
-    theta2 = _rotation_table(_field(doc, "theta2"), order, n, "theta2")
-    return ExtendedProductActionSpec(symbol, group, theta1, _signs(doc, "alpha", order),
-                                     beta, theta2)
+    return _parse_document(text, base_dir, ExtendedProductActionSpec)
 
 
 def parse_descriptor_text(text: str, base_dir: Path | None = None) -> ProjectedActionDescriptor:
     """Parse a projected-descriptor document (JSON object)."""
-    doc = _load_document(text)
-    base = parse_symbol(_string(_field(doc, "symbol"), "symbol"))
-    group = _group_from_field(_field(doc, "group"), base_dir)
-    order = group.order
-    n = len(base.pairs)
-    beta_bar = _permutation_table(_field(doc, "beta_bar"), order, n, "beta_bar")
-    theta2_bar = _rotation_table(_field(doc, "theta2_bar"), order, n, "theta2_bar")
-    return ProjectedActionDescriptor(base, group, _signs(doc, "epsilon", order),
-                                     beta_bar, theta2_bar)
+    return _parse_document(text, base_dir, ProjectedActionDescriptor)
 
 
 def _read(path) -> tuple[str, Path]:
@@ -702,42 +682,35 @@ def _read(path) -> tuple[str, Path]:
 
 
 def load_action_spec(path) -> ExtendedProductActionSpec:
-    text, base_dir = _read(path)
-    return parse_action_spec_text(text, base_dir)
+    return parse_action_spec_text(*_read(path))
 
 
 def load_descriptor(path) -> ProjectedActionDescriptor:
-    text, base_dir = _read(path)
-    return parse_descriptor_text(text, base_dir)
+    return parse_descriptor_text(*_read(path))
 
 
-def _group_document(group: FiniteGroup) -> dict:
-    return {"order": group.order, "table": [list(row) for row in group.table]}
+def _format_document(symbol: SeifertSymbol, data) -> str:
+    """The document of a spec or descriptor over symbol (group written inline)."""
+    n = len(symbol.pairs)
+    doc = {"symbol": str(symbol),
+           "group": {"order": data.group.order, "table": [list(row) for row in data.group.table]}}
+    for name, kind in data._tables.items():
+        table = getattr(data, name)
+        if kind == "rotation":
+            doc[name] = [format_fraction(v) for v in table]
+        elif kind == "sign":
+            doc[name] = list(table)
+        elif kind == "permutation":
+            doc[name] = [[v + 1 for v in row] for row in table]
+        else:
+            doc[name] = [[format_fraction(row[i]) for row in table] for i in range(n)]
+    return json.dumps(doc, indent=2) + "\n"
 
 
 def format_action_spec(spec: ExtendedProductActionSpec) -> str:
     """Serialize back to the document format (group written inline)."""
-    n = len(spec.symbol.pairs)
-    doc = {
-        "symbol": str(spec.symbol),
-        "group": _group_document(spec.group),
-        "theta1": [format_fraction(v) for v in spec.theta1],
-        "alpha": list(spec.alpha),
-        "beta": [[v + 1 for v in row] for row in spec.beta],
-        "theta2": [[format_fraction(spec.theta2[g][i])
-                    for g in spec.group.elements()] for i in range(n)],
-    }
-    return json.dumps(doc, indent=2) + "\n"
+    return _format_document(spec.symbol, spec)
 
 
 def format_descriptor(descriptor: ProjectedActionDescriptor) -> str:
-    n = len(descriptor.base.pairs)
-    doc = {
-        "symbol": str(descriptor.base),
-        "group": _group_document(descriptor.group),
-        "epsilon": list(descriptor.epsilon),
-        "beta_bar": [[v + 1 for v in row] for row in descriptor.beta_bar],
-        "theta2_bar": [[format_fraction(descriptor.theta2_bar[g][i])
-                        for g in descriptor.group.elements()] for i in range(n)],
-    }
-    return json.dumps(doc, indent=2) + "\n"
+    return _format_document(descriptor.base, descriptor)

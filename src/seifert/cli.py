@@ -48,9 +48,20 @@ def _bool(value: bool) -> str:
     return "true" if value else "false"
 
 
-def _reject(porcelain: bool, key: str, label: str, name, witness, message) -> int:
+class _Rejected(Exception):
+    """A failed verdict, already reported; the command exits 1."""
+
+
+def _require(args, key: str, label: str, report):
+    """Pass, or print the failed report and raise _Rejected.
+
+    ``label`` is the report field that names the failure: law or condition.
+    """
+    if report:
+        return
+    name, witness, message = getattr(report, label), report.witness, report.message
     # failed verdicts keep stdout scriptable and put the prose on stderr
-    if porcelain:
+    if args.porcelain:
         print(f"{key}=false")
         print(f"{label}={name}")
         print(f"witness={_witness(witness)}")
@@ -58,7 +69,7 @@ def _reject(porcelain: bool, key: str, label: str, name, witness, message) -> in
     else:
         print(f"{key.replace('_', ' ')} check failed: {label} {name}, "
               f"witness {_witness(witness)}: {message}", file=sys.stderr)
-    return 1
+    raise _Rejected
 
 
 def _print_presentation(pres, porcelain: bool):
@@ -101,11 +112,15 @@ def _emit(text: str, output: str | None):
 def _validated_spec(args):
     """Load a spec file and run the law check, or stop with exit code 1."""
     spec = load_action_spec(args.specfile)
-    report = validate_action_spec(spec)
-    if not report:
-        return spec, _reject(args.porcelain, "valid", "law",
-                             report.law, report.witness, report.message)
-    return spec, None
+    _require(args, "valid", "law", validate_action_spec(spec))
+    return spec
+
+
+def _commuting_spec(args):
+    """A valid spec that commutes with the covering translation, or exit 1."""
+    spec = _validated_spec(args)
+    _require(args, "commutes", "condition", check_tau_commuting(spec))
+    return spec
 
 
 def _cmd_normalize(args) -> int:
@@ -178,17 +193,13 @@ def _cmd_snf(args) -> int:
 
 
 def _cmd_validate_action(args) -> int:
-    _, failed = _validated_spec(args)
-    if failed is not None:
-        return failed
+    _validated_spec(args)
     print("valid=true" if args.porcelain else "valid")
     return 0
 
 
 def _cmd_induced_torus(args) -> int:
-    spec, failed = _validated_spec(args)
-    if failed is not None:
-        return failed
+    spec = _validated_spec(args)
     n = len(spec.symbol.pairs)
     if not 1 <= args.index <= n:
         raise ValueError(f"boundary index must be in 1..{n}")
@@ -206,51 +217,33 @@ def _cmd_induced_torus(args) -> int:
 
 
 def _cmd_check_tau(args) -> int:
-    spec, failed = _validated_spec(args)
-    if failed is not None:
-        return failed
-    tau = check_tau_commuting(spec)
-    if not tau:
-        return _reject(args.porcelain, "commutes", "condition",
-                       tau.condition, tau.witness, tau.message)
+    _commuting_spec(args)
     print("commutes=true" if args.porcelain else "commutes")
     return 0
 
 
 def _cmd_project(args) -> int:
-    spec, failed = _validated_spec(args)
-    if failed is not None:
-        return failed
-    tau = check_tau_commuting(spec)
-    if not tau:
-        return _reject(args.porcelain, "commutes", "condition",
-                       tau.condition, tau.witness, tau.message)
-    descriptor = project_action(spec)
-    report = validate_descriptor(descriptor)
-    if not report:
-        # non-canonical block crossing folds to data outside the
-        # descriptor laws; refuse to write a document that would not load
-        return _reject(args.porcelain, "projectable", "law",
-                       report.law, report.witness, report.message)
+    descriptor = project_action(_commuting_spec(args))
+    # non-canonical block crossing folds to data outside the descriptor
+    # laws; refuse to write a document that would not load
+    _require(args, "projectable", "law", validate_descriptor(descriptor))
     _emit(format_descriptor(descriptor), args.output)
     return 0
 
 
 def _cmd_lift(args) -> int:
     descriptor = load_descriptor(args.descriptorfile)
-    report = validate_descriptor(descriptor)
-    if not report:
-        return _reject(args.porcelain, "valid", "law",
-                       report.law, report.witness, report.message)
+    _require(args, "valid", "law", validate_descriptor(descriptor))
     _emit(format_action_spec(lift_action(descriptor)), args.output)
     return 0
 
 
 def _cmd_obstruction(args) -> int:
     if args.specfile is not None:
-        spec, failed = _validated_spec(args)
-        if failed is not None:
-            return failed
+        if args.orbits is not None:
+            raise ValueError("--orbits cannot be used with a spec file, which gives the orbits; "
+                             "use --orbits-extra to add more")
+        spec = _validated_spec(args)
         orbits = list(beta_orbit_numbers(spec))
         b = args.b if args.b is not None else obstruction_class(spec.symbol)
     else:
@@ -276,9 +269,7 @@ def _cmd_obstruction(args) -> int:
 
 
 def _cmd_orbits(args) -> int:
-    spec, failed = _validated_spec(args)
-    if failed is not None:
-        return failed
+    spec = _validated_spec(args)
     numbers = beta_orbit_numbers(spec)
     body = ",".join(str(v) for v in numbers)
     print(f"orbits={body}" if args.porcelain else body)
@@ -286,9 +277,7 @@ def _cmd_orbits(args) -> int:
 
 
 def _cmd_analyze_group(args) -> int:
-    spec, failed = _validated_spec(args)
-    if failed is not None:
-        return failed
+    spec = _validated_spec(args)
     report = analyze_structure(spec)
     print(f"route={report.route}")
     print(f"rotation_order={report.rotation_order}")
@@ -378,6 +367,8 @@ def main(argv=None) -> int:
         return code if isinstance(code, int) else 2
     try:
         return args.handler(args)
+    except _Rejected:
+        return 1
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -139,8 +139,6 @@ def first_homology(symbol: SeifertSymbol) -> AbelianGroupStructure:
     """
     pres = pi1(symbol)
     invariants = smith_normal_form(abelianize(pres) or [[0] * len(pres.generators)])
-    if not pres.generators:
-        return AbelianGroupStructure(0, ())
     rank = sum(1 for d in invariants if d)
     free = len(pres.generators) - rank
     torsion = tuple(d for d in invariants if d > 1)

@@ -2,6 +2,8 @@
 and the document format."""
 
 import dataclasses
+import json
+import re
 from fractions import Fraction
 
 import pytest
@@ -571,3 +573,47 @@ def test_document_round_trips():
         assert parse_action_spec_text(format_action_spec(spec)) == spec
     for descriptor in [specbuild.z2_lens_descriptor(), specbuild.z2z3_descriptor()]:
         assert parse_descriptor_text(format_descriptor(descriptor)) == descriptor
+
+
+LENS_DOC = """
+{
+  "symbol": "(1,n2|(2,1))",
+  "group": "cyclic:2",
+  "epsilon": [1, -1],
+  "beta_bar": [[1], [1]],
+  "theta2_bar": [["0", "0"]]
+}
+"""
+
+
+def test_parse_descriptor_document():
+    assert parse_descriptor_text(LENS_DOC) == specbuild.z2_lens_descriptor()
+
+
+@pytest.mark.parametrize("old, new, message", [
+    ("[1, -1]", "[1, 2]", "epsilon entries must be 1 or -1, got 2"),
+    ("[1, -1]", "[1, true]", "epsilon entries must be 1 or -1, got True"),
+    ('"epsilon": [1, -1],', "", "missing field 'epsilon'"),
+    ("[[1], [1]]", "[[0], [1]]", "beta_bar row 0: entries are 1-based indices in 1..1"),
+    ('[["0", "0"]]', '[["0", "0"], ["0", "0"]]', "theta2_bar must list 1 boundary rows, got 2"),
+], ids=["epsilon-2", "epsilon-true", "missing-epsilon", "beta_bar-0", "theta2_bar-rows"])
+def test_descriptor_document_diagnostics(old, new, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        parse_descriptor_text(LENS_DOC.replace(old, new))
+
+
+Z2_GROUP = {"order": 2, "table": [[0, 1], [1, 0]]}
+
+
+def test_format_goldens():
+    # exact text: key order, indentation, fractions as strings, the
+    # boundary-indexed theta2 rows and the 1-based beta rows
+    assert format_action_spec(specbuild.z2_swap_spec()) == json.dumps({
+        "symbol": "(0,o1|(2,1),(2,1))", "group": Z2_GROUP,
+        "theta1": ["0", "1/2"], "alpha": [1, 1], "beta": [[1, 2], [2, 1]],
+        "theta2": [["0", "0"], ["0", "0"]],
+    }, indent=2) + "\n"
+    assert format_descriptor(specbuild.z2_lens_descriptor()) == json.dumps({
+        "symbol": "(1,n2|(2,1))", "group": Z2_GROUP,
+        "epsilon": [1, -1], "beta_bar": [[1], [1]], "theta2_bar": [["0", "0"]],
+    }, indent=2) + "\n"

@@ -260,6 +260,14 @@ def test_obstruction(capsys, docs):
     assert "both -b and --orbits are required" in err
 
 
+def test_obstruction_rejects_orbits_with_spec(capsys, docs):
+    # the spec gives the orbits; --orbits beside it was once ignored
+    for extra in ([], ["--porcelain"], ["-b", "4"]):
+        code, out, err = run(capsys, "obstruction", docs["swap"], "--orbits", "5,7", *extra)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: --orbits cannot be used with a spec file")
+
+
 def test_orbits(capsys, docs):
     assert run(capsys, "orbits", docs["z4"]) == (0, "2\n", "")
     assert run(capsys, "orbits", "--porcelain", docs["blocks"]) == (
