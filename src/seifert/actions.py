@@ -111,9 +111,12 @@ def _check_tables(data, n: int, symbol_field: str):
     """Shape check of the element tables of a spec or descriptor.
 
     ``type(data)._tables`` names them, in field order, with their kinds;
-    all lengths are checked before any value.
+    all lengths are checked before any value.  Signs and permutation
+    entries must be ints: ``True`` and ``1.0`` compare equal to 1 but
+    would be written as documents that cannot be read back.
     """
     order = data.group.order
+    indices = list(range(n))
     for name, kind in data._tables.items():
         table = getattr(data, name)
         if len(table) != order:
@@ -122,10 +125,11 @@ def _check_tables(data, n: int, symbol_field: str):
     for name, kind in data._tables.items():
         for entry in getattr(data, name):
             if kind == "sign":
-                if entry not in (1, -1):
+                if type(entry) is not int or entry not in (1, -1):
                     raise ValueError(f"{name} values must be +1 or -1, got {entry}")
             elif kind == "permutation":
-                if len(entry) != n or sorted(entry) != list(range(n)):
+                if (len(entry) != n or sorted(entry) != indices
+                        or not all(type(v) is int for v in entry)):
                     raise ValueError(f"{name} row {entry} is not a permutation of {n} indices")
             else:
                 if kind == "rotation rows" and len(entry) != n:
@@ -296,9 +300,14 @@ def induced_solid_torus_action(spec: ExtendedProductActionSpec,
     The boundary torus map (theta1, theta2, alpha) at index i lands in the
     solid torus glued at beta(g)(i); the rotation vector transforms by the
     inverse of that pair's gluing matrix and the sign is untouched.
-    Invalid specs are rejected.
+    Invalid specs and out-of-range indices are rejected.
     """
     _require_valid(spec)
+    n = len(spec.symbol.pairs)
+    if not 0 <= boundary_index < n:
+        raise ValueError(f"boundary index must be in 0..{n - 1}")
+    if not 0 <= element < spec.group.order:
+        raise ValueError(f"group element must be in 0..{spec.group.order - 1}")
     target = spec.beta[element][boundary_index]
     glue = gluing_matrix(spec.symbol.pairs[target])
     longitude, meridian = glue.inverse_rotation(
@@ -567,10 +576,7 @@ def parse_fraction_text(text) -> Fraction:
 
 
 def format_fraction(value: Fraction) -> str:
-    value = Fraction(value)
-    if value.denominator == 1:
-        return str(value.numerator)
-    return f"{value.numerator}/{value.denominator}"
+    return str(Fraction(value))
 
 
 def _string(value, name: str) -> str:

@@ -12,7 +12,9 @@ Every library operation is reachable as a subcommand::
 Exit codes: 0 for success and true verdicts, 1 for false verdicts and
 failed validations (with a report on stderr), 2 for usage and parse
 errors.  Output is deterministic; ``--porcelain`` switches every command
-to line-oriented ``key=value`` output for scripting.  Boundary indices
+to line-oriented ``key=value`` output for scripting.  ``induced-torus``
+and ``analyze-group`` print ``key=value`` lines with or without it, and
+``project`` and ``lift`` write a JSON document either way.  Boundary indices
 on the command line are 1-based, matching the beta arrays in action-spec
 files; group elements are 0-based table indices with 0 the identity.
 """
@@ -38,14 +40,24 @@ from .symbols import (base_quotient, equivalent, normalize,
                       total_sum)
 
 
-def _witness(witness) -> str:
-    if witness is None:
-        return "-"
-    return ",".join(str(v) for v in witness)
+def _join(values) -> str:
+    return ",".join(str(v) for v in values)
 
 
-def _bool(value: bool) -> str:
-    return "true" if value else "false"
+def _say(args, fields: dict, plain=None):
+    """Print ``fields`` as ``key=value`` lines under --porcelain, else ``plain``.
+
+    With no ``plain`` text the lines are printed either way.  Booleans
+    print as true/false, and a list value prints one line per item.
+    """
+    if not args.porcelain and plain is not None:
+        print(plain)
+        return
+    for key, value in fields.items():
+        for item in value if isinstance(value, list) else [value]:
+            if isinstance(item, bool):
+                item = "true" if item else "false"
+            print(f"{key}={item}")
 
 
 class _Rejected(Exception):
@@ -59,47 +71,28 @@ def _require(args, key: str, label: str, report):
     """
     if report:
         return
-    name, witness, message = getattr(report, label), report.witness, report.message
+    name, message = getattr(report, label), report.message
+    witness = "-" if report.witness is None else _join(report.witness)
     # failed verdicts keep stdout scriptable and put the prose on stderr
     if args.porcelain:
-        print(f"{key}=false")
-        print(f"{label}={name}")
-        print(f"witness={_witness(witness)}")
-        print(f"message={message}")
+        _say(args, {key: False, label: name, "witness": witness, "message": message})
     else:
         print(f"{key.replace('_', ' ')} check failed: {label} {name}, "
-              f"witness {_witness(witness)}: {message}", file=sys.stderr)
+              f"witness {witness}: {message}", file=sys.stderr)
     raise _Rejected
 
 
-def _print_presentation(pres, porcelain: bool):
-    if porcelain:
-        print("generators=" + ",".join(pres.generators))
-        for rel in pres.relators:
-            print("relator=" + pres.format_word(rel))
-    else:
-        print(pres.export_text())
-
-
-def _parse_matrix(text: str) -> list[list[int]]:
-    rows = []
-    for row_text in text.split(";"):
-        entries = [e for e in row_text.split(",")]
-        try:
-            rows.append([int(e) for e in entries])
-        except ValueError:
-            raise ValueError(f"bad matrix row {row_text!r}; "
-                             "use comma-separated integers, rows split by ';'") from None
-    if not rows or not rows[0]:
-        raise ValueError("empty matrix")
-    return rows
-
-
-def _parse_int_list(text: str) -> list[int]:
+def _parse_ints(text: str, message: str) -> list[int]:
+    """Comma-separated integers; ``message`` formats ``text`` when one is bad."""
     try:
         return [int(v) for v in text.split(",")]
     except ValueError:
-        raise ValueError(f"bad integer list {text!r}") from None
+        raise ValueError(message.format(text)) from None
+
+
+def _parse_matrix(text: str) -> list[list[int]]:
+    return [_parse_ints(row, "bad matrix row {!r}; use comma-separated integers, rows split by ';'")
+            for row in text.split(";")]
 
 
 def _emit(text: str, output: str | None):
@@ -125,76 +118,62 @@ def _commuting_spec(args):
 
 def _cmd_normalize(args) -> int:
     norm = normalize(parse_symbol(args.symbol))
-    if args.porcelain:
-        print(f"symbol={norm.expand()}")
-        print(f"obstruction={norm.b}")
-    else:
-        print(norm.expand())
+    text = norm.expand()
+    _say(args, {"symbol": text, "obstruction": norm.b}, text)
     return 0
 
 
 def _cmd_sum(args) -> int:
-    value = total_sum(parse_symbol(args.symbol))
-    print(f"sum={format_fraction(value)}" if args.porcelain else format_fraction(value))
+    value = format_fraction(total_sum(parse_symbol(args.symbol)))
+    _say(args, {"sum": value}, value)
     return 0
 
 
 def _cmd_equiv(args) -> int:
     verdict = equivalent(parse_symbol(args.first), parse_symbol(args.second))
-    if args.porcelain:
-        print(f"equivalent={_bool(verdict)}")
-    else:
-        print("equivalent" if verdict else "not equivalent")
+    _say(args, {"equivalent": verdict}, "equivalent" if verdict else "not equivalent")
     return 0 if verdict else 1
 
 
 def _cmd_cover(args) -> int:
     cover = orientable_double_cover(parse_symbol(args.symbol))
-    print(f"symbol={cover}" if args.porcelain else cover)
+    _say(args, {"symbol": cover}, cover)
     return 0
 
 
 def _cmd_quotient(args) -> int:
     quotient = base_quotient(parse_symbol(args.symbol))
-    if args.porcelain:
-        print(f"exists={_bool(quotient is not None)}")
-        if quotient is not None:
-            print(f"symbol={quotient}")
-    else:
-        print(quotient if quotient is not None else "no quotient")
-    return 0 if quotient is not None else 1
-
-
-def _cmd_pi1(args) -> int:
-    _print_presentation(pi1(parse_symbol(args.symbol)), args.porcelain)
+    if quotient is None:
+        _say(args, {"exists": False}, "no quotient")
+        return 1
+    _say(args, {"exists": True, "symbol": quotient}, quotient)
     return 0
 
 
-def _cmd_orbifold_pi1(args) -> int:
-    _print_presentation(orbifold_pi1(parse_symbol(args.symbol)), args.porcelain)
+def _cmd_presentation(args) -> int:
+    build = pi1 if args.command == "pi1" else orbifold_pi1
+    pres = build(parse_symbol(args.symbol))
+    _say(args, {"generators": _join(pres.generators),
+                "relator": [pres.format_word(rel) for rel in pres.relators]},
+         pres.export_text())
     return 0
 
 
 def _cmd_h1(args) -> int:
     h = first_homology(parse_symbol(args.symbol))
-    if args.porcelain:
-        print(f"free_rank={h.free_rank}")
-        print("torsion=" + ",".join(str(d) for d in h.torsion))
-    else:
-        print(h)
+    _say(args, {"free_rank": h.free_rank, "torsion": _join(h.torsion)}, h)
     return 0
 
 
 def _cmd_snf(args) -> int:
-    invariants = smith_normal_form(_parse_matrix(args.matrix))
-    body = ",".join(str(d) for d in invariants)
-    print(f"invariants={body}" if args.porcelain else body)
+    body = _join(smith_normal_form(_parse_matrix(args.matrix)))
+    _say(args, {"invariants": body}, body)
     return 0
 
 
 def _cmd_validate_action(args) -> int:
     _validated_spec(args)
-    print("valid=true" if args.porcelain else "valid")
+    _say(args, {"valid": True}, "valid")
     return 0
 
 
@@ -203,22 +182,20 @@ def _cmd_induced_torus(args) -> int:
     n = len(spec.symbol.pairs)
     if not 1 <= args.index <= n:
         raise ValueError(f"boundary index must be in 1..{n}")
-    if not 0 <= args.element < spec.group.order:
-        raise ValueError(f"group element must be in 0..{spec.group.order - 1}")
     i = args.index - 1
     data = induced_solid_torus_action(spec, i, args.element)
-    print(f"longitude={format_fraction(data.longitude)}")
-    print(f"meridian={format_fraction(data.meridian)}")
-    print(f"sign={data.sign}")
+    fields = {"longitude": format_fraction(data.longitude),
+              "meridian": format_fraction(data.meridian), "sign": data.sign}
     if args.det:
         glue = gluing_matrix(spec.symbol.pairs[spec.beta[args.element][i]])
-        print(f"gluing={glue.x},{glue.pair.p};{glue.y},{glue.pair.q}")
+        fields["gluing"] = f"{glue.x},{glue.pair.p};{glue.y},{glue.pair.q}"
+    _say(args, fields)
     return 0
 
 
 def _cmd_check_tau(args) -> int:
     _commuting_spec(args)
-    print("commutes=true" if args.porcelain else "commutes")
+    _say(args, {"commutes": True}, "commutes")
     return 0
 
 
@@ -249,42 +226,31 @@ def _cmd_obstruction(args) -> int:
     else:
         if args.b is None or args.orbits is None:
             raise ValueError("without a spec file, both -b and --orbits are required")
-        orbits = _parse_int_list(args.orbits)
+        orbits = _parse_ints(args.orbits, "bad integer list {!r}")
         b = args.b
     if args.orbits_extra is not None:
-        orbits.extend(_parse_int_list(args.orbits_extra))
+        orbits.extend(_parse_ints(args.orbits_extra, "bad integer list {!r}"))
     witness = obstruction_witness(b, orbits)
-    if args.porcelain:
-        print(f"b={b}")
-        print("orbits=" + ",".join(str(v) for v in orbits))
-        print(f"solvable={_bool(witness is not None)}")
-        if witness is not None:
-            print("witness=" + ",".join(str(v) for v in witness))
-    else:
-        if witness is not None:
-            print("solvable: " + ",".join(str(v) for v in witness))
-        else:
-            print("not solvable")
-    return 0 if witness is not None else 1
+    fields = {"b": b, "orbits": _join(orbits), "solvable": witness is not None}
+    if witness is None:
+        _say(args, fields, "not solvable")
+        return 1
+    _say(args, fields | {"witness": _join(witness)}, "solvable: " + _join(witness))
+    return 0
 
 
 def _cmd_orbits(args) -> int:
-    spec = _validated_spec(args)
-    numbers = beta_orbit_numbers(spec)
-    body = ",".join(str(v) for v in numbers)
-    print(f"orbits={body}" if args.porcelain else body)
+    body = _join(beta_orbit_numbers(_validated_spec(args)))
+    _say(args, {"orbits": body}, body)
     return 0
 
 
 def _cmd_analyze_group(args) -> int:
-    spec = _validated_spec(args)
-    report = analyze_structure(spec)
-    print(f"route={report.route}")
-    print(f"rotation_order={report.rotation_order}")
-    print(f"alpha_image_order={report.alpha_image_order}")
-    print(f"shadow_order={report.shadow_order}")
-    print(f"factors={report.factors}")
-    print(f"embedding_ok={_bool(report.embedding_ok)}")
+    report = analyze_structure(_validated_spec(args))
+    _say(args, {"route": report.route, "rotation_order": report.rotation_order,
+                "alpha_image_order": report.alpha_image_order,
+                "shadow_order": report.shadow_order, "factors": report.factors,
+                "embedding_ok": report.embedding_ok})
     return 0
 
 
@@ -299,50 +265,41 @@ def _build_parser() -> argparse.ArgumentParser:
         description="exact computation with Seifert fibered spaces")
     sub = parser.add_subparsers(dest="command", required=True, metavar="command")
 
-    def add(name, handler, help_text, **kwargs):
-        p = sub.add_parser(name, parents=[common], help=help_text, **kwargs)
+    def add(name, handler, help_text, *positionals):
+        p = sub.add_parser(name, parents=[common], help=help_text)
         p.set_defaults(handler=handler)
+        for positional in positionals:
+            p.add_argument(positional)
         return p
 
-    p = add("normalize", _cmd_normalize, "normal form of a symbol")
-    p.add_argument("symbol")
-    p = add("sum", _cmd_sum, "exact sum of p/q over the pairs")
-    p.add_argument("symbol")
-    p = add("equiv", _cmd_equiv, "fiber preserving equivalence of two symbols")
-    p.add_argument("first")
-    p.add_argument("second")
-    p = add("cover", _cmd_cover, "orientable-base double cover of a class n2 symbol")
-    p.add_argument("symbol")
-    p = add("quotient", _cmd_quotient, "invert the double cover when possible")
-    p.add_argument("symbol")
-    p = add("pi1", _cmd_pi1, "fundamental group presentation")
-    p.add_argument("symbol")
-    p = add("orbifold-pi1", _cmd_orbifold_pi1, "base orbifold group presentation")
-    p.add_argument("symbol")
-    p = add("h1", _cmd_h1, "first homology")
-    p.add_argument("symbol")
+    add("normalize", _cmd_normalize, "normal form of a symbol", "symbol")
+    add("sum", _cmd_sum, "exact sum of p/q over the pairs", "symbol")
+    add("equiv", _cmd_equiv, "fiber preserving equivalence of two symbols", "first", "second")
+    add("cover", _cmd_cover, "orientable-base double cover of a class n2 symbol", "symbol")
+    add("quotient", _cmd_quotient, "invert the double cover when possible", "symbol")
+    add("pi1", _cmd_presentation, "fundamental group presentation", "symbol")
+    add("orbifold-pi1", _cmd_presentation, "base orbifold group presentation", "symbol")
+    add("h1", _cmd_h1, "first homology", "symbol")
     p = add("snf", _cmd_snf, "Smith normal form invariants of an integer matrix")
     p.add_argument("matrix", help="rows split by ';', entries by ',': '2,0;0,3'")
     # argparse reads a word starting with "-" as an option unless it is a
     # bare negative number; "-1,2;3,4" is a matrix, as is "-1,x" (bad row)
     p._negative_number_matcher = re.compile(r"-\d")
-    p = add("validate-action", _cmd_validate_action, "check the action laws of a spec file")
-    p.add_argument("specfile")
-    p = add("induced-torus", _cmd_induced_torus, "induced solid-torus rotation of one element")
-    p.add_argument("specfile")
+    add("validate-action", _cmd_validate_action, "check the action laws of a spec file",
+        "specfile")
+    p = add("induced-torus", _cmd_induced_torus, "induced solid-torus rotation of one element",
+            "specfile")
     p.add_argument("-i", "--index", type=int, required=True,
                    help="boundary index, 1-based")
     p.add_argument("-g", "--element", type=int, required=True,
                    help="group element index, 0 is the identity")
     p.add_argument("--det", action="store_true",
                    help="also print the gluing matrix used")
-    p = add("check-tau", _cmd_check_tau, "commutation with the covering translation")
-    p.add_argument("specfile")
-    p = add("project", _cmd_project, "fold a commuting action to the quotient descriptor")
-    p.add_argument("specfile")
+    add("check-tau", _cmd_check_tau, "commutation with the covering translation", "specfile")
+    p = add("project", _cmd_project, "fold a commuting action to the quotient descriptor",
+            "specfile")
     p.add_argument("-o", "--output", help="write the descriptor document here")
-    p = add("lift", _cmd_lift, "canonical commuting action over a descriptor")
-    p.add_argument("descriptorfile")
+    p = add("lift", _cmd_lift, "canonical commuting action over a descriptor", "descriptorfile")
     p.add_argument("-o", "--output", help="write the action-spec document here")
     p = add("obstruction", _cmd_obstruction, "solve b = sum of b_i * orbit_i")
     p.add_argument("specfile", nargs="?",
@@ -351,10 +308,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--orbits", help="comma-separated orbit numbers")
     p.add_argument("--orbits-extra", dest="orbits_extra",
                    help="extra orbit numbers to append")
-    p = add("orbits", _cmd_orbits, "boundary orbit sizes under beta")
-    p.add_argument("specfile")
-    p = add("analyze-group", _cmd_analyze_group, "group-theoretic shape of an action")
-    p.add_argument("specfile")
+    add("orbits", _cmd_orbits, "boundary orbit sizes under beta", "specfile")
+    add("analyze-group", _cmd_analyze_group, "group-theoretic shape of an action", "specfile")
     return parser
 
 

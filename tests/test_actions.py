@@ -72,6 +72,17 @@ def test_spec_value_ranges_are_enforced():
         replace(base, theta1=(ZERO, F(3, 2), ZERO, ZERO))
     with pytest.raises(ValueError, match="rotation numbers must be fractions"):
         replace(base, theta2=((F(-1, 4), ZERO),) * 4)
+    # equal to ints but not ints: once accepted, then written as
+    # documents that cannot be read back, or a TypeError in the law scan
+    swap = specbuild.z2_swap_spec()
+    with pytest.raises(ValueError, match="alpha values must be \\+1 or -1, got True"):
+        replace(swap, alpha=(True, 1.0))
+    with pytest.raises(ValueError, match="alpha values must be \\+1 or -1, got 1.0"):
+        replace(swap, alpha=(1, 1.0))
+    with pytest.raises(ValueError, match="is not a permutation of 2 indices"):
+        replace(swap, beta=((0, 1), (1.0, 0)))
+    with pytest.raises(ValueError, match="is not a permutation of 2 indices"):
+        replace(swap, beta=((False, True), (1, 0)))
 
 
 # -- the cocycle laws ------------------------------------------------------
@@ -217,6 +228,18 @@ def test_induced_rotation_rejects_invalid_spec():
         induced_solid_torus_action(bad, 0, 1)
 
 
+def test_induced_rotation_rejects_out_of_range_indices():
+    # negative indices once read the last entry, indices past the end
+    # raised IndexError
+    spec = specbuild.z4_swap_spec()
+    for i, g, message in ((-1, 1, "boundary index must be in 0..1"),
+                          (2, 1, "boundary index must be in 0..1"),
+                          (0, -1, "group element must be in 0..3"),
+                          (0, 4, "group element must be in 0..3")):
+        with pytest.raises(ValueError, match=message):
+            induced_solid_torus_action(spec, i, g)
+
+
 # -- obstruction solving ---------------------------------------------------
 
 def test_obstruction_witness_goldens():
@@ -329,6 +352,12 @@ def test_descriptor_structure_enforced():
     with pytest.raises(ValueError, match="not a permutation"):
         ProjectedActionDescriptor(good.base, good.group, good.epsilon,
                                   ((0,), (1,)), good.theta2_bar)
+    with pytest.raises(ValueError, match="epsilon values must be \\+1 or -1, got True"):
+        ProjectedActionDescriptor(good.base, good.group, (True, -1),
+                                  good.beta_bar, good.theta2_bar)
+    with pytest.raises(ValueError, match="is not a permutation of 1 indices"):
+        ProjectedActionDescriptor(good.base, good.group, good.epsilon,
+                                  ((0,), (0.0,)), good.theta2_bar)
 
 
 @pytest.fixture

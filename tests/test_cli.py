@@ -83,10 +83,14 @@ def test_equiv(capsys):
     code, out, err = run(capsys, "equiv", "--porcelain",
                          "(0,o1|(3,1))", "(0,o1|(3,2))")
     assert (code, out) == (1, "equivalent=false\n")
+    assert run(capsys, "equiv", "--porcelain", "(0,o1|(3,4))", "(0,o1|(3,1),(1,1))") == (
+        0, "equivalent=true\n", "")
 
 
 def test_cover_and_quotient(capsys):
     assert run(capsys, "cover", "(1,n2|(2,1))") == (0, "(0,o1|(2,1),(2,1))\n", "")
+    assert run(capsys, "cover", "--porcelain", "(1,n2|(2,1))") == (
+        0, "symbol=(0,o1|(2,1),(2,1))\n", "")
     assert run(capsys, "quotient", "(0,o1|(2,1),(2,1))") == (0, "(1,n2|(2,1))\n", "")
     code, out, err = run(capsys, "quotient", "(0,o1|(2,1),(3,1))")
     assert (code, out) == (1, "no quotient\n")
@@ -130,6 +134,8 @@ def test_pi1_output(capsys):
 def test_orbifold_pi1_output(capsys):
     assert run(capsys, "orbifold-pi1", "(1,n2|(2,1))") == (
         0, "x c1\nc1^2\nc1*x^-2\n", "")
+    assert run(capsys, "orbifold-pi1", "--porcelain", "(1,n2|(2,1))") == (
+        0, "generators=x,c1\nrelator=c1^2\nrelator=c1*x^-2\n", "")
 
 
 def test_h1_output(capsys):
@@ -146,6 +152,9 @@ def test_snf_output(capsys):
         code, out, err = run(capsys, "snf", bad)
         assert code == 2
         assert "bad matrix row" in err
+    for bad in ("", ";"):
+        assert run(capsys, "snf", bad) == (
+            2, "", "error: bad matrix row ''; use comma-separated integers, rows split by ';'\n")
 
 
 @pytest.mark.parametrize("argv", [
@@ -177,6 +186,11 @@ def test_validate_action(capsys, docs):
     assert code == 1
     assert out.splitlines()[:3] == ["valid=false", "law=theta1", "witness=1,1"]
     assert out.splitlines()[3].startswith("message=")
+    assert run(capsys, "validate-action", "--porcelain", docs["broken"]) == (
+        1, "valid=false\nlaw=theta1\nwitness=1,1\n"
+           "message=theta1(2) = 1/2, law gives 2/3\n", "")
+    assert run(capsys, "validate-action", docs["broken"]) == (
+        1, "", "valid check failed: law theta1, witness 1,1: theta1(2) = 1/2, law gives 2/3\n")
 
 
 def test_induced_torus(capsys, docs):
@@ -191,6 +205,10 @@ def test_induced_torus(capsys, docs):
     code, out, err = run(capsys, "induced-torus", docs["z4"], "-i", "1", "-g", "9")
     assert code == 2
     assert "group element must be in 0..3" in err
+    # key=value lines with or without --porcelain
+    assert run(capsys, "induced-torus", "--porcelain", docs["z4"], "-i", "1", "-g", "1",
+               "--det") == (
+        0, "longitude=3/4\nmeridian=1/4\nsign=1\ngluing=0,1;-1,3\n", "")
 
 
 def test_check_tau(capsys, docs):
@@ -198,6 +216,9 @@ def test_check_tau(capsys, docs):
     code, out, err = run(capsys, "check-tau", docs["thirds"])
     assert (code, out) == (1, "")
     assert "commutes check failed: condition half-rotation, witness 1" in err
+    assert err == ("commutes check failed: condition half-rotation, witness 1: "
+                   "theta1(1) = 1/3 is not 0 or 1/2\n")
+    assert run(capsys, "check-tau", "--porcelain", docs["swap"]) == (0, "commutes=true\n", "")
     code, out, err = run(capsys, "check-tau", "--porcelain", docs["thirds"])
     assert code == 1
     assert out.splitlines()[:3] == [
@@ -221,6 +242,14 @@ def test_project(capsys, docs, tmp_path):
     assert code == 1
     assert out.splitlines()[:3] == [
         "projectable=false", "law=theta2_bar", "witness=1,1,0"]
+    assert run(capsys, "project", "--porcelain", docs["mixed"]) == (
+        1, "projectable=false\nlaw=theta2_bar\nwitness=1,1,0\n"
+           "message=theta2_bar(0,0) = 0, law gives 2/3\n", "")
+    assert run(capsys, "project", docs["mixed"]) == (
+        1, "", "projectable check failed: law theta2_bar, witness 1,1,0: "
+               "theta2_bar(0,0) = 0, law gives 2/3\n")
+    # a written document is the same under --porcelain
+    assert run(capsys, "project", "--porcelain", docs["swap"]) == (0, expected, "")
 
 
 def test_lift(capsys, docs, tmp_path):
@@ -235,6 +264,7 @@ def test_lift(capsys, docs, tmp_path):
     code, out, err = run(capsys, "lift", docs["broken_descr"])
     assert (code, out) == (1, "")
     assert "valid check failed: law epsilon, witness 1,1" in err
+    assert run(capsys, "lift", "--porcelain", docs["lens"]) == (0, expected, "")
 
 
 def test_obstruction(capsys, docs):
@@ -242,6 +272,8 @@ def test_obstruction(capsys, docs):
         0, "solvable: -1,1\n", "")
     code, out, err = run(capsys, "obstruction", "-b", "3", "--orbits", "4,6")
     assert (code, out) == (1, "not solvable\n")
+    assert run(capsys, "obstruction", "--porcelain", "-b", "3", "--orbits", "4,6") == (
+        1, "b=3\norbits=4,6\nsolvable=false\n", "")
     assert run(capsys, "obstruction", "--porcelain", "-b", "1", "--orbits",
                "2,3") == (
         0, "b=1\norbits=2,3\nsolvable=true\nwitness=-1,1\n", "")
@@ -272,6 +304,8 @@ def test_orbits(capsys, docs):
     assert run(capsys, "orbits", docs["z4"]) == (0, "2\n", "")
     assert run(capsys, "orbits", "--porcelain", docs["blocks"]) == (
         0, "orbits=3,3\n", "")
+    assert run(capsys, "orbits", docs["blocks"]) == (0, "3,3\n", "")
+    assert run(capsys, "orbits", "--porcelain", docs["z4"]) == (0, "orbits=2\n", "")
 
 
 def test_analyze_group(capsys, docs):
@@ -286,6 +320,16 @@ def test_analyze_group(capsys, docs):
         "")
     assert run(capsys, "analyze-group", docs["z4"])[1].startswith(
         "route=fiber-rotation\nrotation_order=4\n")
+    # key=value lines with or without --porcelain
+    assert run(capsys, "analyze-group", "--porcelain", docs["z4"]) == (
+        0,
+        "route=fiber-rotation\n"
+        "rotation_order=4\n"
+        "alpha_image_order=1\n"
+        "shadow_order=2\n"
+        "factors=Z4 x H\n"
+        "embedding_ok=true\n",
+        "")
 
 
 # -- error handling and determinism ----------------------------------------
