@@ -64,10 +64,6 @@ from .symbols import (Orientability, SeifertPair, SeifertSymbol, orientable_doub
                       parse_symbol)
 
 
-def mod1(value: Fraction) -> Fraction:
-    return value % 1
-
-
 @dataclass(frozen=True)
 class ExtendedProductActionSpec:
     """One finite action in extended product form; tables index by element.
@@ -263,8 +259,8 @@ class GluingMatrix:
     def inverse_rotation(self, fiber: Fraction, meridian: Fraction) -> tuple[Fraction, Fraction]:
         """Apply the inverse matrix to a rotation vector in (Q/Z)^2."""
         q, p = self.pair.q, self.pair.p
-        return (mod1(q * fiber - p * meridian),
-                mod1(-self.y * fiber + self.x * meridian))
+        return ((q * fiber - p * meridian) % 1,
+                (-self.y * fiber + self.x * meridian) % 1)
 
 
 def gluing_matrix(pair: SeifertPair) -> GluingMatrix:
@@ -548,7 +544,7 @@ def _lift(descriptor: ProjectedActionDescriptor) -> ExtendedProductActionSpec:
                 row[i], row[i + n] = j, j + n
         beta.append(tuple(row))
         front = descriptor.theta2_bar[g]
-        theta2.append(tuple(front) + tuple(mod1(-v) for v in front))
+        theta2.append(tuple(front) + tuple(-v % 1 for v in front))
     return ExtendedProductActionSpec(symbol, descriptor.group, theta1, alpha,
                                      tuple(beta), tuple(theta2))
 
@@ -556,7 +552,8 @@ def _lift(descriptor: ProjectedActionDescriptor) -> ExtendedProductActionSpec:
 # ---------------------------------------------------------------------------
 # document format
 
-_FRACTION_RE = re.compile(r"^[+-]?\d+(/\d+)?$")
+# an optional sign, ASCII digits, and an optional '/' and ASCII digits
+_FRACTION = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
 
 
 def parse_fraction_text(text) -> Fraction:
@@ -567,12 +564,13 @@ def parse_fraction_text(text) -> Fraction:
         return Fraction(text)
     if isinstance(text, float):
         raise ValueError(f"decimal fractions are not accepted: {text!r}")
-    if not isinstance(text, str) or not _FRACTION_RE.match(text.strip()):
+    match = _FRACTION.fullmatch(text.strip()) if isinstance(text, str) else None
+    if match is None:
         raise ValueError(f"not a fraction: {text!r} (use integers or 'a/b')")
-    try:
-        return Fraction(text.strip())
-    except ZeroDivisionError:
-        raise ValueError(f"zero denominator in fraction {text!r}") from None
+    numerator, denominator = match.groups(default="1")
+    if int(denominator) == 0:
+        raise ValueError(f"zero denominator in fraction {text!r}")
+    return Fraction(int(numerator), int(denominator))
 
 
 def format_fraction(value: Fraction) -> str:
@@ -630,7 +628,7 @@ def _read_tables(doc: dict, kinds: dict, order: int, n: int) -> list[tuple]:
             entry = "fraction" if kind == "rotation" else kind
             raise ValueError(f"{name} must list one {entry} per group element ({order})")
         if kind == "rotation":
-            tables.append(tuple(mod1(parse_fraction_text(v)) for v in raw))
+            tables.append(tuple(parse_fraction_text(v) % 1 for v in raw))
         elif kind == "sign":
             for v in raw:
                 if type(v) is not int or v not in (1, -1):
@@ -652,7 +650,7 @@ def _read_tables(doc: dict, kinds: dict, order: int, n: int) -> list[tuple]:
             for i, row in enumerate(raw):
                 if not isinstance(row, list) or len(row) != order:
                     raise ValueError(f"{name} row {i} must have one entry per group element ({order})")
-            tables.append(tuple(tuple(mod1(parse_fraction_text(raw[i][g])) for i in range(n))
+            tables.append(tuple(tuple(parse_fraction_text(raw[i][g]) % 1 for i in range(n))
                                 for g in range(order)))
     return tables
 

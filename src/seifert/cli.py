@@ -82,12 +82,23 @@ def _require(args, key: str, label: str, report):
     raise _Rejected
 
 
+# every integer on the command line: an optional '-' and ASCII digits
+_INTEGER = re.compile(r"-?[0-9]+")
+
+
 def _parse_ints(text: str, message: str) -> list[int]:
     """Comma-separated integers; ``message`` formats ``text`` when one is bad."""
-    try:
-        return [int(v) for v in text.split(",")]
-    except ValueError:
-        raise ValueError(message.format(text)) from None
+    values = text.split(",")
+    if not all(map(_INTEGER.fullmatch, values)):
+        raise ValueError(message.format(text))
+    return [int(v) for v in values]
+
+
+def _int_option(text: str) -> int:
+    """The type of -b, -i and -g; a bad value gets argparse's own message."""
+    if not _INTEGER.fullmatch(text):
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    return int(text)
 
 
 def _parse_matrix(text: str) -> list[list[int]]:
@@ -284,14 +295,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("matrix", help="rows split by ';', entries by ',': '2,0;0,3'")
     # argparse reads a word starting with "-" as an option unless it is a
     # bare negative number; "-1,2;3,4" is a matrix, as is "-1,x" (bad row)
-    p._negative_number_matcher = re.compile(r"-\d")
+    p._negative_number_matcher = re.compile(r"-[0-9]")
     add("validate-action", _cmd_validate_action, "check the action laws of a spec file",
         "specfile")
     p = add("induced-torus", _cmd_induced_torus, "induced solid-torus rotation of one element",
             "specfile")
-    p.add_argument("-i", "--index", type=int, required=True,
+    p.add_argument("-i", "--index", type=_int_option, required=True,
                    help="boundary index, 1-based")
-    p.add_argument("-g", "--element", type=int, required=True,
+    p.add_argument("-g", "--element", type=_int_option, required=True,
                    help="group element index, 0 is the identity")
     p.add_argument("--det", action="store_true",
                    help="also print the gluing matrix used")
@@ -304,7 +315,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = add("obstruction", _cmd_obstruction, "solve b = sum of b_i * orbit_i")
     p.add_argument("specfile", nargs="?",
                    help="take orbits (and default b) from this spec file")
-    p.add_argument("-b", type=int, default=None, help="target obstruction class")
+    p.add_argument("-b", type=_int_option, default=None, help="target obstruction class")
     p.add_argument("--orbits", help="comma-separated orbit numbers")
     p.add_argument("--orbits-extra", dest="orbits_extra",
                    help="extra orbit numbers to append")

@@ -18,6 +18,7 @@ reader keeps its open products on a stack, not in recursion).
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -115,65 +116,66 @@ def direct_product(a: FiniteGroup, b: FiniteGroup) -> FiniteGroup:
                              for a_row in a.table for b_row in b.table))
 
 
+# a table entry or order: an optional '-' and ASCII digits
+_INTEGER = re.compile(r"-?[0-9]+")
+# constructor text splits into these tokens and single characters; joined
+# back they give the text, so an error quotes the rest from a token on
+_CONSTRUCTOR_TOKEN = re.compile(r"product:|cyclic:[0-9]*|.", re.DOTALL)
+
+
 def parse_group_text(text: str) -> FiniteGroup:
     """Read the order-then-rows text format."""
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines:
         raise ValueError("empty group file")
-    try:
-        m = int(lines[0])
-    except ValueError:
-        raise ValueError(f"group file: bad order line {lines[0]!r}") from None
+    if not _INTEGER.fullmatch(lines[0].strip()):
+        raise ValueError(f"group file: bad order line {lines[0]!r}")
+    m = int(lines[0])
     if len(lines) != m + 1:
         raise ValueError(f"group file: expected {m} table rows, got {len(lines) - 1}")
     table = []
     for ln in lines[1:]:
-        try:
-            row = tuple(int(v) for v in ln.split())
-        except ValueError:
-            raise ValueError(f"group file: bad table row {ln!r}") from None
-        table.append(row)
+        entries = ln.split()
+        if not all(map(_INTEGER.fullmatch, entries)):
+            raise ValueError(f"group file: bad table row {ln!r}")
+        table.append(tuple(int(v) for v in entries))
     return FiniteGroup(tuple(table))
 
 
 def group_from_constructor(spec: str) -> FiniteGroup:
-    """Build a group from ``cyclic:n`` / ``product:spec1,spec2`` text."""
-    text = spec.strip()
-    group, end = _read_constructor(text)
-    if end < len(text):
-        raise ValueError(f"trailing text in group constructor: {text[end:]!r}")
-    return group
+    """Build a group from ``cyclic:n`` / ``product:spec1,spec2`` text.
 
-
-def _read_constructor(text: str) -> tuple[FiniteGroup, int]:
-    """The group text[0:end] names, and end.
-
-    A loop over the open products, so nesting depth costs no recursion;
-    each entry is [where the product starts, its first operand once read].
+    n is ASCII digits.  A loop over the open products, so nesting depth
+    costs no recursion; each entry is [the token where the product
+    starts, its first operand once read].
     """
+    tokens = _CONSTRUCTOR_TOKEN.findall(spec.strip()) + [""]  # "" marks the end
     open_products: list[list] = []
-    pos = 0
+    k = 0
     while True:
-        if text.startswith("product:", pos):
-            open_products.append([pos, None])
-            pos += len("product:")
+        token = tokens[k]
+        if token == "product:":
+            open_products.append([k, None])
+            k += 1
             continue
-        if not text.startswith("cyclic:", pos):
-            raise ValueError(f"unknown group constructor {text[pos:]!r}")
-        end = start = pos + len("cyclic:")
-        while end < len(text) and text[end].isdigit():
-            end += 1
-        if end == start:
-            raise ValueError(f"cyclic: expects an integer in {text[pos:]!r}")
-        group, pos = cyclic_group(int(text[start:end])), end
+        if not token.startswith("cyclic:"):
+            raise ValueError(f"unknown group constructor {''.join(tokens[k:])!r}")
+        if token == "cyclic:":
+            raise ValueError(f"cyclic: expects an integer in {''.join(tokens[k:])!r}")
+        group = cyclic_group(int(token[len("cyclic:"):]))
+        k += 1
         while open_products and open_products[-1][1] is not None:
             group = direct_product(open_products.pop()[1], group)
         if not open_products:
-            return group, pos
-        if not text.startswith(",", pos):
-            raise ValueError(f"product: expects two operands in {text[open_products[-1][0]:]!r}")
+            break
+        if tokens[k] != ",":
+            rest = "".join(tokens[open_products[-1][0]:])
+            raise ValueError(f"product: expects two operands in {rest!r}")
         open_products[-1][1] = group
-        pos += 1
+        k += 1
+    if tokens[k]:
+        raise ValueError(f"trailing text in group constructor: {''.join(tokens[k:])!r}")
+    return group
 
 
 @dataclass(frozen=True)

@@ -46,9 +46,14 @@ def smith_normal_form(matrix) -> list[int]:
 
     Returns min(rows, cols) non-negative integers.  Row and column
     operations are unimodular throughout, so the product of the nonzero
-    entries equals |det| for square input of full rank.
+    entries equals |det| for square input of full rank.  Every entry must
+    be an int; a bool, float or string raises ValueError.
     """
-    dense = [[int(v) for v in row] for row in matrix]
+    dense = [list(row) for row in matrix]
+    for row in dense:
+        for v in row:
+            if type(v) is not int:
+                raise ValueError(f"matrix entries must be integers, got {v!r}")
     n = len(dense[0]) if dense else 0
     if any(len(row) != n for row in dense):
         raise ValueError("matrix rows must all have the same length")
@@ -138,7 +143,7 @@ def first_homology(symbol: SeifertSymbol) -> AbelianGroupStructure:
     'Z'
     """
     pres = pi1(symbol)
-    invariants = smith_normal_form(abelianize(pres) or [[0] * len(pres.generators)])
+    invariants = smith_normal_form(abelianize(pres))
     rank = sum(1 for d in invariants if d)
     free = len(pres.generators) - rank
     torsion = tuple(d for d in invariants if d > 1)

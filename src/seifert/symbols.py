@@ -22,6 +22,7 @@ True
 
 from __future__ import annotations
 
+import re
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
@@ -114,90 +115,69 @@ class SymbolSyntaxError(ValueError):
         self.position = position
 
 
-class _SymbolParser:
-    # Tiny recursive-descent reader.  Whitespace is skipped everywhere, so
-    # positions reported in errors index the original text.
+# One token per integer (an optional '-' and ASCII digits), class name or
+# other non-space character; whitespace between tokens is skipped.
+_TOKEN = re.compile(r"(-?[0-9]+)|(o1|n2|\S)")
+_CLASSES = {cls.value: cls for cls in Orientability}
+_EXPECTED = {int: "expected an integer", Orientability: "expected class 'o1' or 'n2'"}
 
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
 
-    def _skip_ws(self):
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
-
-    def _peek(self):
-        self._skip_ws()
-        return self.text[self.pos] if self.pos < len(self.text) else ""
-
-    def _expect(self, ch: str):
-        if self._peek() != ch:
-            raise SymbolSyntaxError(self.pos, f"expected '{ch}'")
-        self.pos += 1
-
-    def _int(self) -> int:
-        self._skip_ws()
-        start = self.pos
-        if self._peek() == "-":
-            self.pos += 1
-        digits = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
-            self.pos += 1
-        if self.pos == digits:
-            raise SymbolSyntaxError(start, "expected an integer")
-        return int(self.text[start:self.pos])
-
-    def _orientability(self) -> Orientability:
-        self._skip_ws()
-        for cls in Orientability:
-            token = cls.value
-            if self.text[self.pos:self.pos + len(token)] == token:
-                self.pos += len(token)
-                return cls
-        raise SymbolSyntaxError(self.pos, "expected class 'o1' or 'n2'")
-
-    def _pair(self) -> SeifertPair:
-        start = self.pos
-        self._expect("(")
-        q = self._int()
-        self._expect(",")
-        p = self._int()
-        self._expect(")")
-        try:
-            return SeifertPair(q, p)
-        except ValueError as exc:
-            raise SymbolSyntaxError(start, str(exc)) from None
-
-    def parse(self) -> SeifertSymbol:
-        start = self.pos
-        self._expect("(")
-        genus = self._int()
-        self._expect(",")
-        cls = self._orientability()
-        self._expect("|")
-        pairs = []
-        if self._peek() != ")":
-            pairs.append(self._pair())
-            while self._peek() == ",":
-                self.pos += 1
-                pairs.append(self._pair())
-        self._expect(")")
-        self._skip_ws()
-        if self.pos != len(self.text):
-            raise SymbolSyntaxError(self.pos, "trailing input after symbol")
-        try:
-            return SeifertSymbol(genus, cls, tuple(pairs))
-        except ValueError as exc:
-            raise SymbolSyntaxError(start, str(exc)) from None
+def _syntax_error(text: str, k: int, message: str) -> SymbolSyntaxError:
+    """The error at token k of text, or at its end when the tokens ran out."""
+    offsets = [m.start() for m in _TOKEN.finditer(text)]
+    return SymbolSyntaxError(offsets[k] if k < len(offsets) else len(text), message)
 
 
 def parse_symbol(text: str) -> SeifertSymbol:
     """Parse ``(genus,class|(q,p),...)`` text, whitespace insensitive.
 
+    Every integer is an optional ``-`` and ASCII digits.  A syntax error
+    reports the offset of the token it names, or the length of the text
+    when the text ends early; a symbol that breaks a constructor rule
+    (such as a genus below 0) reports 0.
+
     >>> parse_symbol(" ( 1 , n2 | ( 2 , 1 ) ) ")
     SeifertSymbol(genus=1, orientability=<Orientability.N2: 'n2'>, pairs=(SeifertPair(q=2, p=1),))
     """
-    return _SymbolParser(text).parse()
+    # (integer, other) text per token; the empty pair past the end matches nothing
+    tokens = _TOKEN.findall(text) + [("", "")]
+    k = 0
+
+    def take(want):
+        """The next token as ``want``: int, Orientability or a literal character."""
+        nonlocal k
+        number, other = tokens[k]
+        if want is int and number:
+            value = int(number)
+        elif want is Orientability and other in _CLASSES:
+            value = _CLASSES[other]
+        elif other == want:
+            value = other
+        else:
+            raise _syntax_error(text, k, _EXPECTED.get(want, f"expected '{want}'"))
+        k += 1
+        return value
+
+    _, genus, _, cls, _ = map(take, ("(", int, ",", Orientability, "|"))
+    pairs = []
+    if tokens[k][1] != ")":
+        while True:
+            start = k
+            _, q, _, p, _ = map(take, ("(", int, ",", int, ")"))
+            try:
+                pairs.append(SeifertPair(q, p))
+            except ValueError as exc:
+                raise _syntax_error(text, start, str(exc)) from None
+            if tokens[k][1] != ",":
+                break
+            k += 1
+    take(")")
+    if k < len(tokens) - 1:
+        raise _syntax_error(text, k, "trailing input after symbol")
+    try:
+        return SeifertSymbol(genus, cls, tuple(pairs))
+    except ValueError as exc:
+        raise SymbolSyntaxError(0, str(exc)) from None
 
 
 def total_sum(symbol: SeifertSymbol) -> Fraction:

@@ -507,6 +507,9 @@ def test_fraction_parsing():
         parse_fraction_text("1/2/3")
     with pytest.raises(ValueError, match="zero denominator"):
         parse_fraction_text("3/0")
+    for text in ("\u0663/4", "1/\u0664", "\u00b9/2", "+-3", "1_0/3", "1/ 2"):
+        with pytest.raises(ValueError, match="not a fraction"):
+            parse_fraction_text(text)
 
 
 def test_fraction_formatting():

@@ -148,10 +148,13 @@ def test_h1_output(capsys):
 def test_snf_output(capsys):
     assert run(capsys, "snf", "2,0;0,3") == (0, "1,6\n", "")
     assert run(capsys, "snf", "--porcelain", "2,4;4,8") == (0, "invariants=2,0\n", "")
-    for bad in ("2,x", "-1,x"):
+    for bad in ("2,x", "-1,x", "1_0", " 3,+4", "2,0;0, 3", "\u0663,1"):
         code, out, err = run(capsys, "snf", bad)
         assert code == 2
         assert "bad matrix row" in err
+    # not a negative number to argparse, so an unknown option
+    code, out, err = run(capsys, "snf", "-\u0663,1")
+    assert (code, out) == (2, "")
     for bad in ("", ";"):
         assert run(capsys, "snf", bad) == (
             2, "", "error: bad matrix row ''; use comma-separated integers, rows split by ';'\n")
@@ -205,6 +208,10 @@ def test_induced_torus(capsys, docs):
     code, out, err = run(capsys, "induced-torus", docs["z4"], "-i", "1", "-g", "9")
     assert code == 2
     assert "group element must be in 0..3" in err
+    for index, element, name in (("+1", "1", "-i/--index"), ("1", "1_0", "-g/--element")):
+        code, out, err = run(capsys, "induced-torus", docs["z4"], "-i", index, "-g", element)
+        assert (code, out) == (2, "")
+        assert f"argument {name}: invalid int value:" in err
     # key=value lines with or without --porcelain
     assert run(capsys, "induced-torus", "--porcelain", docs["z4"], "-i", "1", "-g", "1",
                "--det") == (
@@ -290,6 +297,17 @@ def test_obstruction(capsys, docs):
     code, out, err = run(capsys, "obstruction", "-b", "1")
     assert code == 2
     assert "both -b and --orbits are required" in err
+
+    # integers are an optional '-' and ASCII digits; int() would take these
+    for bad in ("1_0", "+1", " 1", "\u0661"):
+        code, out, err = run(capsys, "obstruction", "-b", bad, "--orbits", "2,3")
+        assert (code, out) == (2, "")
+        assert f"argument -b: invalid int value: {bad!r}" in err
+    for option in ("--orbits", "--orbits-extra"):
+        for bad in ("2,+3", "2, 3", "1_0", "2,\u0663"):
+            argv = ["-b", "1", "--orbits", "2"] if option == "--orbits-extra" else ["-b", "1"]
+            assert run(capsys, "obstruction", *argv, option, bad) == (
+                2, "", f"error: bad integer list {bad!r}\n")
 
 
 def test_obstruction_rejects_orbits_with_spec(capsys, docs):

@@ -81,6 +81,14 @@ def test_group_text_diagnostics():
         parse_group_text("2\n0 1")
     with pytest.raises(ValueError, match="bad table row"):
         parse_group_text("2\n0 1\n1 x")
+    # entries are an optional '-' and ASCII digits, nothing int() would also take
+    for text in ("2\n0 1\n1 +0", "2\n0 1_0\n1 0", "2\n0 \u0661\n1 0"):
+        with pytest.raises(ValueError, match="bad table row"):
+            parse_group_text(text)
+    for text in ("+2\n0 1\n1 0", "\u0662\n0 1\n1 0", "2_0\n"):
+        with pytest.raises(ValueError, match="bad order line"):
+            parse_group_text(text)
+    assert parse_group_text(" 2 \n 0  1\n1\t0 ").order == 2
 
 
 def test_constructor_strings():
@@ -100,6 +108,11 @@ def test_constructor_diagnostics():
         group_from_constructor("cyclic:2,cyclic:3")
     with pytest.raises(ValueError, match="two operands"):
         group_from_constructor("product:cyclic:2")
+    for text in ("cyclic:\u0663", "cyclic:\u00b2", "product:cyclic:2,cyclic:\u0663"):
+        with pytest.raises(ValueError, match="cyclic: expects an integer"):
+            group_from_constructor(text)
+    with pytest.raises(ValueError, match="trailing text in group constructor: '\u0663'"):
+        group_from_constructor("cyclic:3\u0663")
 
 
 def test_map_checking():

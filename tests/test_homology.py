@@ -1,6 +1,7 @@
 """Smith normal form and first homology."""
 
 import random
+from fractions import Fraction
 from math import gcd, prod
 
 import pytest
@@ -53,6 +54,12 @@ def test_snf_matches_minor_gcd_oracle_on_fixed_cases():
 def test_snf_rejects_ragged_input():
     with pytest.raises(ValueError, match="same length"):
         smith_normal_form([[1, 2], [3]])
+
+
+def test_snf_rejects_non_integer_entries():
+    for matrix in ([[2.7, 0], [0, 3]], [["4", "6"]], [[True, 0]], [[Fraction(2), 1]]):
+        with pytest.raises(ValueError, match="matrix entries must be integers"):
+            smith_normal_form(matrix)
 
 
 small_entries = st.integers(min_value=-5, max_value=5)

@@ -1,9 +1,11 @@
 """Symbol parsing, normalization, equivalence, and the double cover."""
 
+import re
 from fractions import Fraction
 
 import pytest
 from hypothesis import given
+import hypothesis.strategies as st
 
 from seifert import (
     Orientability,
@@ -18,6 +20,7 @@ from seifert import (
     parse_symbol,
     total_sum,
 )
+from budget import needs_alarm, time_budget
 from strategies import seifert_symbols
 
 
@@ -39,6 +42,22 @@ def test_parse_empty_pair_list():
 
 def test_parse_ignores_whitespace():
     assert parse_symbol(" ( 0 , o1 | ( 3 , -4 ) ) ") == parse_symbol("(0,o1|(3,-4))")
+
+
+@needs_alarm
+def test_parse_skips_long_whitespace_in_linear_time():
+    # a token pattern that starts with \s* rescans a trailing run of spaces
+    # from every offset in it: 200 000 spaces would take minutes
+    with time_budget(5):
+        assert parse_symbol("(0,o1|)" + " " * 200_000) == parse_symbol("(0,o1|)")
+
+
+@given(seifert_symbols(), st.data())
+def test_parse_ignores_whitespace_between_tokens(s, data):
+    tokens = re.findall(r"-?[0-9]+|o1|n2|.", str(s))
+    spaces = st.text(alphabet=" \t\n\u00a0\u2003", max_size=3)
+    text = "".join(data.draw(spaces) + token for token in tokens) + data.draw(spaces)
+    assert parse_symbol(text) == s
 
 
 def test_str_round_trip():
@@ -69,6 +88,19 @@ def test_parse_reports_error_position():
         parse_symbol("(0,o1|)x")
     with pytest.raises(SymbolSyntaxError, match="class"):
         parse_symbol("(0,xx|)")
+    # integers are ASCII digits: other Unicode digits are not read as numbers
+    for text in ("(0,o1|(\u0663,1))", "(0,o1|(\u00b2,1))", "(0,o1|(-\u0663,1))"):
+        with pytest.raises(SymbolSyntaxError, match="expected an integer") as info:
+            parse_symbol(text)
+        assert info.value.position == len("(0,o1|(")
+    with pytest.raises(SymbolSyntaxError, match="expected ','") as info:
+        parse_symbol("(0,o1|(3\u0663,1))")
+    assert info.value.position == len("(0,o1|(3")
+    # a pair's own error names the offset of its '(', after any whitespace
+    for text, position in (("(0,o1| (2,4))", 7), ("(0,o1|(3,1), (2,4))", 13)):
+        with pytest.raises(SymbolSyntaxError, match="coprime") as info:
+            parse_symbol(text)
+        assert info.value.position == position
 
 
 def test_constructor_rejects_bad_data():
