@@ -32,13 +32,15 @@ and report.  The checks read them as integers mod N, N the lcm of a
 spec's rotation denominators: each spec computes that integer view of
 its data once and keeps it, and the law scan, the covering-translation
 test and the image groups of :mod:`seifert.structure` all compose in
-it.  v -> v*N is exact and keeps the order of [0, 1), so every verdict
-and witness is the one the fractions give.  Laws (a) to (d) are
-decided over G x S, S the group's generating set: the composition
-is associative, so datum(gs) = datum(g) o datum(s) for every g and
-every s in S gives them for all pairs.  Only when that fails does the
-full scan over all pairs run, to name the first witness in a fixed
-order.  A spec or descriptor is law-scanned once: the report is kept on
+it.  A descriptor computes the same view of its lift straight from its
+own tables and is law-scanned on that integer lift; :func:`lift_action`
+builds the Fraction spec from it once, when first called.  v -> v*N is
+exact and keeps the order of [0, 1), so every verdict and witness is
+the one the fractions give.  Laws (a) to (d) are decided over G x S,
+S the group's generating set: the composition is associative, so
+datum(gs) = datum(g) o datum(s) for every g and every s in S gives
+them for all pairs.  Only when that fails does the full scan over all
+pairs run, to name the first witness in a fixed order.  A spec or descriptor is law-scanned once: the report is kept on
 the frozen object, and every function that needs valid data reads it.
 
 The covering-translation machinery works on symbols whose pair list is
@@ -90,17 +92,20 @@ class ExtendedProductActionSpec:
     @cached_property
     def _int_view(self) -> tuple[int, tuple[tuple, ...]]:
         """(N, per-element datum (alpha, theta1*N, beta row, theta2*N row))."""
-        denominators = {v.denominator for row in (self.theta1, *self.theta2) for v in row}
-        mod = lcm(*denominators)
-        scale = {d: mod // d for d in denominators}
-
-        def ints(row):
-            return tuple(v.numerator * scale[v.denominator] for v in row)
-        return mod, tuple(zip(self.alpha, ints(self.theta1), self.beta, map(ints, self.theta2)))
+        mod, (theta1, *theta2) = _scaled((self.theta1, *self.theta2))
+        return mod, tuple(zip(self.alpha, theta1, self.beta, theta2))
 
     @cached_property
     def _law_report(self) -> ValidationReport:
-        return _scan_laws(self, _SPEC_LAWS)
+        return _scan_laws(self.group, self._int_view, self.symbol.pairs, _SPEC_LAWS)
+
+
+def _scaled(rows, *moduli) -> tuple[int, list[tuple[int, ...]]]:
+    """(N, the rotation rows times N), N the lcm of their denominators and moduli."""
+    denominators = {v.denominator for row in rows for v in row}
+    mod = lcm(*denominators, *moduli)
+    scale = {d: mod // d for d in denominators}
+    return mod, [tuple(v.numerator * scale[v.denominator] for v in row) for row in rows]
 
 
 def _check_tables(data, n: int, symbol_field: str):
@@ -180,28 +185,29 @@ def _compose(a: tuple, b: tuple, mod: int) -> tuple:
     return tuple(law(a, b, mod) for _, law in _COMPONENT_LAWS)
 
 
-def _scan_laws(spec: ExtendedProductActionSpec, laws: dict) -> ValidationReport:
+def _scan_laws(group: FiniteGroup, view: tuple, pairs: tuple, laws: dict) -> ValidationReport:
     """Identity, then laws (a) to (d) over G x S, then (e).
 
+    Reads an integer view (N, data) and the pairs its beta rows permute.
     Stops at the first failure; ``laws`` names it and words its message.
     When the G x S test fails, the full scan, each law over all (g, h)
     before the next, finds the witness, so reports do not depend on S.
-    Both read the integer view; a rotation in a message is Fraction(v, N).
+    A rotation in a message is Fraction(v, N).
     """
     def fail(law, witness, **values):
         name, message = laws[law]
         return ValidationReport(False, name, witness, message.format(**values))
 
-    n = len(spec.symbol.pairs)
-    mod, data = spec._int_view
+    n = len(pairs)
+    mod, data = view
     if data[0] != (1, 0, tuple(range(n)), (0,) * n):
         return fail("identity", (0,))
-    table = spec.group.table
+    table = group.table
     # _compose is associative with the trivial datum as identity, so
     # datum(gs) = datum(g) o datum(s) for every generator s extends to
     # datum(gh) = datum(g) o datum(h) by induction on the word length of h
     if not all(data[table[g][s]] == _compose(a, data[s], mod)
-               for g, a in enumerate(data) for s in spec.group.generators):
+               for g, a in enumerate(data) for s in group.generators):
         for k, (law, component) in enumerate(_COMPONENT_LAWS):
             for g, a in enumerate(data):
                 for h, b in enumerate(data):
@@ -216,8 +222,7 @@ def _scan_laws(spec: ExtendedProductActionSpec, laws: dict) -> ValidationReport:
                     if law == "theta1":
                         got, want = Fraction(got, mod), Fraction(want, mod)
                     return fail(law, (g, h), g=g, h=h, gh=gh, value=got, want=want)
-    pairs = spec.symbol.pairs
-    for g, perm in enumerate(spec.beta):
+    for g, (_, _, perm, _) in enumerate(data):
         for i in range(n):
             if pairs[perm[i]] != pairs[i]:
                 return fail("pairs", (g, i), g=g, i=i)
@@ -328,23 +333,25 @@ def obstruction_witness(b: int, orbit_numbers) -> list[int] | None:
     """Solve b = sum(b_i * orbit_i) over the integers, or report None.
 
     Solvable exactly when gcd of the orbit numbers divides b; the witness
-    comes from chaining the extended Euclid identity.
+    comes from chaining the extended Euclid identity.  The gcd of no
+    orbit numbers is 0, so with none only b = 0 is solvable.
 
     >>> obstruction_witness(1, [2, 3])
     [-1, 1]
     >>> obstruction_witness(3, [4, 6]) is None
     True
+    >>> obstruction_witness(0, [])
+    []
     """
     orbits = list(orbit_numbers)
-    if not orbits:
-        raise ValueError("at least one orbit number is required")
     if any(o < 1 for o in orbits):
         raise ValueError("orbit numbers must be positive")
-    g = orbits[0]
-    coeffs = [1]
-    for o in orbits[1:]:
+    g, coeffs = 0, []
+    for o in orbits:
         g, s, t = _egcd(g, o)
         coeffs = [c * s for c in coeffs] + [t]
+    if not g:
+        return None if b else []
     if b % g:
         return None
     scale = b // g
@@ -447,15 +454,32 @@ class ProjectedActionDescriptor:
         _check_tables(self, len(self.base.pairs), "base")
 
     @cached_property
-    def _raw_lift(self) -> ExtendedProductActionSpec:
-        return _lift(self)
+    def _int_view(self) -> tuple[int, tuple[tuple, ...]]:
+        """The integer view of the lift (see :func:`lift_action`), from these tables."""
+        n = len(self.base.pairs)
+        mod, fronts = _scaled(self.theta2_bar, 2 if -1 in self.epsilon else 1)
+        data = []
+        for sign, perm, front in zip(self.epsilon, self.beta_bar, fronts):
+            kept, crossed = tuple(perm), tuple(j + n for j in perm)
+            turn, row = (0, kept + crossed) if sign == 1 else (mod // 2, crossed + kept)
+            data.append((1, turn, row, front + tuple(-v % mod for v in front)))
+        return mod, tuple(data)
 
     @cached_property
     def _law_report(self) -> ValidationReport:
-        return _scan_laws(self._raw_lift, _DESCRIPTOR_LAWS)
+        return _scan_laws(self.group, self._int_view, orientable_double_cover(self.base).pairs,
+                          _DESCRIPTOR_LAWS)
+
+    @cached_property
+    def _lifted(self) -> ExtendedProductActionSpec:
+        mod, data = self._int_view
+        alpha, turns, beta, rows = zip(*data)
+        return ExtendedProductActionSpec(
+            orientable_double_cover(self.base), self.group, tuple(Fraction(t, mod) for t in turns),
+            alpha, beta, tuple(tuple(Fraction(v, mod) for v in row) for row in rows))
 
 
-# The spec laws read on the raw lift, named by the descriptor's fields.
+# The spec laws, read on the descriptor's integer lift, named by its fields.
 # There alpha is identically +1, the theta1 law is the epsilon law, and
 # for i < n the theta2 law is the folded theta2_bar law (for i >= n its
 # negation), so the first witness always names a folded index.
@@ -474,8 +498,8 @@ def validate_descriptor(descriptor: ProjectedActionDescriptor) -> ValidationRepo
     epsilon and beta_bar must be homomorphisms, theta2_bar obeys the
     folded law theta2_bar(i, gh) = epsilon(h) * theta2_bar(beta_bar(h)(i), g)
     + theta2_bar(i, h), and beta_bar respects the (q, p) values.  These
-    are the laws of :func:`validate_action_spec` on the lift, and are
-    checked there; like a spec, a descriptor is scanned once.
+    are the laws of :func:`validate_action_spec` on the lift, checked on
+    its integer view; like a spec, a descriptor is scanned once.
     """
     return descriptor._law_report
 
@@ -515,38 +539,13 @@ def lift_action(descriptor: ProjectedActionDescriptor) -> ExtendedProductActionS
     extended antisymmetrically.  The result always passes
     :func:`validate_action_spec` and :func:`check_tau_commuting`, and
     :func:`project_action` recovers the descriptor exactly.
+    The descriptor is law-scanned on the integer view of this lift; the
+    Fraction spec is built from that view once, on the first call.
     """
     report = validate_descriptor(descriptor)
     if not report:
         raise ValueError(f"descriptor fails validation: {report.message}")
-    return descriptor._raw_lift
-
-
-def _lift(descriptor: ProjectedActionDescriptor) -> ExtendedProductActionSpec:
-    # the construction of lift_action, on data not yet validated
-    base = descriptor.base
-    n = len(base.pairs)
-    symbol = orientable_double_cover(base)
-    order = descriptor.group.order
-    theta1 = tuple(Fraction(0) if descriptor.epsilon[g] == 1 else Fraction(1, 2)
-                   for g in range(order))
-    alpha = (1,) * order
-    beta = []
-    theta2 = []
-    for g in range(order):
-        cross = descriptor.epsilon[g] == -1
-        row = [0] * (2 * n)
-        for i in range(n):
-            j = descriptor.beta_bar[g][i]
-            if cross:
-                row[i], row[i + n] = j + n, j
-            else:
-                row[i], row[i + n] = j, j + n
-        beta.append(tuple(row))
-        front = descriptor.theta2_bar[g]
-        theta2.append(tuple(front) + tuple(-v % 1 for v in front))
-    return ExtendedProductActionSpec(symbol, descriptor.group, theta1, alpha,
-                                     tuple(beta), tuple(theta2))
+    return descriptor._lifted
 
 
 # ---------------------------------------------------------------------------

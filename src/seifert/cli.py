@@ -294,8 +294,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p = add("snf", _cmd_snf, "Smith normal form invariants of an integer matrix")
     p.add_argument("matrix", help="rows split by ';', entries by ',': '2,0;0,3'")
     # argparse reads a word starting with "-" as an option unless it is a
-    # bare negative number; "-1,2;3,4" is a matrix, as is "-1,x" (bad row)
-    p._negative_number_matcher = re.compile(r"-[0-9]")
+    # bare negative number; here every unknown word "-" then not "-" is a
+    # matrix: "-1,2;3,4", and "-1,x" or "-\u0663,1" (bad rows)
+    p._negative_number_matcher = re.compile(r"-[^-]")
     add("validate-action", _cmd_validate_action, "check the action laws of a spec file",
         "specfile")
     p = add("induced-torus", _cmd_induced_torus, "induced solid-torus rotation of one element",

@@ -561,6 +561,17 @@ def test_criterion_09_lift_project_round_trip():
     _pass(9, "lift and project invert each other")
 
 
+def test_descriptor_integer_view_is_the_lift_view():
+    # a descriptor scans the integer view it builds from its own tables;
+    # it must be the view its Fraction lift computes from the Fractions
+    rng = random.Random(24593)
+    descriptors = [specbuild.z2_lens_descriptor(), specbuild.z2z3_descriptor()]
+    descriptors += [_random_descriptor(rng) for _ in range(200)]
+    for descriptor in descriptors:
+        fresh = dataclasses.replace(lift_action(descriptor))
+        assert descriptor._int_view == fresh._int_view
+
+
 def test_criterion_10_obstruction_witnesses():
     rng = random.Random(77377)
     for _ in range(500):

@@ -257,8 +257,9 @@ def test_obstruction_witness_substitution():
 
 
 def test_obstruction_witness_rejects_bad_orbits():
-    with pytest.raises(ValueError, match="at least one orbit"):
-        obstruction_witness(1, [])
+    # the gcd of no orbit numbers is 0: only b = 0 is solvable
+    assert obstruction_witness(0, []) == []
+    assert obstruction_witness(1, []) is None
     with pytest.raises(ValueError, match="must be positive"):
         obstruction_witness(1, [2, 0])
 
@@ -362,15 +363,28 @@ def test_descriptor_structure_enforced():
 
 @pytest.fixture
 def scans(monkeypatch):
-    """Every spec the law scan runs on, in order."""
+    """Every integer view the law scan runs on, in order."""
     seen = []
     scan = seifert.actions._scan_laws
 
-    def counted(spec, laws):
-        seen.append(spec)
-        return scan(spec, laws)
+    def counted(group, view, pairs, laws):
+        seen.append(view)
+        return scan(group, view, pairs, laws)
     monkeypatch.setattr(seifert.actions, "_scan_laws", counted)
     return seen
+
+
+@pytest.fixture
+def built_specs(monkeypatch):
+    """Every ExtendedProductActionSpec constructed, in order."""
+    built = []
+    check = ExtendedProductActionSpec.__post_init__
+
+    def counted(spec):
+        built.append(spec)
+        check(spec)
+    monkeypatch.setattr(ExtendedProductActionSpec, "__post_init__", counted)
+    return built
 
 
 def test_spec_is_law_scanned_once(scans):
@@ -380,26 +394,25 @@ def test_spec_is_law_scanned_once(scans):
     descriptor = project_action(spec)
     analyze_structure(spec)
     beta_orbit_numbers(spec)
-    assert len(scans) == 1 and scans[0] is spec
-    # a descriptor is scanned once too, through its lift
+    assert len(scans) == 1 and scans[0] is spec._int_view
+    # a descriptor is scanned once too, on the integer view of its lift
     assert validate_descriptor(descriptor)
     assert lift_action(descriptor) == spec
-    assert len(scans) == 2 and scans[1] == spec
+    assert lift_action(descriptor) == spec
+    assert len(scans) == 2 and scans[1] is descriptor._int_view
+    assert scans[1] == spec._int_view
 
 
-def test_descriptor_is_lifted_once(monkeypatch):
-    lifted = []
-    lift = seifert.actions._lift
-
-    def counted(descriptor):
-        lifted.append(descriptor)
-        return lift(descriptor)
-    monkeypatch.setattr(seifert.actions, "_lift", counted)
+def test_descriptor_is_lifted_once(built_specs):
     descriptor = specbuild.z2_lens_descriptor()
-    assert lift_action(descriptor) == specbuild.z2_swap_spec()
+    # validation reads the integer lift and builds no Fraction spec
     assert validate_descriptor(descriptor)
-    assert lift_action(descriptor) == specbuild.z2_swap_spec()
-    assert lifted == [descriptor]
+    assert built_specs == []
+    lifted = lift_action(descriptor)
+    assert validate_descriptor(descriptor)
+    assert lift_action(descriptor) is lifted
+    assert len(built_specs) == 1 and built_specs[0] is lifted
+    assert lifted == specbuild.z2_swap_spec()
 
 
 def test_replaced_spec_is_scanned_afresh(scans):
@@ -408,8 +421,9 @@ def test_replaced_spec_is_scanned_afresh(scans):
     broken = dataclasses.replace(spec, theta1=(ZERO, F(1, 3), F(1, 2), F(3, 4)))
     report = validate_action_spec(broken)
     assert (report.law, report.witness) == ("theta1", (1, 1))
-    assert validate_action_spec(dataclasses.replace(spec))
-    assert len(scans) == 3
+    replaced = dataclasses.replace(spec)
+    assert validate_action_spec(replaced)
+    assert len(scans) == 3 and scans[2] is replaced._int_view
 
 
 def test_descriptor_laws():

@@ -152,9 +152,9 @@ def test_snf_output(capsys):
         code, out, err = run(capsys, "snf", bad)
         assert code == 2
         assert "bad matrix row" in err
-    # not a negative number to argparse, so an unknown option
-    code, out, err = run(capsys, "snf", "-\u0663,1")
-    assert (code, out) == (2, "")
+    # a word "-" then not "-" is a matrix, not an unknown option
+    assert run(capsys, "snf", "-\u0663,1") == (
+        2, "", "error: bad matrix row '-\u0663,1'; use comma-separated integers, rows split by ';'\n")
     for bad in ("", ";"):
         assert run(capsys, "snf", bad) == (
             2, "", "error: bad matrix row ''; use comma-separated integers, rows split by ';'\n")
@@ -308,6 +308,19 @@ def test_obstruction(capsys, docs):
             argv = ["-b", "1", "--orbits", "2"] if option == "--orbits-extra" else ["-b", "1"]
             assert run(capsys, "obstruction", *argv, option, bad) == (
                 2, "", f"error: bad integer list {bad!r}\n")
+
+
+def test_obstruction_of_spec_without_pairs(capsys, tmp_path):
+    # no boundary pairs, so no orbits: b = 0 is solvable, b = 1 is not
+    spec = ExtendedProductActionSpec(parse_symbol("(0,o1|)"), specbuild.cyclic_group(2),
+                                     (ZERO, Fraction(1, 2)), (1, 1), ((), ()), ((), ()))
+    path = tmp_path / "pairless.json"
+    path.write_text(format_action_spec(spec), encoding="utf-8")
+    assert run(capsys, "orbits", str(path)) == (0, "\n", "")
+    assert run(capsys, "obstruction", str(path)) == (0, "solvable: \n", "")
+    assert run(capsys, "obstruction", "--porcelain", str(path)) == (
+        0, "b=0\norbits=\nsolvable=true\nwitness=\n", "")
+    assert run(capsys, "obstruction", str(path), "-b", "1") == (1, "not solvable\n", "")
 
 
 def test_obstruction_rejects_orbits_with_spec(capsys, docs):
