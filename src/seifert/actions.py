@@ -34,14 +34,22 @@ its data once and keeps it, and the law scan, the covering-translation
 test and the image groups of :mod:`seifert.structure` all compose in
 it.  A descriptor computes the same view of its lift straight from its
 own tables and is law-scanned on that integer lift; :func:`lift_action`
-builds the Fraction spec from it once, when first called.  v -> v*N is
-exact and keeps the order of [0, 1), so every verdict and witness is
-the one the fractions give.  Laws (a) to (d) are decided over G x S,
-S the group's generating set: the composition is associative, so
+builds the Fraction spec from it once, when first called, and the spec
+keeps that view and the passing report.  v -> v*N is exact and keeps
+the order of [0, 1), so every verdict and witness is the one the
+fractions give.  Laws (a) to (d) are decided over G x S, S the group's
+generating set: the composition is associative, so
 datum(gs) = datum(g) o datum(s) for every g and every s in S gives
 them for all pairs.  Only when that fails does the full scan over all
-pairs run, to name the first witness in a fixed order.  A spec or descriptor is law-scanned once: the report is kept on
-the frozen object, and every function that needs valid data reads it.
+pairs run, to name the first witness in a fixed order.  A spec or
+descriptor is law-scanned once: the report is kept on the frozen
+object, and every function that needs valid data reads it.
+
+A document has few distinct rotation values and repeats them across
+its tables, so the boundary handles each distinct value once: the
+reader parses and reduces each distinct rotation text of a document
+once, the lift builds Fraction(v, N) once per distinct integer v, and
+the writer prints the checked Fractions as they are, with no copy.
 
 The covering-translation machinery works on symbols whose pair list is
 doubled in blocks, pairs i and i+n equal for i < n: exactly the
@@ -137,7 +145,8 @@ def _check_tables(data, n: int, symbol_field: str):
                     raise ValueError(f"{name} row has {len(entry)} entries, "
                                      f"{symbol_field} has {n} pairs")
                 for v in entry if kind == "rotation rows" else (entry,):
-                    if not isinstance(v, Fraction) or not 0 <= v < 1:
+                    # [0, 1) on the integers: a Fraction's denominator is positive
+                    if not isinstance(v, Fraction) or not 0 <= v.numerator < v.denominator:
                         raise ValueError(f"{name}: rotation numbers must be fractions "
                                          f"in [0,1), got {v!r}")
 
@@ -472,11 +481,16 @@ class ProjectedActionDescriptor:
 
     @cached_property
     def _lifted(self) -> ExtendedProductActionSpec:
-        mod, data = self._int_view
+        # read by lift_action only, once the scan of this view has passed,
+        # so the spec keeps the view and the report and is not scanned again
+        view = mod, data = self._int_view
         alpha, turns, beta, rows = zip(*data)
-        return ExtendedProductActionSpec(
-            orientable_double_cover(self.base), self.group, tuple(Fraction(t, mod) for t in turns),
-            alpha, beta, tuple(tuple(Fraction(v, mod) for v in row) for row in rows))
+        rotation = {v: Fraction(v, mod) for v in set(turns).union(*rows)}.__getitem__
+        spec = ExtendedProductActionSpec(
+            orientable_double_cover(self.base), self.group, tuple(map(rotation, turns)),
+            alpha, beta, tuple(tuple(map(rotation, row)) for row in rows))
+        spec.__dict__.update(_int_view=view, _law_report=_PASS)
+        return spec
 
 
 # The spec laws, read on the descriptor's integer lift, named by its fields.
@@ -619,7 +633,27 @@ def _field(doc: dict, name: str):
 
 
 def _read_tables(doc: dict, kinds: dict, order: int, n: int) -> list[tuple]:
-    """The element tables of a document, in field order, indexed by element."""
+    """The element tables of a document, in field order, indexed by element.
+
+    A document repeats its few rotation values many times, so each
+    distinct rotation text is read and reduced mod 1 once per call and
+    its Fraction shared.  Only strings are memo keys: ``True``, ``1`` and
+    ``1.0`` hash alike, and each of them must meet
+    :func:`parse_fraction_text` itself.
+    """
+    memo = {}
+
+    def rotation(text):
+        value = memo.get(text) if type(text) is str else None
+        if value is None:
+            value = parse_fraction_text(text)
+            num, den = value.numerator, value.denominator
+            if not 0 <= num < den:
+                value = Fraction(num % den, den)
+            if type(text) is str:
+                memo[text] = value
+        return value
+
     tables = []
     for name, kind in kinds.items():
         raw = _field(doc, name)
@@ -627,7 +661,7 @@ def _read_tables(doc: dict, kinds: dict, order: int, n: int) -> list[tuple]:
             entry = "fraction" if kind == "rotation" else kind
             raise ValueError(f"{name} must list one {entry} per group element ({order})")
         if kind == "rotation":
-            tables.append(tuple(parse_fraction_text(v) % 1 for v in raw))
+            tables.append(tuple(map(rotation, raw)))
         elif kind == "sign":
             for v in raw:
                 if type(v) is not int or v not in (1, -1):
@@ -649,8 +683,8 @@ def _read_tables(doc: dict, kinds: dict, order: int, n: int) -> list[tuple]:
             for i, row in enumerate(raw):
                 if not isinstance(row, list) or len(row) != order:
                     raise ValueError(f"{name} row {i} must have one entry per group element ({order})")
-            tables.append(tuple(tuple(parse_fraction_text(raw[i][g]) % 1 for i in range(n))
-                                for g in range(order)))
+            columns = zip(*raw) if n else [()] * order
+            tables.append(tuple(tuple(map(rotation, column)) for column in columns))
     return tables
 
 
@@ -700,13 +734,13 @@ def _format_document(symbol: SeifertSymbol, data) -> str:
     for name, kind in data._tables.items():
         table = getattr(data, name)
         if kind == "rotation":
-            doc[name] = [format_fraction(v) for v in table]
+            doc[name] = [str(v) for v in table]
         elif kind == "sign":
             doc[name] = list(table)
         elif kind == "permutation":
             doc[name] = [[v + 1 for v in row] for row in table]
         else:
-            doc[name] = [[format_fraction(row[i]) for row in table] for i in range(n)]
+            doc[name] = [[str(row[i]) for row in table] for i in range(n)]
     return json.dumps(doc, indent=2) + "\n"
 
 

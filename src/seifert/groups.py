@@ -37,14 +37,14 @@ class FiniteGroup:
             for v in row:
                 if not 0 <= v < m:
                     raise ValueError(f"table entry {v} out of range")
-        for i in range(m):
-            if self.table[0][i] != i or self.table[i][0] != i:
-                raise ValueError("index 0 must be the identity")
-            if len(set(self.table[i])) != m:
-                raise ValueError(f"row {i} is not a permutation")
-            if len({self.table[j][i] for j in range(m)}) != m:
-                raise ValueError(f"column {i} is not a permutation")
         table = self.table
+        for i, column in enumerate(zip(*table)):
+            if table[0][i] != i or table[i][0] != i:
+                raise ValueError("index 0 must be the identity")
+            if len(set(table[i])) != m:
+                raise ValueError(f"row {i} is not a permutation")
+            if len(set(column)) != m:
+                raise ValueError(f"column {i} is not a permutation")
         for s in self.generators:
             for x, row in enumerate(table):
                 for y, sy in enumerate(table[s]):

@@ -415,6 +415,15 @@ def test_descriptor_is_lifted_once(built_specs):
     assert lifted == specbuild.z2_swap_spec()
 
 
+def test_lifted_spec_keeps_the_descriptor_scan(scans):
+    # the lift's integer view is the descriptor's, already scanned
+    descriptor = specbuild.z2z3_descriptor()
+    assert validate_descriptor(descriptor)
+    lifted = lift_action(descriptor)
+    assert validate_action_spec(lifted)
+    assert len(scans) == 1 and lifted._int_view is descriptor._int_view
+
+
 def test_replaced_spec_is_scanned_afresh(scans):
     spec = specbuild.z4_swap_spec()
     assert validate_action_spec(spec)
@@ -557,6 +566,52 @@ def test_document_fractions_are_reduced_mod_one():
     spec = parse_action_spec_text(doc)
     # document rows are boundary-indexed; attribute rows are element-indexed
     assert spec.theta2[1] == (F(2, 3), F(1, 3))
+
+
+def test_document_rotation_texts_reduce_alike():
+    texts = ["2/4", " 1/2 ", "-1/3", "5/3"]
+    doc = json.dumps({"symbol": "(0,o1|(2,1))", "group": "cyclic:4", "theta1": texts,
+                      "alpha": [1] * 4, "beta": [[1]] * 4, "theta2": [texts]})
+    spec = parse_action_spec_text(doc)
+    want = (F(1, 2), F(1, 2), F(2, 3), F(2, 3))
+    assert spec.theta1 == want
+    assert tuple(row[0] for row in spec.theta2) == want
+    assert all(type(v) is Fraction for v in spec.theta1)
+
+
+@pytest.fixture
+def parsed_texts(monkeypatch):
+    """Every value the document reader hands to parse_fraction_text."""
+    seen = []
+    parse = seifert.actions.parse_fraction_text
+
+    def counted(text):
+        seen.append(text)
+        return parse(text)
+    monkeypatch.setattr(seifert.actions, "parse_fraction_text", counted)
+    return seen
+
+
+def test_document_reads_each_rotation_text_once(parsed_texts):
+    text = format_action_spec(lift_action(specbuild.z2z3_descriptor()))
+    spec = parse_action_spec_text(text)
+    doc = json.loads(text)
+    entries = doc["theta1"] + [v for row in doc["theta2"] for v in row]
+    assert len(entries) > len(set(entries))
+    assert sorted(parsed_texts) == sorted(set(entries))
+    assert spec == lift_action(specbuild.z2z3_descriptor())
+    parsed_texts.clear()
+    parse_descriptor_text(format_descriptor(specbuild.z2z3_descriptor()))
+    assert len(parsed_texts) == len(set(parsed_texts)) > 0
+
+
+def test_document_reads_share_no_state(parsed_texts):
+    first = parse_action_spec_text(SWAP_DOC)
+    second = parse_action_spec_text(SWAP_DOC)
+    assert first == second
+    # each read parses its own texts and builds its own values
+    assert parsed_texts == ["0", "1/2"] * 2
+    assert first.theta1[1] is not second.theta1[1]
 
 
 def test_document_diagnostics():

@@ -427,6 +427,19 @@ def test_mistyped_document_fields_exit_two(capsys, tmp_path, edit, fragment):
     assert err.startswith("error: ") and fragment in err
 
 
+@pytest.mark.parametrize("theta1, message", [
+    ([0, 1, True], "not a fraction: True"),
+    (["0", 1, 1.0], "decimal fractions are not accepted: 1.0"),
+], ids=["int-then-bool", "int-then-float"])
+def test_rotations_equal_as_numbers_are_read_apart(capsys, tmp_path, theta1, message):
+    # 1, True and 1.0 hash alike; each is judged by its own type
+    doc = json.loads(format_action_spec(specbuild.z3_rotation_spec()))
+    doc["theta1"] = theta1
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert run(capsys, "validate-action", str(path)) == (2, "", f"error: {message}\n")
+
+
 def test_deep_nesting_exits_two(capsys, tmp_path):
     # both inputs once ran out of recursion depth and escaped main
     doc = json.loads(format_action_spec(specbuild.trivial_spec("(0,o1|(2,1))",

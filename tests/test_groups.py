@@ -36,6 +36,9 @@ def test_table_validation():
         FiniteGroup(((1, 0), (0, 1)))
     with pytest.raises(ValueError, match="not a permutation"):
         FiniteGroup(((0, 1), (1, 1)))
+    # rows and columns are checked index by index: column 1 fails before row 2
+    with pytest.raises(ValueError, match="^column 1 is not a permutation$"):
+        FiniteGroup(((0, 1, 2, 3), (1, 2, 3, 0), (2, 1, 1, 0), (3, 0, 0, 1)))
     # the smallest non-associative Latin square with identity
     with pytest.raises(ValueError, match="associativity fails"):
         FiniteGroup((

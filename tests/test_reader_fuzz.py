@@ -9,14 +9,17 @@ readers, not to this test.
 """
 
 import io
+import json
 import re
 from contextlib import redirect_stderr, redirect_stdout
 from math import prod
 
 import hypothesis.strategies as st
+import pytest
 from hypothesis import assume, given, settings
 
-from seifert import group_from_constructor, parse_fraction_text, parse_group_text, parse_symbol
+from seifert import (group_from_constructor, parse_action_spec_text, parse_fraction_text,
+                     parse_group_text, parse_symbol)
 from seifert.cli import main
 
 FUZZ = settings(max_examples=200, deadline=None)
@@ -69,6 +72,30 @@ def test_constructor_reader(text):
 @given(FRACTIONS)
 def test_fraction_reader(text):
     reads_or_rejects(parse_fraction_text, text)
+
+
+# JSON values that equal as numbers but differ in type ride along
+ROTATIONS = st.lists(st.one_of(FRACTIONS, st.sampled_from([0, 1, -1, True, False, 1.0])),
+                     min_size=1, max_size=8)
+
+
+@FUZZ
+@given(ROTATIONS)
+def test_document_rotations_read_as_their_texts(texts):
+    # the document reader reads each distinct text once; that must give
+    # the table, or the first error, that reading every entry gives
+    doc = json.dumps({"symbol": "(0,o1|(2,1))", "group": f"cyclic:{len(texts)}",
+                      "theta1": texts, "alpha": [1] * len(texts),
+                      "beta": [[1]] * len(texts), "theta2": [texts]})
+    try:
+        want = tuple(parse_fraction_text(t) % 1 for t in texts)
+    except ValueError as exc:
+        with pytest.raises(ValueError, match=f"^{re.escape(str(exc))}$"):
+            parse_action_spec_text(doc)
+        return
+    spec = parse_action_spec_text(doc)
+    assert spec.theta1 == want
+    assert tuple(row[0] for row in spec.theta2) == want
 
 
 @FUZZ
