@@ -246,7 +246,8 @@ def _cmd_obstruction(args) -> int:
     if witness is None:
         _say(args, fields, "not solvable")
         return 1
-    _say(args, fields | {"witness": _join(witness)}, "solvable: " + _join(witness))
+    _say(args, fields | {"witness": _join(witness)},
+         "solvable: " + (_join(witness) or "empty witness"))
     return 0
 
 

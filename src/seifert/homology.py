@@ -6,11 +6,19 @@ and the commutator rows of the abelianization vanish.  So the Smith form
 is a sparse elimination.  Rows are ``{column: entry}`` dicts and each
 column keeps the set of rows that use it.  The pivot is the entry of least
 absolute value, ties going to the least fill-in (Markowitz 1957), which
-keeps both the entries and the number of nonzeros small.  Row operations
-clear the pivot's column and column operations its row; any nonzero
-remainder is a smaller entry, and the search starts again.  What is left
-is a diagonal, and one closing pass replaces each pair (a, b) by
-(gcd, lcm), an equivalent diagonal, until the entries form a divisor chain.
+keeps both the entries and the number of nonzeros small, and then to the
+first entry in row order.  The search compares |v| alone and works out
+the fill-in only for an entry whose |v| ties or beats the best so far; it
+visits every nonzero and stops early only at |v| = 1 with no fill-in.
+The rule is kept as it is because the pivot order fixes every
+intermediate coefficient, and the two cheaper-looking searches measured,
+per-row cached keys and a restart in the pivot's row or column only, cost
+more than the rescans they save.  Row operations clear the pivot's column
+and column operations its row; a row update touches a column's row set
+only where an entry appears or vanishes.  Any nonzero remainder is a
+smaller entry, and the search starts again.  What is left is a diagonal,
+and one closing pass replaces each pair (a, b) by (gcd, lcm), an
+equivalent diagonal, until the entries form a divisor chain.
 
 >>> smith_normal_form([[2, 0], [0, 3]])
 [1, 6]
@@ -28,16 +36,24 @@ from .symbols import Orientability, SeifertSymbol
 
 
 def _pivot(rows, cols):
-    """Entry of least |v|, then least fill-in (row nnz - 1)(col nnz - 1)."""
-    best = None
+    """Entry of least |v|, then least fill-in (row nnz - 1)(col nnz - 1).
+
+    Entries that tie on both go to the first in row order.
+    """
+    best = 0
     for i, row in rows.items():
         others = len(row) - 1
         for j, v in row.items():
-            key = (abs(v), others * (len(cols[j]) - 1))
-            if best is None or key < best:
-                best, at = key, (i, j)
-                if key == (1, 0):
-                    return at
+            if v < 0:
+                v = -v
+            if v > best > 0:
+                continue
+            fill = others * (len(cols[j]) - 1)
+            if v == best and fill >= best_fill:
+                continue
+            if v == 1 and fill == 0:
+                return i, j
+            best, best_fill, at = v, fill, (i, j)
     return at
 
 
@@ -72,15 +88,19 @@ def smith_normal_form(matrix) -> list[int]:
         pi, pj = _pivot(rows, cols)
         prow = rows[pi]
         p = prow[pj]
+        items = list(prow.items())
         for i in cols[pj] - {pi}:
             row = rows[i]
             q = row[pj] // p
-            for j, v in prow.items():
-                w = row.get(j, 0) - q * v
-                if w:
-                    row[j] = w
+            # |row[pj]| >= |p|, so q != 0 and a new entry is never zero
+            for j, v in items:
+                w = row.get(j)
+                if w is None:
+                    row[j] = -q * v
                     cols[j].add(i)
-                elif j in row:
+                elif w := w - q * v:
+                    row[j] = w
+                else:
                     del row[j]
                     cols[j].discard(i)
             if not row:

@@ -317,7 +317,8 @@ def test_obstruction_of_spec_without_pairs(capsys, tmp_path):
     path = tmp_path / "pairless.json"
     path.write_text(format_action_spec(spec), encoding="utf-8")
     assert run(capsys, "orbits", str(path)) == (0, "\n", "")
-    assert run(capsys, "obstruction", str(path)) == (0, "solvable: \n", "")
+    # the plain line names the empty witness rather than ending in a space
+    assert run(capsys, "obstruction", str(path)) == (0, "solvable: empty witness\n", "")
     assert run(capsys, "obstruction", "--porcelain", str(path)) == (
         0, "b=0\norbits=\nsolvable=true\nwitness=\n", "")
     assert run(capsys, "obstruction", str(path), "-b", "1") == (1, "not solvable\n", "")

@@ -36,9 +36,28 @@ from strategies import seifert_symbols
     ([[6]], [6]),
     ([[2, 0, 1], [0, 2, 1], [1, 1, 0]], [1, 1, 4]),
     ([[3, 0], [0, 5], [0, 0]], [1, 15]),
+    ([], []),
+    ([[]], []),
+    ([[0, 0, 0]], [0]),
+    ([[4], [6], [-10]], [2]),
+    ([(2, 4), (4, 8)], [2, 0]),
+    # pivot 4 leaves 2 in its column; pivot 2 then leaves 1 in its row
+    ([[4, 0], [6, 7]], [1, 28]),
 ])
 def test_snf_fixed_cases(matrix, expected):
     assert smith_normal_form(matrix) == expected
+
+
+def test_snf_reads_rows_from_a_generator():
+    assert smith_normal_form(row for row in [[2, 0], [0, 3]]) == [1, 6]
+    assert smith_normal_form(iter([])) == []
+
+
+def test_snf_leaves_its_input_unchanged():
+    for matrix in [[[4, 0], [6, 7]], *seeded_matrices()]:
+        copy = [list(row) for row in matrix]
+        smith_normal_form(matrix)
+        assert matrix == copy
 
 
 def test_snf_matches_minor_gcd_oracle_on_fixed_cases():
@@ -151,7 +170,7 @@ def test_ladder_h1_without_coefficient_swell():
     # these: from 3.9 s to over a minute each
     rng = random.Random(80)
     with time_budget(10):
-        for n in (41, 44, 49, 60, 80):
+        for n in (41, 44, 49, 60, 80, 200, 400):
             symbol = parse_symbol(
                 "(2,o1|" + ",".join(f"({k},1)" for k in range(2, n + 2)) + ")")
             h = first_homology(symbol)
