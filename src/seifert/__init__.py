@@ -20,7 +20,6 @@ from .actions import (
     check_tau_commuting,
     format_action_spec,
     format_descriptor,
-    format_fraction,
     gluing_matrix,
     induced_solid_torus_action,
     lift_action,
@@ -99,7 +98,6 @@ __all__ = [
     "first_homology",
     "format_action_spec",
     "format_descriptor",
-    "format_fraction",
     "gluing_matrix",
     "group_from_constructor",
     "induced_solid_torus_action",

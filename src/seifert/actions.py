@@ -17,8 +17,7 @@ document reader and one writer serve both.
 
 Composition is the left action convention, phi(gh) = phi(g) o phi(h),
 which forces the cocycle laws checked by :func:`validate_action_spec`
-(stated once, in ``_COMPONENT_LAWS``, for the law scan and for the
-image groups of :mod:`seifert.structure`):
+(stated once, in ``_COMPONENT_LAWS``):
 
     (a)  alpha(gh) = alpha(g) * alpha(h)
     (b)  theta1(gh) = theta1(g) + alpha(g) * theta1(h)      (mod 1)
@@ -31,7 +30,7 @@ exact fractions in [0, 1), the type of every public field, document
 and report.  The checks read them as integers mod N, N the lcm of a
 spec's rotation denominators: each spec computes that integer view of
 its data once and keeps it, and the law scan, the covering-translation
-test and the image groups of :mod:`seifert.structure` all compose in
+test and the structure report of :mod:`seifert.structure` all read
 it.  A descriptor computes the same view of its lift straight from its
 own tables and is law-scanned on that integer lift; :func:`lift_action`
 builds the Fraction spec from it once, when first called, and the spec
@@ -423,19 +422,18 @@ def check_tau_commuting(spec: ExtendedProductActionSpec) -> TauReport:
         if 2 * t % mod:
             return TauReport(False, "half-rotation", (g,),
                              f"theta1({g}) = {spec.theta1[g]} is not 0 or 1/2")
-    two_n = 2 * n
-    for g in spec.group.elements():
-        for i in range(two_n):
-            sigma_i = (i + n) % two_n
-            if spec.beta[g][sigma_i] != (spec.beta[g][i] + n) % two_n:
+    # sigma is an involution, so each condition at i >= n is the one at
+    # i - n: the first failure is always at some i < n
+    for g, perm in enumerate(spec.beta):
+        for i in range(n):
+            if perm[i + n] != (perm[i] + n) % (2 * n):
                 return TauReport(False, "sigma-equivariance", (g, i),
                                  f"beta({g}) does not commute with the index swap at {i}")
     for g, (_, _, _, row) in enumerate(data):
-        for i in range(two_n):
-            sigma_i = (i + n) % two_n
-            if row[sigma_i] != -row[i] % mod:
+        for i in range(n):
+            if row[i + n] != -row[i] % mod:
                 return TauReport(False, "meridian-antisymmetry", (g, i),
-                                 f"theta2({sigma_i},{g}) is not -theta2({i},{g})")
+                                 f"theta2({i + n},{g}) is not -theta2({i},{g})")
     return _TAU_PASS
 
 
@@ -586,10 +584,6 @@ def parse_fraction_text(text) -> Fraction:
     return Fraction(int(numerator), int(denominator))
 
 
-def format_fraction(value: Fraction) -> str:
-    return str(Fraction(value))
-
-
 def _string(value, name: str) -> str:
     if not isinstance(value, str):
         raise ValueError(f"{name} must be a string, got {value!r}")
@@ -674,6 +668,10 @@ def _read_tables(doc: dict, kinds: dict, order: int, n: int) -> list[tuple]:
                 for v in row:
                     if type(v) is not int or not 1 <= v <= n:
                         raise ValueError(f"{name} row {g}: entries are 1-based indices in 1..{n}")
+                if len(set(row)) != n:
+                    v = next(v for k, v in enumerate(row) if v in row[:k])
+                    raise ValueError(f"{name} row {g}: index {v} repeats, "
+                                     f"entries are a permutation of 1..{n}")
             tables.append(tuple(tuple(v - 1 for v in row) for row in raw))
         else:
             # one row per boundary index, one entry per element: the transpose

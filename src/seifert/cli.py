@@ -28,10 +28,9 @@ from functools import cache
 from pathlib import Path
 
 from .actions import (beta_orbit_numbers, check_tau_commuting, format_action_spec,
-                      format_descriptor, format_fraction, gluing_matrix,
-                      induced_solid_torus_action, lift_action, load_action_spec,
-                      load_descriptor, obstruction_witness, project_action,
-                      validate_action_spec, validate_descriptor)
+                      format_descriptor, gluing_matrix, induced_solid_torus_action,
+                      lift_action, load_action_spec, load_descriptor, obstruction_witness,
+                      project_action, validate_action_spec, validate_descriptor)
 from .homology import first_homology, smith_normal_form
 from .presentations import orbifold_pi1, pi1
 from .structure import analyze_structure
@@ -135,7 +134,7 @@ def _cmd_normalize(args) -> int:
 
 
 def _cmd_sum(args) -> int:
-    value = format_fraction(total_sum(parse_symbol(args.symbol)))
+    value = total_sum(parse_symbol(args.symbol))
     _say(args, {"sum": value}, value)
     return 0
 
@@ -195,8 +194,7 @@ def _cmd_induced_torus(args) -> int:
         raise ValueError(f"boundary index must be in 1..{n}")
     i = args.index - 1
     data = induced_solid_torus_action(spec, i, args.element)
-    fields = {"longitude": format_fraction(data.longitude),
-              "meridian": format_fraction(data.meridian), "sign": data.sign}
+    fields = {"longitude": data.longitude, "meridian": data.meridian, "sign": data.sign}
     if args.det:
         glue = gluing_matrix(spec.symbol.pairs[spec.beta[args.element][i]])
         fields["gluing"] = f"{glue.x},{glue.pair.p};{glue.y},{glue.pair.q}"

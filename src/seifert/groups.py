@@ -91,11 +91,6 @@ class FiniteGroup:
     def elements(self) -> range:
         return range(self.order)
 
-    def to_text(self) -> str:
-        lines = [str(self.order)]
-        lines.extend(" ".join(str(v) for v in row) for row in self.table)
-        return "\n".join(lines) + "\n"
-
 
 def cyclic_group(n: int) -> FiniteGroup:
     """Z/n with element k at index k.

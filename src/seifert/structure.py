@@ -3,16 +3,13 @@
 The acting group is examined through its exact data: per element the
 datum (alpha, theta1, beta row, theta2 row), read in the spec's integer
 view, rotations as integers mod N with N the lcm of their denominators;
-the reports themselves carry no rotations.  The data compose by the
-one datum composition of :mod:`seifert.actions`, so g -> datum(g) is a
+the reports themselves carry no rotations.  g -> datum(g) is a
 homomorphism by the cocycle laws, and its image, the set of distinct
-data, is a concrete finite group.  That image is the target on every
-route; it sits inside the product the route names.  The six reported
-fields are counts over the data, O(|G| n); the image's table, the
-``embedding`` of a report, is built only when it is read.  The surface
-behavior away from the boundary is not modeled; when the data fail to
-separate group elements the report says so (embedding_ok false) instead
-of erroring.
+data, is a finite group inside the product the route names.  A report
+holds counts over the data, O(|G| n), and builds no group table.  The
+surface behavior away from the boundary is not modeled; when the data
+fail to separate group elements the report says so (embedding_ok false)
+instead of erroring.
 
 Three report routes, most specific first:
 
@@ -33,25 +30,20 @@ before costs no second scan.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import cached_property
+from dataclasses import dataclass
 from math import gcd
 
-from .actions import ExtendedProductActionSpec, _compose, _require_valid, check_tau_commuting
-from .groups import FiniteGroup, GroupMap
+from .actions import ExtendedProductActionSpec, _require_valid, check_tau_commuting
 
 
 @dataclass(frozen=True)
 class StructureReport:
     """Shape of the acting group as seen through its exact data.
 
-    ``embedding`` maps each element to its datum in ``embedding.target``,
-    the image of the datum map: a subgroup of the product that ``factors``
-    names, of order at most |G|.  It is a homomorphism by the cocycle
-    laws; ``embedding_ok`` says it is injective, i.e. the modeled data
-    already separates the group elements.  ``shadow_order`` is |H|, the
-    number of distinct boundary shadows.  ``embedding`` is computed on
-    first read, from the spec the report was made from.
+    ``embedding_ok`` says the datum map is injective, i.e. the modeled
+    data already separate the group elements; its image, of order at
+    most |G|, is a subgroup of the product that ``factors`` names.
+    ``shadow_order`` is |H|, the number of distinct boundary shadows.
     """
 
     route: str
@@ -60,17 +52,6 @@ class StructureReport:
     shadow_order: int
     factors: str
     embedding_ok: bool
-    spec: ExtendedProductActionSpec = field(repr=False, compare=False)
-
-    @cached_property
-    def embedding(self) -> GroupMap:
-        # the distinct data with the identity's first, so it lands at index 0;
-        # v -> v*N keeps the order of rotations, so the numbering is theirs
-        mod, data = self.spec._int_view
-        elems = [data[0]] + sorted(set(data) - {data[0]})
-        index = {v: i for i, v in enumerate(elems)}
-        table = tuple(tuple(index[_compose(a, b, mod)] for b in elems) for a in elems)
-        return GroupMap(self.spec.group, FiniteGroup(table), tuple(index[d] for d in data))
 
 
 def _tau_applies(spec: ExtendedProductActionSpec) -> bool:
@@ -111,4 +92,4 @@ def analyze_structure(spec: ExtendedProductActionSpec) -> StructureReport:
     # the shadow map is a homomorphism, so its image is its set of values
     shadow_order = len({(sign, perm, row) for sign, _, perm, row in data})
     return StructureReport(route, rotation_order, alpha_image_order,
-                           shadow_order, factors, len(set(data)) == group.order, spec)
+                           shadow_order, factors, len(set(data)) == group.order)

@@ -5,7 +5,8 @@ the library gets there: equivalence is decided by searching the actual
 move graph, Smith invariants come from minor gcds, group and map laws
 are checked on every triple or pair, action and descriptor laws are
 read straight off the tables, structure reports are recomputed from the
-action tables without building a group.  Keeping them apart
+action tables without building a group, and the image group of an
+action is built by composing its data pair by pair.  Keeping them apart
 from the package means a bug cannot hide behind shared code.
 """
 
@@ -221,34 +222,82 @@ def folded_law_scan(descriptor) -> tuple[bool, str | None, tuple | None]:
     return True, None, None
 
 
-def structure_scan(spec) -> tuple[str, int, bool]:
-    """(route, shadow_order, embedding_ok) of a valid action, scanned naively.
+def image_group(spec) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
+    """(table, images) of the image of g -> datum(g), built by brute force.
 
-    The route is covering-translation when alpha is identically 1 and the
-    action commutes with the covering translation (symbol of class o1
-    doubled in blocks, theta1 in {0, 1/2}, beta commuting with i -> i+n,
-    theta2 negated by it), fiber-rotation for other alpha = 1 actions and
-    orientation-mixed otherwise.  shadow_order counts the distinct
-    (alpha, beta, theta2) rows.  embedding_ok asks that distinct elements
-    have distinct product coordinates (theta1 * n mod n, shadow), n the
-    least common denominator of theta1, when alpha is identically 1, and
-    distinct full data otherwise.
+    A datum is (alpha, theta1, beta, theta2), and data compose by the laws
+    :func:`law_scan` states: datum(g) o datum(h) = (alpha(g) * alpha(h),
+    theta1(g) + alpha(g) * theta1(h), beta(g) o beta(h),
+    i -> theta2(beta(h)(i), g) + alpha(g) * theta2(i, h)), rotations mod 1.
+    The elements are the distinct data, the identity's first, at index 0;
+    ``images[g]`` is the index of datum(g), and each table entry is the
+    index of a composite, looked up among the data (KeyError if the data
+    are not closed).
     """
-    m = len(spec.group.table)
+    m, n = len(spec.group.table), len(spec.symbol.pairs)
+    data = [(spec.alpha[g], spec.theta1[g], tuple(spec.beta[g]), tuple(spec.theta2[g]))
+            for g in range(m)]
+    index = {d: k for k, d in enumerate(dict.fromkeys(data))}
+
+    def compose(a, b):
+        return (a[0] * b[0], (a[1] + a[0] * b[1]) % 1, tuple(a[2][j] for j in b[2]),
+                tuple((a[3][b[2][i]] + a[0] * b[3][i]) % 1 for i in range(n)))
+
+    table = tuple(tuple(index[compose(a, b)] for b in index) for a in index)
+    return table, tuple(index[d] for d in data)
+
+
+def tau_scan(spec) -> tuple[bool, str | None, tuple | None] | None:
+    """(ok, condition, witness) of the covering-translation test, scanned naively.
+
+    None when the test does not apply: the symbol is not of class o1 with
+    its pairs doubled in blocks (pair i equal to pair i+n), or some alpha
+    is -1; the spec is assumed to pass the laws.  Conditions in order,
+    each over every element and all 2n indices before the next: theta1 in
+    {0, 1/2}; beta(g) commutes with the swap sigma(i) = i+n mod 2n;
+    theta2(sigma(i), g) = -theta2(i, g) mod 1.  The first failing (g[, i])
+    is the witness.
+    """
     pairs = spec.symbol.pairs
     n2 = len(pairs)
     n = n2 // 2
+    if (spec.symbol.orientability.value != "o1" or n2 % 2 or pairs[:n] != pairs[n:]
+            or any(a != 1 for a in spec.alpha)):
+        return None
+    m = len(spec.group.table)
+    for g in range(m):
+        if spec.theta1[g] not in (0, Fraction(1, 2)):
+            return False, "half-rotation", (g,)
+    sigma = [(i + n) % n2 for i in range(n2)]
+    for g in range(m):
+        for i in range(n2):
+            if spec.beta[g][sigma[i]] != sigma[spec.beta[g][i]]:
+                return False, "sigma-equivariance", (g, i)
+    for g in range(m):
+        for i in range(n2):
+            if (spec.theta2[g][sigma[i]] + spec.theta2[g][i]) % 1:
+                return False, "meridian-antisymmetry", (g, i)
+    return True, None, None
+
+
+def structure_scan(spec) -> tuple[str, int, bool]:
+    """(route, shadow_order, embedding_ok) of a valid action, scanned naively.
+
+    The route is covering-translation when :func:`tau_scan` passes,
+    fiber-rotation for other alpha = 1 actions and orientation-mixed
+    otherwise.  shadow_order counts the distinct (alpha, beta, theta2)
+    rows.  embedding_ok asks that distinct elements have distinct product
+    coordinates (theta1 * n mod n, shadow), n the least common denominator
+    of theta1, when alpha is identically 1, and distinct full data
+    otherwise.
+    """
+    m = len(spec.group.table)
     shadows = [(spec.alpha[g], tuple(spec.beta[g]), tuple(spec.theta2[g])) for g in range(m)]
     if any(a != 1 for a in spec.alpha):
         coords = [(spec.theta1[g],) + shadows[g] for g in range(m)]
         return "orientation-mixed", len(set(shadows)), len(set(coords)) == m
-    commutes = (spec.symbol.orientability.value == "o1" and n2 % 2 == 0
-                and pairs[:n] == pairs[n:]
-                and all(t in (0, Fraction(1, 2)) for t in spec.theta1)
-                and all(spec.beta[g][(i + n) % n2] == (spec.beta[g][i] + n) % n2
-                        and (spec.theta2[g][(i + n) % n2] + spec.theta2[g][i]) % 1 == 0
-                        for g in range(m) for i in range(n2)))
     rotation = lcm(*(t.denominator for t in spec.theta1))
     coords = [(int(spec.theta1[g] * rotation) % rotation, shadows[g]) for g in range(m)]
-    route = "covering-translation" if commutes else "fiber-rotation"
+    tau = tau_scan(spec)
+    route = "covering-translation" if tau and tau[0] else "fiber-rotation"
     return route, len(set(shadows)), len(set(coords)) == m

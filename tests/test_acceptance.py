@@ -32,8 +32,6 @@ from seifert import (
     first_homology,
     format_action_spec,
     format_descriptor,
-    is_homomorphism,
-    is_injective,
     lift_action,
     normalize,
     obstruction_class,
@@ -588,15 +586,21 @@ def test_criterion_10_obstruction_witnesses():
     _pass(10, "obstruction witnesses solve exactly when the gcd divides")
 
 
+def _image_group(spec) -> tuple[tuple, tuple]:
+    """The naive image group of the datum map, and that map a homomorphism onto it."""
+    table, images = oracles.image_group(spec)
+    assert oracles.naive_homomorphism(spec.group.table, table, images)
+    return table, images
+
+
 def test_criterion_11_structure_reports():
     sixth = analyze_structure(specbuild.z6_rotation_spec())
     assert sixth.route == "fiber-rotation"
     assert sixth.rotation_order == 6
     assert sixth.shadow_order == 1
     assert sixth.embedding_ok
-    assert sixth.embedding.target.order == 6
-    assert is_homomorphism(sixth.embedding)
-    assert is_injective(sixth.embedding)
+    table, images = _image_group(specbuild.z6_rotation_spec())
+    assert len(table) == len(set(images)) == 6
 
     blocks = analyze_structure(specbuild.z2z3_block_spec())
     assert blocks.route == "covering-translation"
@@ -604,16 +608,16 @@ def test_criterion_11_structure_reports():
     assert blocks.rotation_order == 2
     assert blocks.shadow_order == 3
     assert blocks.embedding_ok
-    assert is_homomorphism(blocks.embedding)
-    assert is_injective(blocks.embedding)
-    assert blocks.embedding.target.order == 6
-    assert sorted(blocks.embedding.images) == list(range(6))
+    table, images = _image_group(specbuild.z2z3_block_spec())
+    assert len(table) == 6
+    assert sorted(images) == list(range(6))
     _pass(11, "structure analysis identifies both product routes")
 
 
 def test_structure_agrees_with_naive_scan():
-    # the report's image group against a scan of the tables that builds
-    # no group: every specbuild action (all three routes) and 200 lifts
+    # the report against a scan of the tables that builds no group, and
+    # embedding_ok against the naive image group: every specbuild action
+    # (all three routes) and 200 lifts
     specs = [specbuild.trivial_spec("(0,o1|(2,1))", cyclic_group(3)),
              specbuild.trivial_spec("(0,o1|(3,1),(3,1))", cyclic_group(2)),
              specbuild.faithful_rotation_spec(8)]
@@ -625,8 +629,8 @@ def test_structure_agrees_with_naive_scan():
     for spec in specs:
         report = analyze_structure(spec)
         assert (report.route, report.shadow_order, report.embedding_ok) == oracles.structure_scan(spec)
-        assert is_homomorphism(report.embedding)
-        assert report.embedding.target.order == len(set(report.embedding.images))
+        table, images = _image_group(spec)
+        assert report.embedding_ok == (len(table) == spec.group.order)
         routes.add(report.route)
     assert routes == {"covering-translation", "fiber-rotation", "orientation-mixed"}
 

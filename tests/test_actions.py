@@ -3,6 +3,7 @@ and the document format."""
 
 import dataclasses
 import json
+import random
 import re
 from fractions import Fraction
 
@@ -19,7 +20,6 @@ from seifert import (
     cyclic_group,
     format_action_spec,
     format_descriptor,
-    format_fraction,
     gluing_matrix,
     induced_solid_torus_action,
     lift_action,
@@ -33,6 +33,8 @@ from seifert import (
     validate_action_spec,
     validate_descriptor,
 )
+from seifert.cli import main
+import oracles
 import specbuild
 from specbuild import ZERO
 
@@ -337,6 +339,67 @@ def test_tau_preconditions_raise():
         check_tau_commuting(drifted)
 
 
+def _random_cyclic_action(rng) -> ExtendedProductActionSpec | None:
+    """A random Z_m action on a block-doubled symbol, or None if d^m != 1.
+
+    The generator's datum d turns the fiber by a multiple of 1/m; each of
+    its parts is drawn either to pass one covering-translation condition
+    (half turns, a beta commuting with i -> i+n, negated theta2 halves) or
+    at random, and element k acts by d^k.
+    """
+    m, n = rng.randint(2, 6), rng.randint(1, 3)
+    if rng.random() < 0.5:
+        turn = F(rng.choice((0, m // 2) if m % 2 == 0 else (0,)), m)
+    else:
+        turn = F(rng.randrange(m), m)
+    if rng.random() < 0.5:
+        front, cross = rng.sample(range(n), n), [rng.randrange(2) for _ in range(n)]
+        perm = tuple([front[i] + n * cross[i] for i in range(n)]
+                     + [front[i] + n * (1 - cross[i]) for i in range(n)])
+    else:
+        perm = tuple(rng.sample(range(2 * n), 2 * n))
+    half = [F(rng.randrange(m), m) for _ in range(n)]
+    if rng.random() < 0.5:
+        row = tuple(half + [-v % 1 for v in half])
+    else:
+        row = tuple(half + [F(rng.randrange(m), m) for _ in range(n)])
+    theta1, beta, theta2 = [ZERO], [tuple(range(2 * n))], [(ZERO,) * (2 * n)]
+    for _ in range(m):
+        # datum(k + 1) = datum(k) o d, the law with alpha = +1
+        theta1.append((theta1[-1] + turn) % 1)
+        beta.append(tuple(beta[-1][j] for j in perm))
+        theta2.append(tuple((theta2[-1][j] + v) % 1 for j, v in zip(perm, row)))
+    if (theta1.pop(), beta.pop(), theta2.pop()) != (theta1[0], beta[0], theta2[0]):
+        return None
+    pair = rng.choice(((2, 1), (3, 1), (5, 2)))
+    symbol = parse_symbol(f"({rng.randrange(2)},o1|" + ",".join([str(pair)] * 2 * n) + ")")
+    return ExtendedProductActionSpec(symbol, cyclic_group(m), tuple(theta1), (1,) * m,
+                                     tuple(beta), tuple(theta2))
+
+
+def test_tau_agrees_with_naive_scan():
+    # the library checks indices i < n only; the oracle scans all 2n
+    specs = [getattr(specbuild, name)() for name in dir(specbuild)
+             if name.endswith("_spec") and name not in ("trivial_spec", "faithful_rotation_spec")]
+    rng = random.Random(60617)
+    while len(specs) < 600:
+        spec = _random_cyclic_action(rng)
+        if spec is not None:
+            specs.append(spec)
+    verdicts = set()
+    for spec in specs:
+        assert validate_action_spec(spec)
+        want = oracles.tau_scan(spec)
+        if want is None:
+            with pytest.raises(ValueError):
+                check_tau_commuting(spec)
+            continue
+        report = check_tau_commuting(spec)
+        assert (report.ok, report.condition, report.witness) == want
+        verdicts.add(report.condition)
+    assert verdicts == {None, "half-rotation", "sigma-equivariance", "meridian-antisymmetry"}
+
+
 # -- descriptors, project, lift --------------------------------------------
 
 def test_descriptor_structure_enforced():
@@ -535,10 +598,12 @@ def test_fraction_parsing():
             parse_fraction_text(text)
 
 
-def test_fraction_formatting():
-    assert format_fraction(F(1, 2)) == "1/2"
-    assert format_fraction(F(3)) == "3"
-    assert format_fraction(F(-2, 6)) == "-1/3"
+def test_fraction_formatting(capsys):
+    # the CLI prints an exact sum as its reduced fraction, an integer bare
+    for symbol, text in [("(0,o1|(2,1))", "1/2"), ("(0,o1|(1,3))", "3"),
+                         ("(0,o1|(3,-1))", "-1/3"), ("(0,o1|(6,1),(6,1))", "1/3")]:
+        assert main(["sum", symbol]) == 0
+        assert capsys.readouterr().out == text + "\n"
 
 
 SWAP_DOC = """
@@ -632,6 +697,11 @@ def test_document_diagnostics():
                                                 "[[0, 1], [1, 0]]"))
     with pytest.raises(ValueError, match="beta must list one permutation"):
         parse_action_spec_text(SWAP_DOC.replace("[[1, 2], [2, 1]]", "[[1, 2]]"))
+    # caught by the reader, before the short theta2 row that follows it
+    repeated = SWAP_DOC.replace("[[1, 2], [2, 1]]", "[[1, 2], [1, 1]]")
+    with pytest.raises(ValueError, match=re.escape(
+            "beta row 1: index 1 repeats, entries are a permutation of 1..2")):
+        parse_action_spec_text(repeated.replace('["0", "0"]]', '["0"]]'))
     with pytest.raises(ValueError, match="theta2 must list 2 boundary rows"):
         parse_action_spec_text(
             SWAP_DOC.replace('[["0", "0"], ["0", "0"]]', '[["0", "0"]]'))
@@ -691,16 +761,24 @@ def test_parse_descriptor_document():
     assert parse_descriptor_text(LENS_DOC) == specbuild.z2_lens_descriptor()
 
 
-@pytest.mark.parametrize("old, new, message", [
-    ("[1, -1]", "[1, 2]", "epsilon entries must be 1 or -1, got 2"),
-    ("[1, -1]", "[1, true]", "epsilon entries must be 1 or -1, got True"),
-    ('"epsilon": [1, -1],', "", "missing field 'epsilon'"),
-    ("[[1], [1]]", "[[0], [1]]", "beta_bar row 0: entries are 1-based indices in 1..1"),
-    ('[["0", "0"]]', '[["0", "0"], ["0", "0"]]', "theta2_bar must list 1 boundary rows, got 2"),
-], ids=["epsilon-2", "epsilon-true", "missing-epsilon", "beta_bar-0", "theta2_bar-rows"])
-def test_descriptor_document_diagnostics(old, new, message):
+@pytest.mark.parametrize("edits, message", [
+    ([("[1, -1]", "[1, 2]")], "epsilon entries must be 1 or -1, got 2"),
+    ([("[1, -1]", "[1, true]")], "epsilon entries must be 1 or -1, got True"),
+    ([('"epsilon": [1, -1],', "")], "missing field 'epsilon'"),
+    ([("[[1], [1]]", "[[0], [1]]")], "beta_bar row 0: entries are 1-based indices in 1..1"),
+    ([('[["0", "0"]]', '[["0", "0"], ["0", "0"]]')],
+     "theta2_bar must list 1 boundary rows, got 2"),
+    # two base pairs, one theta2_bar row: the beta_bar fault is read first
+    ([("(2,1))", "(2,1),(2,1))"), ("[[1], [1]]", "[[1, 2], [2, 2]]")],
+     "beta_bar row 1: index 2 repeats, entries are a permutation of 1..2"),
+], ids=["epsilon-2", "epsilon-true", "missing-epsilon", "beta_bar-0", "theta2_bar-rows",
+        "beta_bar-repeat"])
+def test_descriptor_document_diagnostics(edits, message):
+    doc = LENS_DOC
+    for old, new in edits:
+        doc = doc.replace(old, new)
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-        parse_descriptor_text(LENS_DOC.replace(old, new))
+        parse_descriptor_text(doc)
 
 
 Z2_GROUP = {"order": 2, "table": [[0, 1], [1, 0]]}

@@ -71,8 +71,9 @@ def test_product_indexing_is_row_major():
 
 
 def test_group_text_round_trip():
-    z3 = cyclic_group(3)
-    assert parse_group_text(z3.to_text()) == z3
+    text = "3\n0 1 2\n1 2 0\n2 0 1\n"
+    assert parse_group_text(text) == cyclic_group(3)
+    assert parse_group_text("\n  3\n0 1 2  \n\n1 2 0\n 2 0 1") == cyclic_group(3)
 
 
 def test_group_text_diagnostics():

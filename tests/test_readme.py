@@ -1,5 +1,7 @@
-"""The README's examples: every `$ seifert` line prints the lines under it."""
+"""The README's examples: every `$ seifert` line prints the lines under it,
+and every python block runs, printing the `# ` lines under each statement."""
 
+import ast
 import re
 import shlex
 from pathlib import Path
@@ -24,6 +26,36 @@ def examples() -> list[tuple[str, str]]:
             elif current is not None:
                 current[1] += line + "\n"
     return [tuple(example) for example in found]
+
+
+def python_steps(body: str) -> list[tuple[ast.stmt, str]]:
+    """(statement, expected output) per top-level statement of a python block.
+
+    The expected output is the `# ` comment lines up to the next statement:
+    what the statement prints, and for an expression its repr, as a REPL
+    shows it.
+    """
+    lines = body.splitlines()
+    statements = ast.parse(body).body
+    ends = [node.lineno - 1 for node in statements[1:]] + [len(lines)]
+    return [(node, "".join(line[2:] + "\n" for line in lines[node.end_lineno:end]
+                           if line.startswith("# ")))
+            for node, end in zip(statements, ends)]
+
+
+def test_readme_python_blocks(capsys):
+    bodies = [body for lang, body in BLOCKS if lang == "python"]
+    assert bodies
+    for body in bodies:
+        namespace = {}
+        for node, expected in python_steps(body):
+            if isinstance(node, ast.Expr):
+                value = eval(compile(ast.Expression(node.value), "README.md", "eval"), namespace)
+                if value is not None:
+                    print(repr(value))
+            else:
+                exec(compile(ast.Module([node], []), "README.md", "exec"), namespace)
+            assert (ast.unparse(node), capsys.readouterr().out) == (ast.unparse(node), expected)
 
 
 def test_readme_commands(tmp_path, monkeypatch, capsys):
