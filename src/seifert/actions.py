@@ -40,9 +40,11 @@ fractions give.  Laws (a) to (d) are decided over G x S, S the group's
 generating set: the composition is associative, so
 datum(gs) = datum(g) o datum(s) for every g and every s in S gives
 them for all pairs.  Only when that fails does the full scan over all
-pairs run, to name the first witness in a fixed order.  A spec or
-descriptor is law-scanned once: the report is kept on the frozen
-object, and every function that needs valid data reads it.
+pairs run, to name the first witness in a fixed order.  Law (e) is
+then decided over S alone, since the elements that keep every pair
+form a subgroup.  A spec or descriptor is law-scanned once: the report
+is kept on the frozen object, and every function that needs valid data
+reads it.
 
 A document has few distinct rotation values and repeats them across
 its tables, so the boundary handles each distinct value once: the
@@ -62,19 +64,18 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import lcm
 from pathlib import Path
 
+from ._record import Record
 from .groups import FiniteGroup, group_from_constructor, parse_group_text
 from .symbols import (Orientability, SeifertPair, SeifertSymbol, orientable_double_cover,
                       parse_symbol)
 
 
-@dataclass(frozen=True)
-class ExtendedProductActionSpec:
+class ExtendedProductActionSpec(Record):
     """One finite action in extended product form; tables index by element.
 
     ``theta2[g][i]`` is the meridian rotation of element g at boundary
@@ -150,8 +151,7 @@ def _check_tables(data, n: int, symbol_field: str):
                                          f"in [0,1), got {v!r}")
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(Record):
     """Outcome of a law check; ``law`` and ``witness`` name the failure."""
 
     ok: bool
@@ -194,7 +194,7 @@ def _compose(a: tuple, b: tuple, mod: int) -> tuple:
 
 
 def _scan_laws(group: FiniteGroup, view: tuple, pairs: tuple, laws: dict) -> ValidationReport:
-    """Identity, then laws (a) to (d) over G x S, then (e).
+    """Identity, then laws (a) to (d) over G x S, then (e) over S.
 
     Reads an integer view (N, data) and the pairs its beta rows permute.
     Stops at the first failure; ``laws`` names it and words its message.
@@ -230,7 +230,13 @@ def _scan_laws(group: FiniteGroup, view: tuple, pairs: tuple, laws: dict) -> Val
                     if law == "theta1":
                         got, want = Fraction(got, mod), Fraction(want, mod)
                     return fail(law, (g, h), g=g, h=h, gh=gh, value=got, want=want)
-    for g, (_, _, perm, _) in enumerate(data):
+    # laws (a) to (d) hold, so beta is a homomorphism and the elements whose
+    # beta keeps every pair form a subgroup.  Each generator is the least
+    # element outside the subgroup the earlier ones generate, so the least
+    # element that moves a pair is a generator: scanning the generators
+    # names the (g, i) witness a scan of all of G would name
+    for g in group.generators:
+        perm = data[g][2]
         for i in range(n):
             if pairs[perm[i]] != pairs[i]:
                 return fail("pairs", (g, i), g=g, i=i)
@@ -254,8 +260,7 @@ def _require_valid(spec: ExtendedProductActionSpec):
         raise ValueError(f"spec fails validation at law {report.law}: {report.message}")
 
 
-@dataclass(frozen=True)
-class GluingMatrix:
+class GluingMatrix(Record):
     """Exponent matrix [[x, p], [y, q]] of a solid torus filling.
 
     Determinant x*q - p*y = 1; x is the least non-negative solution,
@@ -293,8 +298,7 @@ def gluing_matrix(pair: SeifertPair) -> GluingMatrix:
     return GluingMatrix(x, y, pair)
 
 
-@dataclass(frozen=True)
-class TorusMapData:
+class TorusMapData(Record):
     """Rotation of a filled solid torus: longitude, meridian, sign."""
 
     longitude: Fraction
@@ -377,8 +381,7 @@ def beta_orbit_numbers(spec: ExtendedProductActionSpec) -> tuple[int, ...]:
     return tuple(sorted(len(orbit) for orbit in orbits))
 
 
-@dataclass(frozen=True)
-class TauReport:
+class TauReport(Record):
     """Outcome of the covering-translation commutation test."""
 
     ok: bool
@@ -437,8 +440,7 @@ def check_tau_commuting(spec: ExtendedProductActionSpec) -> TauReport:
     return _TAU_PASS
 
 
-@dataclass(frozen=True)
-class ProjectedActionDescriptor:
+class ProjectedActionDescriptor(Record):
     """Action data folded onto the nonorientable-base quotient.
 
     ``epsilon`` records the fiber behavior (+1 rotation-free lift, -1 the

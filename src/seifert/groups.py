@@ -19,12 +19,12 @@ reader keeps its open products on a stack, not in recursion).
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from functools import cached_property
 
+from ._record import Record
 
-@dataclass(frozen=True)
-class FiniteGroup:
+
+class FiniteGroup(Record):
     table: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
@@ -173,8 +173,7 @@ def group_from_constructor(spec: str) -> FiniteGroup:
     return group
 
 
-@dataclass(frozen=True)
-class GroupMap:
+class GroupMap(Record):
     """A map between groups given by the image of every source element."""
 
     source: FiniteGroup

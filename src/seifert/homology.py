@@ -28,9 +28,9 @@ equivalent diagonal, until the entries form a divisor chain.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd
 
+from ._record import Record
 from .presentations import abelianize, pi1
 from .symbols import Orientability, SeifertSymbol
 
@@ -130,8 +130,7 @@ def smith_normal_form(matrix) -> list[int]:
     return diag + [0] * (size - len(diag))
 
 
-@dataclass(frozen=True)
-class AbelianGroupStructure:
+class AbelianGroupStructure(Record):
     """Finitely generated abelian group: free rank plus torsion chain."""
 
     free_rank: int

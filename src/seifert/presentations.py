@@ -15,8 +15,7 @@ syllables.  Text export writes each relator in ``c1^2*t`` form.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from ._record import Record
 from .symbols import Orientability, SeifertSymbol
 
 Syllable = tuple[int, int]
@@ -46,8 +45,7 @@ def _commutator(a: int, b: int) -> tuple[Syllable, ...]:
     return word((a, 1), (b, 1), (a, -1), (b, -1))
 
 
-@dataclass(frozen=True)
-class Presentation:
+class Presentation(Record):
     """Finitely presented group: generator names and relator words."""
 
     generators: tuple[str, ...]

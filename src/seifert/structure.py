@@ -30,14 +30,13 @@ before costs no second scan.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd
 
+from ._record import Record
 from .actions import ExtendedProductActionSpec, _require_valid, check_tau_commuting
 
 
-@dataclass(frozen=True)
-class StructureReport:
+class StructureReport(Record):
     """Shape of the acting group as seen through its exact data.
 
     ``embedding_ok`` says the datum map is injective, i.e. the modeled

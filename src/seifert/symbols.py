@@ -24,10 +24,11 @@ from __future__ import annotations
 
 import re
 from collections import Counter
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from math import gcd
+
+from ._record import Record
 
 
 class Orientability(Enum):
@@ -41,8 +42,7 @@ class Orientability(Enum):
     N2 = "n2"
 
 
-@dataclass(frozen=True, order=True)
-class SeifertPair:
+class SeifertPair(Record):
     """One filled fiber ``(q, p)`` with ``q >= 1`` and ``gcd(q, p) = 1``."""
 
     q: int
@@ -57,9 +57,21 @@ class SeifertPair:
     def __str__(self):
         return f"({self.q},{self.p})"
 
+    # pairs sort by (q, p)
+    def __lt__(self, other):
+        return self._values < other._values if other.__class__ is self.__class__ else NotImplemented
 
-@dataclass(frozen=True)
-class SeifertSymbol:
+    def __le__(self, other):
+        return self._values <= other._values if other.__class__ is self.__class__ else NotImplemented
+
+    def __gt__(self, other):
+        return self._values > other._values if other.__class__ is self.__class__ else NotImplemented
+
+    def __ge__(self, other):
+        return self._values >= other._values if other.__class__ is self.__class__ else NotImplemented
+
+
+class SeifertSymbol(Record):
     """A symbol as written, before any normalization."""
 
     genus: int
@@ -78,8 +90,7 @@ class SeifertSymbol:
         return f"({self.genus},{self.orientability.value}|{body})"
 
 
-@dataclass(frozen=True)
-class NormalizedSymbol:
+class NormalizedSymbol(Record):
     """Normalized form: sorted exceptional pairs plus obstruction class b.
 
     Every exceptional pair satisfies ``q > 1`` and ``0 < p < q``; the

@@ -5,7 +5,6 @@ failure shows up as the usual pytest FAILED line for that criterion.
 Randomized criteria use fixed seeds so reruns are byte-for-byte stable.
 """
 
-import dataclasses
 import math
 import random
 import time
@@ -378,7 +377,10 @@ def _edit_element(rng, spec, k) -> ExtendedProductActionSpec:
         field, rows = "theta2", list(spec.theta2)
         i = rng.randrange(n)
         rows[k] = rows[k][:i] + ((rows[k][i] + shift) % 1,) + rows[k][i + 1:]
-    return dataclasses.replace(spec, **{field: tuple(rows)})
+    fields = dict(symbol=spec.symbol, group=spec.group, theta1=spec.theta1,
+                  alpha=spec.alpha, beta=spec.beta, theta2=spec.theta2)
+    fields[field] = tuple(rows)
+    return ExtendedProductActionSpec(**fields)
 
 
 def test_non_generator_edits_agree_with_naive_law_scan():
@@ -406,6 +408,16 @@ def test_non_generator_edits_agree_with_naive_law_scan():
     # the generators' data determine every datum, so no edit survives
     assert verdicts and not any(verdicts)
     assert laws == {"alpha", "theta1", "beta", "theta2"}
+    # the Z2 factor of Z2 x Z4 (generators 1 and 4) swaps two unequal
+    # pairs, so the generator 4 and the non-generators 5, 6, 7 move them
+    group = direct_product(cyclic_group(2), cyclic_group(4))
+    moved = ExtendedProductActionSpec(parse_symbol("(0,o1|(5,1),(2,1),(3,1))"), group,
+                                      (ZERO,) * 8, (1,) * 8, ((0, 1, 2),) * 4 + ((0, 2, 1),) * 4,
+                                      ((ZERO,) * 3,) * 8)
+    report = validate_action_spec(moved)
+    assert group.generators == (1, 4)
+    assert (report.ok, report.law, report.witness) == oracles.law_scan(moved) == (
+        False, "pairs", (4, 1))
 
 
 def _mutate_descriptor(rng, d) -> ProjectedActionDescriptor:
@@ -566,7 +578,9 @@ def test_descriptor_integer_view_is_the_lift_view():
     descriptors = [specbuild.z2_lens_descriptor(), specbuild.z2z3_descriptor()]
     descriptors += [_random_descriptor(rng) for _ in range(200)]
     for descriptor in descriptors:
-        fresh = dataclasses.replace(lift_action(descriptor))
+        lifted = lift_action(descriptor)
+        fresh = ExtendedProductActionSpec(lifted.symbol, lifted.group, lifted.theta1,
+                                          lifted.alpha, lifted.beta, lifted.theta2)
         assert descriptor._int_view == fresh._int_view
 
 

@@ -1,7 +1,6 @@
 """Action-spec validation, fillings, the covering translation, lift/project,
 and the document format."""
 
-import dataclasses
 import json
 import random
 import re
@@ -490,10 +489,10 @@ def test_lifted_spec_keeps_the_descriptor_scan(scans):
 def test_replaced_spec_is_scanned_afresh(scans):
     spec = specbuild.z4_swap_spec()
     assert validate_action_spec(spec)
-    broken = dataclasses.replace(spec, theta1=(ZERO, F(1, 3), F(1, 2), F(3, 4)))
+    broken = replace(spec, theta1=(ZERO, F(1, 3), F(1, 2), F(3, 4)))
     report = validate_action_spec(broken)
     assert (report.law, report.witness) == ("theta1", (1, 1))
-    replaced = dataclasses.replace(spec)
+    replaced = replace(spec)
     assert validate_action_spec(replaced)
     assert len(scans) == 3 and scans[2] is replaced._int_view
 

@@ -1,24 +1,16 @@
 """Keep the usage examples in docstrings honest."""
 
 import doctest
+import importlib
+import pkgutil
 
 import pytest
 
-import seifert.actions
-import seifert.groups
-import seifert.homology
-import seifert.presentations
-import seifert.structure
-import seifert.symbols
+import seifert
 
-MODULES = [
-    seifert.symbols,
-    seifert.presentations,
-    seifert.homology,
-    seifert.groups,
-    seifert.actions,
-    seifert.structure,
-]
+# every module of the package; importing __main__ would run the CLI
+MODULES = [importlib.import_module(f"seifert.{info.name}")
+           for info in pkgutil.iter_modules(seifert.__path__) if info.name != "__main__"]
 
 
 @pytest.mark.parametrize("module", MODULES, ids=lambda m: m.__name__)
