@@ -8,7 +8,9 @@ Python's own ``TypeError``.  It stores the fields in the instance
 their tuple, then calls ``self.__post_init__()``, looked up at each
 construction.  Records compare and hash by that tuple, only against
 records of the same class, refuse assignment and deletion, and print
-as ``Name(field=value, ...)``.
+as ``Name(field=value, ...)``.  :func:`_built` stores fields the same
+way but skips ``__post_init__``, for values the package has already
+checked or built correct by construction.
 
 >>> class Point(Record):
 ...     x: int
@@ -61,3 +63,13 @@ class Record:
     def __repr__(self):
         fields = ", ".join(f"{name}={value!r}" for name, value in zip(self._fields, self._values))
         return f"{type(self).__qualname__}({fields})"
+
+
+def _built(cls, *values):
+    """A record of cls from field values its caller has established.
+
+    Stored as ``__init__`` stores them, without ``__post_init__``.
+    """
+    record = object.__new__(cls)
+    record.__dict__.update(zip(cls._fields, values), _values=values)
+    return record

@@ -13,7 +13,8 @@ rotations.  An extended product action spec has
 and a projected descriptor has the sign ``epsilon``, the permutation
 ``beta_bar`` and the rotation row ``theta2_bar``.  Each type lists its
 tables by kind once, in field order (``_tables``); one shape check, one
-document reader and one writer serve both.
+document reader and one writer serve both.  The reader checks
+everything the shape check does, so what it reads is not checked again.
 
 Composition is the left action convention, phi(gh) = phi(g) o phi(h),
 which forces the cocycle laws checked by :func:`validate_action_spec`
@@ -39,8 +40,11 @@ the order of [0, 1), so every verdict and witness is the one the
 fractions give.  Laws (a) to (d) are decided over G x S, S the group's
 generating set: the composition is associative, so
 datum(gs) = datum(g) o datum(s) for every g and every s in S gives
-them for all pairs.  Only when that fails does the full scan over all
-pairs run, to name the first witness in a fixed order.  Law (e) is
+them for all pairs.  Only when that fails does a scan over all pairs
+run, to name the first witness in a fixed order, and only for the
+first law that fails on G x S: the laws before it read only their own
+components, which compose associatively too, so they hold on all pairs
+by the same argument.  Law (e) is
 then decided over S alone, since the elements that keep every pair
 form a subgroup.  A spec or descriptor is law-scanned once: the report
 is kept on the frozen object, and every function that needs valid data
@@ -69,7 +73,7 @@ from functools import cached_property
 from math import lcm
 from pathlib import Path
 
-from ._record import Record
+from ._record import Record, _built
 from .groups import FiniteGroup, group_from_constructor, parse_group_text
 from .symbols import (Orientability, SeifertPair, SeifertSymbol, orientable_double_cover,
                       parse_symbol)
@@ -198,9 +202,11 @@ def _scan_laws(group: FiniteGroup, view: tuple, pairs: tuple, laws: dict) -> Val
 
     Reads an integer view (N, data) and the pairs its beta rows permute.
     Stops at the first failure; ``laws`` names it and words its message.
-    When the G x S test fails, the full scan, each law over all (g, h)
-    before the next, finds the witness, so reports do not depend on S.
-    A rotation in a message is Fraction(v, N).
+    When the G x S test fails, the first law failing on G x S is the
+    first law a scan of all (g, h), each law before the next, would
+    fail; that one law is scanned over all (g, h) in the same order to
+    find the witness, so reports do not depend on S.  A rotation in a
+    message is Fraction(v, N).
     """
     def fail(law, witness, **values):
         name, message = laws[law]
@@ -210,32 +216,41 @@ def _scan_laws(group: FiniteGroup, view: tuple, pairs: tuple, laws: dict) -> Val
     mod, data = view
     if data[0] != (1, 0, tuple(range(n)), (0,) * n):
         return fail("identity", (0,))
-    table = group.table
+    table, generators = group.table, group.generators
     # _compose is associative with the trivial datum as identity, so
     # datum(gs) = datum(g) o datum(s) for every generator s extends to
     # datum(gh) = datum(g) o datum(h) by induction on the word length of h
     if not all(data[table[g][s]] == _compose(a, data[s], mod)
-               for g, a in enumerate(data) for s in group.generators):
-        for k, (law, component) in enumerate(_COMPONENT_LAWS):
-            for g, a in enumerate(data):
-                for h, b in enumerate(data):
-                    gh = table[g][h]
-                    got, want = data[gh][k], component(a, b, mod)
-                    if got == want:
-                        continue
-                    if law == "theta2":
-                        i = next(i for i in range(n) if got[i] != want[i])
-                        return fail(law, (g, h, i), gh=gh, i=i, value=Fraction(got[i], mod),
-                                    want=Fraction(want[i], mod))
-                    if law == "theta1":
-                        got, want = Fraction(got, mod), Fraction(want, mod)
-                    return fail(law, (g, h), g=g, h=h, gh=gh, value=got, want=want)
+               for g, a in enumerate(data) for s in generators):
+        # The sub-data (alpha), (alpha, theta1), (beta) and (alpha, beta,
+        # theta2) each compose associatively, and each law reads only its
+        # own component and those of earlier laws.  So every law before
+        # the first one failing on G x S holds on all of G x G, by the
+        # same induction, and the scan over all (g, h) fails first at that
+        # law: scan it alone.
+        k, law, component = next(
+            (k, law, component) for k, (law, component) in enumerate(_COMPONENT_LAWS)
+            if any(data[table[g][s]][k] != component(a, data[s], mod)
+                   for g, a in enumerate(data) for s in generators))
+        for g, a in enumerate(data):
+            for h, b in enumerate(data):
+                gh = table[g][h]
+                got, want = data[gh][k], component(a, b, mod)
+                if got == want:
+                    continue
+                if law == "theta2":
+                    i = next(i for i in range(n) if got[i] != want[i])
+                    return fail(law, (g, h, i), gh=gh, i=i, value=Fraction(got[i], mod),
+                                want=Fraction(want[i], mod))
+                if law == "theta1":
+                    got, want = Fraction(got, mod), Fraction(want, mod)
+                return fail(law, (g, h), g=g, h=h, gh=gh, value=got, want=want)
     # laws (a) to (d) hold, so beta is a homomorphism and the elements whose
     # beta keeps every pair form a subgroup.  Each generator is the least
     # element outside the subgroup the earlier ones generate, so the least
     # element that moves a pair is a generator: scanning the generators
     # names the (g, i) witness a scan of all of G would name
-    for g in group.generators:
+    for g in generators:
         perm = data[g][2]
         for i in range(n):
             if pairs[perm[i]] != pairs[i]:
@@ -458,8 +473,7 @@ class ProjectedActionDescriptor(Record):
     _tables = {"epsilon": "sign", "beta_bar": "permutation", "theta2_bar": "rotation rows"}
 
     def __post_init__(self):
-        if self.base.orientability is not Orientability.N2:
-            raise ValueError("descriptor base symbol must be class n2")
+        _check_n2_base(self.base)
         _check_tables(self, len(self.base.pairs), "base")
 
     @cached_property
@@ -491,6 +505,11 @@ class ProjectedActionDescriptor(Record):
             alpha, beta, tuple(tuple(map(rotation, row)) for row in rows))
         spec.__dict__.update(_int_view=view, _law_report=_PASS)
         return spec
+
+
+def _check_n2_base(base: SeifertSymbol):
+    if base.orientability is not Orientability.N2:
+        raise ValueError("descriptor base symbol must be class n2")
 
 
 # The spec laws, read on the descriptor's integer lift, named by its fields.
@@ -697,7 +716,9 @@ def _parse_document(text: str, base_dir: Path | None, cls):
         raise ValueError("document must be a JSON object with named fields")
     symbol = parse_symbol(_string(_field(doc, "symbol"), "symbol"))
     group = _group_from_field(_field(doc, "group"), base_dir)
-    return cls(symbol, group, *_read_tables(doc, cls._tables, group.order, len(symbol.pairs)))
+    # _read_tables checks all that _check_tables does
+    return _built(cls, symbol, group, *_read_tables(doc, cls._tables, group.order,
+                                                    len(symbol.pairs)))
 
 
 def parse_action_spec_text(text: str, base_dir: Path | None = None) -> ExtendedProductActionSpec:
@@ -707,7 +728,9 @@ def parse_action_spec_text(text: str, base_dir: Path | None = None) -> ExtendedP
 
 def parse_descriptor_text(text: str, base_dir: Path | None = None) -> ProjectedActionDescriptor:
     """Parse a projected-descriptor document (JSON object)."""
-    return _parse_document(text, base_dir, ProjectedActionDescriptor)
+    descriptor = _parse_document(text, base_dir, ProjectedActionDescriptor)
+    _check_n2_base(descriptor.base)
+    return descriptor
 
 
 def _read(path) -> tuple[str, Path]:

@@ -1,14 +1,17 @@
 """Finite groups as explicit multiplication tables.
 
 A group of order m is a tuple of m rows of m element indices with the
-identity at index 0; ``table[g][h]`` is the product g*h.  Construction
-validates the whole structure: Latin square and identity in O(m^2), then
-associativity by Light's test over a generating set S found by greedy
-closure, (x*s)*y == x*(s*y) for all x, y and every s in S, in
-O(m^2 |S|).  The elements s passing it are closed under products, and
-every element is a product of generators, so it decides associativity
-exactly.  :func:`is_homomorphism` reads the same set: f(g*s) = f(g)*f(s)
-over G x S extends to all pairs by induction on word length.
+identity at index 0; ``table[g][h]`` is the product g*h.  Constructing
+a ``FiniteGroup`` from a table validates the whole structure: Latin
+square and identity in O(m^2), then associativity by Light's test over
+a generating set S found by greedy closure, (x*s)*y == x*(s*y) for all
+x, y and every s in S, in O(m^2 |S|).  The elements s passing it are
+closed under products, and every element is a product of generators, so
+it decides associativity exactly.  :func:`cyclic_group` and
+:func:`direct_product` build groups by construction (Z/n, and the
+product of two groups, each a ``FiniteGroup`` and so a group) and skip
+the check.  :func:`is_homomorphism` reads the same set S: f(g*s) =
+f(g)*f(s) over G x S extends to all pairs by induction on word length.
 
 Text format: the order on the first line, then one table row per line as
 space separated indices.  Constructor strings build standard groups:
@@ -21,7 +24,7 @@ from __future__ import annotations
 import re
 from functools import cached_property
 
-from ._record import Record
+from ._record import Record, _built
 
 
 class FiniteGroup(Record):
@@ -100,15 +103,16 @@ def cyclic_group(n: int) -> FiniteGroup:
     """
     if n < 1:
         raise ValueError("cyclic group order must be >= 1")
-    return FiniteGroup(tuple(tuple((i + j) % n for j in range(n))
-                             for i in range(n)))
+    # row i is (i + j) % n for j = 0..n-1: the identity row turned by i
+    r = tuple(range(n))
+    return _built(FiniteGroup, tuple(r[i:] + r[:i] for i in range(n)))
 
 
 def direct_product(a: FiniteGroup, b: FiniteGroup) -> FiniteGroup:
     """Componentwise product; (i, j) lives at index i*|b| + j."""
     nb = b.order
-    return FiniteGroup(tuple(tuple(x * nb + y for x in a_row for y in b_row)
-                             for a_row in a.table for b_row in b.table))
+    return _built(FiniteGroup, tuple(tuple(x * nb + y for x in a_row for y in b_row)
+                                     for a_row in a.table for b_row in b.table))
 
 
 # a table entry or order: an optional '-' and ASCII digits

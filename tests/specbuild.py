@@ -6,6 +6,7 @@ from fractions import Fraction
 
 from seifert import (
     ExtendedProductActionSpec,
+    FiniteGroup,
     ProjectedActionDescriptor,
     cyclic_group,
     direct_product,
@@ -92,6 +93,55 @@ def faithful_rotation_spec(m: int) -> ExtendedProductActionSpec:
         beta=((0,),) * m,
         theta2=tuple((F(g, m),) for g in range(m)),
     )
+
+
+def coboundary_action(symbol_text: str, group, alpha, beta, t, v) -> ExtendedProductActionSpec:
+    """The spec over homomorphisms alpha and beta whose rotations are coboundaries.
+
+    theta1(g) = alpha(g)*t - t and theta2(i, g) = v[beta(g)(i)] - alpha(g)*v[i]
+    (mod 1) obey laws (b) and (d) whatever t and v are.
+    """
+    return ExtendedProductActionSpec(
+        symbol=parse_symbol(symbol_text),
+        group=group,
+        theta1=tuple((a * t - t) % 1 for a in alpha),
+        alpha=tuple(alpha),
+        beta=tuple(beta),
+        theta2=tuple(tuple((v[perm[i]] - a * v[i]) % 1 for i in range(len(v)))
+                     for a, perm in zip(alpha, beta)),
+    )
+
+
+def z2_z32_spec() -> ExtendedProductActionSpec:
+    """Z2 x Z32, element 32*i + j: alpha = (-1)^i, j turns four equal
+    pairs by j mod 4 and i swaps two more; a seventh pair stays put."""
+    return coboundary_action(
+        "(0,o1|(2,1),(2,1),(2,1),(2,1),(3,1),(3,1),(5,2))",
+        direct_product(cyclic_group(2), cyclic_group(32)),
+        [(-1) ** i for i in range(2) for _ in range(32)],
+        [tuple((k + j) % 4 for k in range(4)) + ((5, 4) if i else (4, 5)) + (6,)
+         for i in range(2) for j in range(32)],
+        F(1, 8), (F(1, 7), F(2, 7), F(3, 7), F(4, 7), F(1, 5), F(2, 5), F(1, 3)))
+
+
+def dihedral_group(n: int) -> FiniteGroup:
+    """D_n of order 2n, r^k s^e at index e*n + k."""
+    def mul(x, y):
+        (e1, k1), (e2, k2) = divmod(x, n), divmod(y, n)
+        return (e1 ^ e2) * n + (k1 + (-1) ** e1 * k2) % n
+    return FiniteGroup(tuple(tuple(mul(x, y) for y in range(2 * n)) for x in range(2 * n)))
+
+
+def d16_spec() -> ExtendedProductActionSpec:
+    """D16 (order 32), r^k s^e reversing the fiber when e = 1 and acting
+    on four equal pairs as i -> k + (-1)^e i mod 4; a fifth pair stays put."""
+    return coboundary_action(
+        "(0,o1|(3,1),(3,1),(3,1),(3,1),(5,1))",
+        dihedral_group(16),
+        [(-1) ** e for e in range(2) for _ in range(16)],
+        [tuple((k + (-1) ** e * i) % 4 for i in range(4)) + (4,)
+         for e in range(2) for k in range(16)],
+        F(1, 6), (F(1, 9), F(2, 9), F(4, 9), F(5, 9), F(1, 4)))
 
 
 def z2z3_block_spec() -> ExtendedProductActionSpec:

@@ -9,6 +9,7 @@ import math
 import random
 import time
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -360,7 +361,11 @@ def test_criterion_07_validator_agrees_with_naive_law_scan():
 
 def _edit_element(rng, spec, k) -> ExtendedProductActionSpec:
     """spec with one entry of the datum of element k changed."""
-    field = rng.choice(("theta1", "alpha", "beta", "theta2"))
+    return _edit(rng, spec, rng.choice(("theta1", "alpha", "beta", "theta2")), k)
+
+
+def _edit(rng, spec, field, k) -> ExtendedProductActionSpec:
+    """spec with one entry of field at element k changed (beta needs two pairs)."""
     rows = list(getattr(spec, field))
     shift = Fraction(rng.randint(1, 11), 12)
     n = len(spec.symbol.pairs)
@@ -418,6 +423,57 @@ def test_non_generator_edits_agree_with_naive_law_scan():
     assert group.generators == (1, 4)
     assert (report.ok, report.law, report.witness) == oracles.law_scan(moved) == (
         False, "pairs", (4, 1))
+
+
+# the fields an edit changes, in the order their laws are scanned
+LAW_FIELDS = ("alpha", "theta1", "beta", "theta2")
+
+
+def test_multi_law_mutants_agree_with_naive_law_scan():
+    # two or three edits in different fields at different elements: the
+    # report names the first law of the full scan whichever edit the G x S
+    # test meets first, with the witness that scan names
+    rng = random.Random(90031)
+    bases = [specbuild.z4_swap_spec(), specbuild.z2_swap_spec(), specbuild.z2z3_block_spec(),
+             specbuild.mixed_crossing_spec(), specbuild.z6_rotation_spec(),
+             specbuild.faithful_rotation_spec(12), specbuild.alternating_alpha_spec(),
+             lift_action(specbuild.z2z3_descriptor()), specbuild.z2_z32_spec(),
+             specbuild.d16_spec()]
+    bases += [lift_action(_random_descriptor(rng)) for _ in range(6)]
+    laws = set()
+    for step in range(320):
+        base = bases[step % len(bases)]
+        fields = [f for f in LAW_FIELDS if f != "beta" or len(base.symbol.pairs) > 1]
+        count = min(rng.choice((2, 3)), base.group.order)
+        # an edit breaks its own law, so theta2 is reported only when every
+        # edit is in theta2: every fourth mutant is one of those
+        chosen = rng.sample(fields, count) if step % 4 else ["theta2"] * count
+        mutant = base
+        for field, k in zip(chosen, rng.sample(base.group.elements(), count)):
+            mutant = _edit(rng, mutant, field, k)
+        report = validate_action_spec(mutant)
+        assert (report.ok, report.law, report.witness) == oracles.law_scan(mutant)
+        laws.add(report.law)
+    assert laws == {"identity", "alpha", "theta1", "beta", "theta2"}
+    # an earlier law broken only at a non-generator, a later one at a
+    # generator: the generator's rows fail the later law on G x S first,
+    # and the earlier law is still the one reported.  An edit breaks its
+    # own law and perhaps later ones, never an earlier one
+    early_laws = set()
+    for base in bases:
+        generators = base.group.generators
+        others = [k for k in base.group.elements() if k and k not in generators]
+        fields = [f for f in LAW_FIELDS if f != "beta" or len(base.symbol.pairs) > 1]
+        if not others:
+            continue
+        for early, late in combinations(fields, 2):
+            mutant = _edit(rng, _edit(rng, base, early, rng.choice(others)),
+                           late, rng.choice(generators))
+            report = validate_action_spec(mutant)
+            assert (report.ok, report.law, report.witness) == oracles.law_scan(mutant)
+            assert report.law == early
+            early_laws.add(early)
+    assert early_laws == {"alpha", "theta1", "beta"}
 
 
 def _mutate_descriptor(rng, d) -> ProjectedActionDescriptor:

@@ -770,8 +770,11 @@ def test_parse_descriptor_document():
     # two base pairs, one theta2_bar row: the beta_bar fault is read first
     ([("(2,1))", "(2,1),(2,1))"), ("[[1], [1]]", "[[1, 2], [2, 2]]")],
      "beta_bar row 1: index 2 repeats, entries are a permutation of 1..2"),
+    # the base's class is tested once the tables are read
+    ([("(1,n2|", "(0,o1|")], "descriptor base symbol must be class n2"),
+    ([("(1,n2|", "(0,o1|"), ("[1, -1]", "[1, 2]")], "epsilon entries must be 1 or -1, got 2"),
 ], ids=["epsilon-2", "epsilon-true", "missing-epsilon", "beta_bar-0", "theta2_bar-rows",
-        "beta_bar-repeat"])
+        "beta_bar-repeat", "o1-base", "o1-base-epsilon-2"])
 def test_descriptor_document_diagnostics(edits, message):
     doc = LENS_DOC
     for old, new in edits:

@@ -267,3 +267,58 @@ def test_homomorphism_agrees_with_pair_scan():
         assert verdict == oracles.naive_homomorphism(source.table, target.table, f.images)
         verdicts.append(verdict)
     assert verdicts.count(False) >= 50 and verdicts.count(True) >= 50
+
+
+def cyclic_definition(n):
+    return tuple(tuple((i + j) % n for j in range(n)) for i in range(n))
+
+
+def product_definition(a, b):
+    # (i, j) at index i*|b| + j, multiplied componentwise
+    nb, m = len(b), len(a) * len(b)
+    return tuple(tuple(a[x // nb][y // nb] * nb + b[x % nb][y % nb] for y in range(m))
+                 for x in range(m))
+
+
+# constructor text -> the table read off the definitions
+CONSTRUCTED = (
+    [(f"cyclic:{n}", cyclic_definition(n)) for n in range(1, 65)]
+    + [(f"product:cyclic:{a},cyclic:{b}", product_definition(cyclic_definition(a),
+                                                             cyclic_definition(b)))
+       for a in range(1, 65) for b in range(1, 64 // a + 1)]
+    + [("product:cyclic:2,product:cyclic:3,cyclic:4",
+        product_definition(cyclic_definition(2),
+                           product_definition(cyclic_definition(3), cyclic_definition(4)))),
+       ("product:product:cyclic:2,cyclic:2,cyclic:6",
+        product_definition(product_definition(cyclic_definition(2), cyclic_definition(2)),
+                           cyclic_definition(6))),
+       ("product:product:cyclic:2,cyclic:3,product:cyclic:1,cyclic:5",
+        product_definition(product_definition(cyclic_definition(2), cyclic_definition(3)),
+                           product_definition(cyclic_definition(1), cyclic_definition(5))))])
+
+
+def test_constructor_groups_are_their_definitions_unchecked(monkeypatch):
+    # the constructors build groups by construction and run no check; the
+    # same tables pass the check and give equal groups
+    checks = []
+    check = FiniteGroup.__post_init__
+
+    def counted(self):
+        checks.append(self.order)
+        check(self)
+
+    monkeypatch.setattr(FiniteGroup, "__post_init__", counted)
+    for text, table in CONSTRUCTED:
+        group = group_from_constructor(text)
+        assert group.table == table
+        assert not checks
+        checked = FiniteGroup(table)
+        assert checks == [len(table)]
+        checks.clear()
+        assert checked == group and hash(checked) == hash(group)
+        assert checked.generators == group.generators
+    for a in range(1, 9):
+        for b in range(1, 9):
+            product = direct_product(cyclic_group(a), cyclic_group(b))
+            assert product.table == product_definition(cyclic_definition(a), cyclic_definition(b))
+    assert not checks

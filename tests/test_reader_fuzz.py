@@ -18,8 +18,9 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import assume, given, settings
 
-from seifert import (group_from_constructor, parse_action_spec_text, parse_fraction_text,
-                     parse_group_text, parse_symbol)
+from seifert import (ExtendedProductActionSpec, FiniteGroup, ProjectedActionDescriptor,
+                     group_from_constructor, parse_action_spec_text, parse_descriptor_text,
+                     parse_fraction_text, parse_group_text, parse_symbol)
 from seifert.cli import main
 
 FUZZ = settings(max_examples=200, deadline=None)
@@ -96,6 +97,87 @@ def test_document_rotations_read_as_their_texts(texts):
     spec = parse_action_spec_text(doc)
     assert spec.theta1 == want
     assert tuple(row[0] for row in spec.theta2) == want
+
+
+# per document type: reader, symbol texts, table fields in order with kinds
+DOCUMENTS = {
+    ExtendedProductActionSpec: (parse_action_spec_text,
+                                ("(0,o1|)", "(0,o1|(2,1),(2,1))", "(1,n2|(2,1),(3,1),(2,1))",
+                                 "(0,o1|(2,1),(2,1),(2,1),(2,1))"),
+                                (("theta1", "rotation"), ("alpha", "sign"), ("beta", "permutation"),
+                                 ("theta2", "rotation rows"))),
+    ProjectedActionDescriptor: (parse_descriptor_text,
+                                ("(1,n2|)", "(1,n2|(2,1),(2,1))", "(2,n2|(3,1),(3,1),(3,1))",
+                                 "(0,o1|(3,1))"),
+                                (("epsilon", "sign"), ("beta_bar", "permutation"),
+                                 ("theta2_bar", "rotation rows"))),
+}
+ROTATION_TEXTS = st.sampled_from(["0", "1/2", "-1/3", " 2/3", "+5/6", "7/3", 0, 1, -2])
+JUNK = st.sampled_from([True, 1.0, -1.0, False, 0, 2, "1", "1/0", "0.5", None, []])
+GROUPS = st.sampled_from(["cyclic:1", "cyclic:2", "cyclic:3", "product:cyclic:2,cyclic:2",
+                          {"order": 2, "table": [[0, 1], [1, 0]]},
+                          {"order": 4, "table": [[0, 1, 2, 3], [1, 0, 3, 2], [2, 3, 0, 1],
+                                                 [3, 2, 1, 0]]}])
+
+
+@st.composite
+def documents(draw):
+    """(type, document text): well-shaped tables, then up to two edits of
+    a table or of one of its rows: an int entry replaced by the bool or
+    float equal to it, an entry replaced by junk, or the list shortened or
+    lengthened."""
+    cls = draw(st.sampled_from(list(DOCUMENTS)))
+    _, symbols, fields = DOCUMENTS[cls]
+    symbol = draw(st.sampled_from(symbols))
+    group = draw(GROUPS)
+    order = group["order"] if isinstance(group, dict) else group_from_constructor(group).order
+    n = len(parse_symbol(symbol).pairs)
+    doc = {"symbol": symbol, "group": group}
+    for name, kind in fields:
+        if kind == "sign":
+            doc[name] = draw(st.lists(st.sampled_from([1, -1]), min_size=order, max_size=order))
+        elif kind == "permutation":
+            doc[name] = [list(draw(st.permutations(range(1, n + 1)))) for _ in range(order)]
+        elif kind == "rotation":
+            doc[name] = draw(st.lists(ROTATION_TEXTS, min_size=order, max_size=order))
+        else:
+            doc[name] = [draw(st.lists(ROTATION_TEXTS, min_size=order, max_size=order))
+                         for _ in range(n)]
+    for _ in range(draw(st.sampled_from([0, 1, 1, 2]))):
+        # the tables and their rows that are still lists
+        lists = [t for name, _ in fields for t in [doc[name], *doc[name]] if isinstance(t, list)]
+        ints = [(t, k) for t in lists for k, v in enumerate(t) if type(v) is int]
+        edit = draw(st.sampled_from(["twin", "twin", "junk", "pop", "append"]))
+        if edit == "twin" and ints:
+            # the bool or float equal to an int entry
+            target, k = draw(st.sampled_from(ints))
+            target[k] = True if target[k] == 1 else float(target[k])
+            continue
+        target = draw(st.sampled_from(lists))
+        if edit != "append" and target:
+            if edit == "pop":
+                target.pop()
+            else:
+                target[draw(st.integers(0, len(target) - 1))] = draw(JUNK)
+        else:
+            target.append(draw(st.one_of(JUNK, ROTATION_TEXTS)))
+    return cls, json.dumps(doc)
+
+
+@FUZZ
+@given(documents())
+def test_read_documents_pass_the_checked_constructor(case):
+    # the reader checks everything the constructor checks and does not run
+    # the constructor's check: whatever it accepts must rebuild through the
+    # checked constructor, group included, to an equal object
+    cls, text = case
+    try:
+        read = DOCUMENTS[cls][0](text)
+    except ValueError:
+        return
+    values = [getattr(read, name) for name in cls._fields]
+    values[1] = FiniteGroup(values[1].table)
+    assert cls(*values) == read
 
 
 @FUZZ

@@ -137,7 +137,7 @@ def test_patched_group_check_runs_at_the_next_build(monkeypatch):
         check(self)
 
     monkeypatch.setattr(FiniteGroup, "__post_init__", traced)
-    group = cyclic_group(3)
+    group = FiniteGroup(Z3.table)
     assert built == [group.table]
     with pytest.raises(ValueError):
         FiniteGroup(((0, 1), (0, 1)))
