@@ -5,13 +5,12 @@ from seifert import (
     first_homology,
     orbifold_pi1,
     parse_symbol,
-    pi1_nonorientable,
-    pi1_orientable,
+    pi1,
     smith_normal_form,
 )
 
 symbol = parse_symbol("(1,n2|(2,1))")
-pres = pi1_nonorientable(symbol)
+pres = pi1(symbol)
 print(f"pi1 of {symbol}")
 print(pres.export_text())
 
@@ -29,6 +28,6 @@ print(orb.export_text())
 
 for text in ["(0,o1|(2,1),(2,1))", "(1,o1|)", "(2,n2|)"]:
     s = parse_symbol(text)
-    pres = pi1_orientable(s) if s.orientability.value == "o1" else pi1_nonorientable(s)
+    pres = pi1(s)
     print(f"\n{text}: {len(pres.generators)} generators, "
           f"{len(pres.relators)} relators, H1 = {first_homology(s)}")

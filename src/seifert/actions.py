@@ -38,15 +38,9 @@ builds the Fraction spec from it once, when first called, and the spec
 keeps that view and the passing report.  v -> v*N is exact and keeps
 the order of [0, 1), so every verdict and witness is the one the
 fractions give.  Laws (a) to (d) are decided over G x S, S the group's
-generating set: the composition is associative, so
-datum(gs) = datum(g) o datum(s) for every g and every s in S gives
-them for all pairs.  Only when that fails does a scan over all pairs
-run, to name the first witness in a fixed order, and only for the
-first law that fails on G x S: the laws before it read only their own
-components, which compose associatively too, so they hold on all pairs
-by the same argument.  Law (e) is
-then decided over S alone, since the elements that keep every pair
-form a subgroup.  A spec or descriptor is law-scanned once: the report
+generating set, and law (e) over S alone; the witness of a failure is
+the first one a scan of all pairs names, in a fixed order, so it does
+not depend on S.  A spec or descriptor is law-scanned once: the report
 is kept on the frozen object, and every function that needs valid data
 reads it.
 
@@ -192,21 +186,14 @@ _COMPONENT_LAWS = (
 )
 
 
-def _compose(a: tuple, b: tuple, mod: int) -> tuple:
-    """Integer datum of gh from the data a of g and b of h, rotations mod N."""
-    return tuple(law(a, b, mod) for _, law in _COMPONENT_LAWS)
-
-
 def _scan_laws(group: FiniteGroup, view: tuple, pairs: tuple, laws: dict) -> ValidationReport:
     """Identity, then laws (a) to (d) over G x S, then (e) over S.
 
     Reads an integer view (N, data) and the pairs its beta rows permute.
     Stops at the first failure; ``laws`` names it and words its message.
-    When the G x S test fails, the first law failing on G x S is the
-    first law a scan of all (g, h), each law before the next, would
-    fail; that one law is scanned over all (g, h) in the same order to
-    find the witness, so reports do not depend on S.  A rotation in a
-    message is Fraction(v, N).
+    The witness is the first one a scan of all (g, h), each law before
+    the next, would name, so reports do not depend on S.  A rotation in
+    a message is Fraction(v, N).
     """
     def fail(law, witness, **values):
         name, message = laws[law]
@@ -217,34 +204,33 @@ def _scan_laws(group: FiniteGroup, view: tuple, pairs: tuple, laws: dict) -> Val
     if data[0] != (1, 0, tuple(range(n)), (0,) * n):
         return fail("identity", (0,))
     table, generators = group.table, group.generators
-    # _compose is associative with the trivial datum as identity, so
-    # datum(gs) = datum(g) o datum(s) for every generator s extends to
-    # datum(gh) = datum(g) o datum(h) by induction on the word length of h
-    if not all(data[table[g][s]] == _compose(a, data[s], mod)
-               for g, a in enumerate(data) for s in generators):
-        # The sub-data (alpha), (alpha, theta1), (beta) and (alpha, beta,
-        # theta2) each compose associatively, and each law reads only its
-        # own component and those of earlier laws.  So every law before
-        # the first one failing on G x S holds on all of G x G, by the
-        # same induction, and the scan over all (g, h) fails first at that
-        # law: scan it alone.
-        k, law, component = next(
-            (k, law, component) for k, (law, component) in enumerate(_COMPONENT_LAWS)
-            if any(data[table[g][s]][k] != component(a, data[s], mod)
-                   for g, a in enumerate(data) for s in generators))
-        for g, a in enumerate(data):
-            for h, b in enumerate(data):
-                gh = table[g][h]
-                got, want = data[gh][k], component(a, b, mod)
-                if got == want:
-                    continue
-                if law == "theta2":
-                    i = next(i for i in range(n) if got[i] != want[i])
-                    return fail(law, (g, h, i), gh=gh, i=i, value=Fraction(got[i], mod),
-                                want=Fraction(want[i], mod))
-                if law == "theta1":
-                    got, want = Fraction(got, mod), Fraction(want, mod)
-                return fail(law, (g, h), g=g, h=h, gh=gh, value=got, want=want)
+
+    def sweep(k, component, hs):
+        """The first (g, h), g in element order and then h in hs, where law k fails."""
+        return next(((g, h) for g, a in enumerate(data) for h in hs
+                     if data[table[g][h]][k] != component(a, data[h], mod)), None)
+
+    # Each law reads only its own component and those of earlier laws,
+    # and the sub-data (alpha), (alpha, theta1), (beta) and (alpha, beta,
+    # theta2) each compose associatively with the trivial datum as
+    # identity.  So if the laws before k hold on all of G x G, law k
+    # holding for every g and every generator s extends to every h by
+    # induction on the word length of h.  Hence the first law that fails
+    # on G x S is the first law the scan over all (g, h) fails, and that
+    # scan, run for it alone, names the witness.
+    for k, (law, component) in enumerate(_COMPONENT_LAWS):
+        if sweep(k, component, generators) is None:
+            continue
+        g, h = sweep(k, component, group.elements())
+        gh = table[g][h]
+        got, want = data[gh][k], component(data[g], data[h], mod)
+        if law == "theta2":
+            i = next(i for i in range(n) if got[i] != want[i])
+            return fail(law, (g, h, i), gh=gh, i=i, value=Fraction(got[i], mod),
+                        want=Fraction(want[i], mod))
+        if law == "theta1":
+            got, want = Fraction(got, mod), Fraction(want, mod)
+        return fail(law, (g, h), g=g, h=h, gh=gh, value=got, want=want)
     # laws (a) to (d) hold, so beta is a homomorphism and the elements whose
     # beta keeps every pair form a subgroup.  Each generator is the least
     # element outside the subgroup the earlier ones generate, so the least
@@ -635,8 +621,8 @@ def _group_from_field(value, base_dir: Path | None) -> FiniteGroup:
         if len(table) != order:
             raise ValueError(f"group table has {len(table)} rows, order says {order}")
         for row in table:
-            if not isinstance(row, list) or any(type(v) is not int for v in row):
-                raise ValueError(f"group table row {row!r} is not a list of integers")
+            if not isinstance(row, list):
+                raise ValueError(f"group table row {row!r} is not a list")
         return FiniteGroup(tuple(tuple(row) for row in table))
     raise ValueError("group field must be a constructor string or an object")
 

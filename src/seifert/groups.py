@@ -38,8 +38,9 @@ class FiniteGroup(Record):
             if len(row) != m:
                 raise ValueError("multiplication table must be square")
             for v in row:
-                if not 0 <= v < m:
-                    raise ValueError(f"table entry {v} out of range")
+                # type, not isinstance: True and 1.0 are not table entries
+                if type(v) is not int or not 0 <= v < m:
+                    raise ValueError(f"table entry {v!r} is not an integer in [0, {m})")
         table = self.table
         for i, column in enumerate(zip(*table)):
             if table[0][i] != i or table[i][0] != i:

@@ -9,7 +9,7 @@ import math
 import random
 import time
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, combinations_with_replacement
 
 import pytest
 
@@ -477,12 +477,20 @@ def test_multi_law_mutants_agree_with_naive_law_scan():
 
 
 def _mutate_descriptor(rng, d) -> ProjectedActionDescriptor:
+    k = rng.randrange(d.group.order)
+    return _edit_descriptor(rng, d, rng.choice(DESCRIPTOR_FIELDS), k)
+
+
+# the fields a descriptor edit changes, in the order their laws are scanned
+DESCRIPTOR_FIELDS = ("epsilon", "beta_bar", "theta2_bar")
+
+
+def _edit_descriptor(rng, d, field, k) -> ProjectedActionDescriptor:
+    """d with one entry of field at element k changed (beta_bar needs two pairs)."""
     n = len(d.base.pairs)
     epsilon = list(d.epsilon)
     beta_bar = [list(row) for row in d.beta_bar]
     theta2_bar = [list(row) for row in d.theta2_bar]
-    k = rng.randrange(d.group.order)
-    field = rng.choice(("epsilon", "beta_bar", "theta2_bar"))
     if field == "epsilon":
         epsilon[k] = -epsilon[k]
     elif field == "beta_bar" and n > 1:
@@ -530,6 +538,36 @@ def test_descriptor_validator_agrees_with_naive_folded_scan():
                  "pairs": "beta_bar(", "identity": "the identity"}[report.law])
     assert rejected >= 1000 and accepted >= 20
     assert laws == {"identity", "epsilon", "beta_bar", "theta2_bar", "pairs"}
+
+
+def test_descriptor_two_edit_mutants_agree_with_naive_folded_scan():
+    # an earlier field edited at a non-generator and a later field (or the
+    # same one) at a generator: the generator's rows fail the later law on
+    # G x S first, and the report still names the law of the naive folded
+    # scan, with its witness
+    rng = random.Random(90037)
+    bases = [specbuild.z2z3_descriptor(), project_action(specbuild.z2z3_block_spec())]
+    while len(bases) < 24:
+        descriptor = _random_descriptor(rng)
+        if len(descriptor.group.generators) > 1:
+            bases.append(descriptor)
+    laws = set()
+    for base in bases:
+        generators = base.group.generators
+        others = [k for k in base.group.elements() if k and k not in generators]
+        assert len(generators) > 1 and others and validate_descriptor(base).ok
+        fields = [f for f in DESCRIPTOR_FIELDS if f != "beta_bar" or len(base.base.pairs) > 1]
+        for early, late in combinations_with_replacement(fields, 2):
+            mutant = _edit_descriptor(rng, _edit_descriptor(rng, base, early, rng.choice(others)),
+                                      late, rng.choice(generators))
+            report = validate_descriptor(mutant)
+            assert (report.ok, report.law, report.witness) == oracles.folded_law_scan(mutant)
+            # an edit breaks its own law and perhaps later ones, never an earlier one
+            if early != late:
+                assert report.law == early
+            laws.add(report.law)
+    # two edits in one field may cancel into data that pass or move a pair
+    assert laws >= set(DESCRIPTOR_FIELDS)
 
 
 def test_criterion_08_covering_translation_goldens():

@@ -11,6 +11,7 @@ import pytest
 import seifert.actions
 from seifert import (
     ExtendedProductActionSpec,
+    FiniteGroup,
     ProjectedActionDescriptor,
     SeifertPair,
     analyze_structure,
@@ -124,6 +125,47 @@ def test_every_generator_is_checked():
                    theta1=(ZERO, F(1, 2), F(1, 3), F(5, 6)))
     report = validate_action_spec(spec)
     assert (report.law, report.witness) == ("theta1", (2, 2))
+
+
+def test_each_law_is_swept_once_over_g_x_s(monkeypatch):
+    # laws (a) to (d) are decided one after another on G x S: a valid spec
+    # evaluates each exactly |G||S| times, and a spec whose first G x S
+    # failure is law k evaluates no law after k
+    names = [law for law, _ in seifert.actions._COMPONENT_LAWS]
+    counts = dict.fromkeys(names, 0)
+
+    def counted(law, component):
+        def count(a, b, mod):
+            counts[law] += 1
+            return component(a, b, mod)
+        return law, count
+
+    monkeypatch.setattr(seifert.actions, "_COMPONENT_LAWS",
+                        tuple(counted(*entry) for entry in seifert.actions._COMPONENT_LAWS))
+    shift = F(1, 12)
+    for base in (specbuild.z2_z32_spec(), specbuild.d16_spec()):
+        generators = base.group.generators
+        assert len(generators) > 1 and 1 in generators
+        # each edit at the generator 1 breaks its own law and no earlier one
+        def at_one(table, entry):
+            return table[:1] + (entry,) + table[2:]
+
+        row, turns = base.beta[1], base.theta2[1]
+        mutants = {
+            None: base,
+            "alpha": replace(base, alpha=at_one(base.alpha, -base.alpha[1])),
+            "theta1": replace(base, theta1=at_one(base.theta1, (base.theta1[1] + shift) % 1)),
+            "beta": replace(base, beta=at_one(base.beta, (row[1], row[0]) + row[2:])),
+            "theta2": replace(base, theta2=at_one(base.theta2, ((turns[0] + shift) % 1,)
+                                                  + turns[1:])),
+        }
+        for law, spec in mutants.items():
+            counts.update(dict.fromkeys(names, 0))
+            report = validate_action_spec(spec)
+            assert report.law == law and report.ok is (law is None)
+            k = len(names) if law is None else names.index(law)
+            assert [counts[name] for name in names[:k]] == [base.group.order * len(generators)] * k
+            assert [counts[name] for name in names[k + 1:]] == [0] * len(names[k + 1:])
 
 
 def test_theta1_drift_is_caught_with_witness():
@@ -730,6 +772,15 @@ def test_group_field_variants(tmp_path):
         parse_action_spec_text(SWAP_DOC.replace('"cyclic:2"', '{"order": 2}'))
     with pytest.raises(ValueError, match="constructor string or an object"):
         parse_action_spec_text(SWAP_DOC.replace('"cyclic:2"', "7"))
+
+
+def test_group_table_entries_are_ints():
+    # True and 1.0 equal 1, but a document holding them cannot be read back
+    for entry in (True, 1.0):
+        with pytest.raises(ValueError, match=r"is not an integer in \[0, 2\)"):
+            FiniteGroup(((0, entry), (entry, 0)))
+    spec = replace(specbuild.z2_swap_spec(), group=FiniteGroup(((0, 1), (1, 0))))
+    assert parse_action_spec_text(format_action_spec(spec)) == spec
 
 
 def test_load_reports_missing_file(tmp_path):

@@ -408,7 +408,7 @@ def _set_table_entry(doc, value):
 @pytest.mark.parametrize("edit, fragment", [
     (lambda doc: doc.update(symbol=5), "symbol must be a string"),
     (lambda doc: doc.update(group={"file": 5}), "group file must be a string"),
-    (lambda doc: _set_table_entry(doc, 3.7), "is not a list of integers"),
+    (lambda doc: _set_table_entry(doc, 3.7), "table entry 3.7 is not an integer in [0, 4)"),
     (lambda doc: doc.update(group={"order": 4, "table": [[0, 1, 2, 3], None, [2, 3, 0, 1],
                                                          [3, 0, 1, 2]]}),
      "group table row None"),
