@@ -27,13 +27,10 @@ import sys
 from functools import cache
 from pathlib import Path
 
-from .actions import (beta_orbit_numbers, check_tau_commuting, format_action_spec,
-                      format_descriptor, gluing_matrix, induced_solid_torus_action,
-                      lift_action, load_action_spec, load_descriptor, obstruction_witness,
-                      project_action, validate_action_spec, validate_descriptor)
+# the symbol layer only: the action layer (json, fractions, group tables)
+# is imported inside the handlers that use it
 from .homology import first_homology, smith_normal_form
 from .presentations import orbifold_pi1, pi1
-from .structure import analyze_structure
 from .symbols import (base_quotient, equivalent, normalize,
                       obstruction_class, orientable_double_cover, parse_symbol,
                       total_sum)
@@ -114,6 +111,7 @@ def _emit(text: str, output: str | None):
 
 def _validated_spec(args):
     """Load a spec file and run the law check, or stop with exit code 1."""
+    from .actions import load_action_spec, validate_action_spec
     spec = load_action_spec(args.specfile)
     _require(args, "valid", "law", validate_action_spec(spec))
     return spec
@@ -121,6 +119,7 @@ def _validated_spec(args):
 
 def _commuting_spec(args):
     """A valid spec that commutes with the covering translation, or exit 1."""
+    from .actions import check_tau_commuting
     spec = _validated_spec(args)
     _require(args, "commutes", "condition", check_tau_commuting(spec))
     return spec
@@ -188,6 +187,7 @@ def _cmd_validate_action(args) -> int:
 
 
 def _cmd_induced_torus(args) -> int:
+    from .actions import gluing_matrix, induced_solid_torus_action
     spec = _validated_spec(args)
     n = len(spec.symbol.pairs)
     if not 1 <= args.index <= n:
@@ -209,6 +209,7 @@ def _cmd_check_tau(args) -> int:
 
 
 def _cmd_project(args) -> int:
+    from .actions import format_descriptor, project_action, validate_descriptor
     descriptor = project_action(_commuting_spec(args))
     # non-canonical block crossing folds to data outside the descriptor
     # laws; refuse to write a document that would not load
@@ -218,6 +219,7 @@ def _cmd_project(args) -> int:
 
 
 def _cmd_lift(args) -> int:
+    from .actions import format_action_spec, lift_action, load_descriptor, validate_descriptor
     descriptor = load_descriptor(args.descriptorfile)
     _require(args, "valid", "law", validate_descriptor(descriptor))
     _emit(format_action_spec(lift_action(descriptor)), args.output)
@@ -225,6 +227,7 @@ def _cmd_lift(args) -> int:
 
 
 def _cmd_obstruction(args) -> int:
+    from .actions import beta_orbit_numbers, obstruction_witness
     if args.specfile is not None:
         if args.orbits is not None:
             raise ValueError("--orbits cannot be used with a spec file, which gives the orbits; "
@@ -250,12 +253,14 @@ def _cmd_obstruction(args) -> int:
 
 
 def _cmd_orbits(args) -> int:
+    from .actions import beta_orbit_numbers
     body = _join(beta_orbit_numbers(_validated_spec(args)))
     _say(args, {"orbits": body}, body)
     return 0
 
 
 def _cmd_analyze_group(args) -> int:
+    from .structure import analyze_structure
     report = analyze_structure(_validated_spec(args))
     _say(args, {"route": report.route, "rotation_order": report.rotation_order,
                 "alpha_image_order": report.alpha_image_order,
@@ -264,9 +269,80 @@ def _cmd_analyze_group(args) -> int:
     return 0
 
 
+def _snf_arguments(p):
+    p.add_argument("matrix", help="rows split by ';', entries by ',': '2,0;0,3'")
+    # argparse reads a word starting with "-" as an option unless it is a
+    # bare negative number; here every unknown word "-" then not "-" is a
+    # matrix: "-1,2;3,4", and "-1,x" or "-\u0663,1" (bad rows)
+    p._negative_number_matcher = re.compile(r"-[^-]")
+
+
+def _induced_torus_arguments(p):
+    p.add_argument("-i", "--index", type=_int_option, required=True,
+                   help="boundary index, 1-based")
+    p.add_argument("-g", "--element", type=_int_option, required=True,
+                   help="group element index, 0 is the identity")
+    p.add_argument("--det", action="store_true",
+                   help="also print the gluing matrix used")
+
+
+def _project_arguments(p):
+    p.add_argument("-o", "--output", help="write the descriptor document here")
+
+
+def _lift_arguments(p):
+    p.add_argument("-o", "--output", help="write the action-spec document here")
+
+
+def _obstruction_arguments(p):
+    p.add_argument("specfile", nargs="?",
+                   help="take orbits (and default b) from this spec file")
+    p.add_argument("-b", type=_int_option, default=None, help="target obstruction class")
+    p.add_argument("--orbits", help="comma-separated orbit numbers")
+    p.add_argument("--orbits-extra", dest="orbits_extra",
+                   help="extra orbit numbers to append")
+
+
+# every subcommand, in help order: handler, help text, positional
+# arguments, and the function that adds its other arguments or None
+_COMMANDS = {
+    "normalize": (_cmd_normalize, "normal form of a symbol", ("symbol",), None),
+    "sum": (_cmd_sum, "exact sum of p/q over the pairs", ("symbol",), None),
+    "equiv": (_cmd_equiv, "fiber preserving equivalence of two symbols",
+              ("first", "second"), None),
+    "cover": (_cmd_cover, "orientable-base double cover of a class n2 symbol", ("symbol",), None),
+    "quotient": (_cmd_quotient, "invert the double cover when possible", ("symbol",), None),
+    "pi1": (_cmd_presentation, "fundamental group presentation", ("symbol",), None),
+    "orbifold-pi1": (_cmd_presentation, "base orbifold group presentation", ("symbol",), None),
+    "h1": (_cmd_h1, "first homology", ("symbol",), None),
+    "snf": (_cmd_snf, "Smith normal form invariants of an integer matrix", (), _snf_arguments),
+    "validate-action": (_cmd_validate_action, "check the action laws of a spec file",
+                        ("specfile",), None),
+    "induced-torus": (_cmd_induced_torus, "induced solid-torus rotation of one element",
+                      ("specfile",), _induced_torus_arguments),
+    "check-tau": (_cmd_check_tau, "commutation with the covering translation",
+                  ("specfile",), None),
+    "project": (_cmd_project, "fold a commuting action to the quotient descriptor",
+                ("specfile",), _project_arguments),
+    "lift": (_cmd_lift, "canonical commuting action over a descriptor",
+             ("descriptorfile",), _lift_arguments),
+    "obstruction": (_cmd_obstruction, "solve b = sum of b_i * orbit_i", (),
+                    _obstruction_arguments),
+    "orbits": (_cmd_orbits, "boundary orbit sizes under beta", ("specfile",), None),
+    "analyze-group": (_cmd_analyze_group, "group-theoretic shape of an action",
+                      ("specfile",), None),
+}
+
+
 @cache
-def _build_parser() -> argparse.ArgumentParser:
-    # built once per process: parse_args keeps no state between calls
+def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The top-level parser with the subparser of ``command`` alone, or
+    with every subparser when ``command`` is None.
+
+    A subparser is the same either way, so its help, usage and errors are
+    too.  Built once per command and process: parse_args keeps no state
+    between calls.
+    """
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--porcelain", action="store_true",
                         help="line-oriented key=value output")
@@ -274,58 +350,22 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="seifert",
         description="exact computation with Seifert fibered spaces")
     sub = parser.add_subparsers(dest="command", required=True, metavar="command")
-
-    def add(name, handler, help_text, *positionals):
+    for name in _COMMANDS if command is None else (command,):
+        handler, help_text, positionals, add_arguments = _COMMANDS[name]
         p = sub.add_parser(name, parents=[common], help=help_text)
         p.set_defaults(handler=handler)
         for positional in positionals:
             p.add_argument(positional)
-        return p
-
-    add("normalize", _cmd_normalize, "normal form of a symbol", "symbol")
-    add("sum", _cmd_sum, "exact sum of p/q over the pairs", "symbol")
-    add("equiv", _cmd_equiv, "fiber preserving equivalence of two symbols", "first", "second")
-    add("cover", _cmd_cover, "orientable-base double cover of a class n2 symbol", "symbol")
-    add("quotient", _cmd_quotient, "invert the double cover when possible", "symbol")
-    add("pi1", _cmd_presentation, "fundamental group presentation", "symbol")
-    add("orbifold-pi1", _cmd_presentation, "base orbifold group presentation", "symbol")
-    add("h1", _cmd_h1, "first homology", "symbol")
-    p = add("snf", _cmd_snf, "Smith normal form invariants of an integer matrix")
-    p.add_argument("matrix", help="rows split by ';', entries by ',': '2,0;0,3'")
-    # argparse reads a word starting with "-" as an option unless it is a
-    # bare negative number; here every unknown word "-" then not "-" is a
-    # matrix: "-1,2;3,4", and "-1,x" or "-\u0663,1" (bad rows)
-    p._negative_number_matcher = re.compile(r"-[^-]")
-    add("validate-action", _cmd_validate_action, "check the action laws of a spec file",
-        "specfile")
-    p = add("induced-torus", _cmd_induced_torus, "induced solid-torus rotation of one element",
-            "specfile")
-    p.add_argument("-i", "--index", type=_int_option, required=True,
-                   help="boundary index, 1-based")
-    p.add_argument("-g", "--element", type=_int_option, required=True,
-                   help="group element index, 0 is the identity")
-    p.add_argument("--det", action="store_true",
-                   help="also print the gluing matrix used")
-    add("check-tau", _cmd_check_tau, "commutation with the covering translation", "specfile")
-    p = add("project", _cmd_project, "fold a commuting action to the quotient descriptor",
-            "specfile")
-    p.add_argument("-o", "--output", help="write the descriptor document here")
-    p = add("lift", _cmd_lift, "canonical commuting action over a descriptor", "descriptorfile")
-    p.add_argument("-o", "--output", help="write the action-spec document here")
-    p = add("obstruction", _cmd_obstruction, "solve b = sum of b_i * orbit_i")
-    p.add_argument("specfile", nargs="?",
-                   help="take orbits (and default b) from this spec file")
-    p.add_argument("-b", type=_int_option, default=None, help="target obstruction class")
-    p.add_argument("--orbits", help="comma-separated orbit numbers")
-    p.add_argument("--orbits-extra", dest="orbits_extra",
-                   help="extra orbit numbers to append")
-    add("orbits", _cmd_orbits, "boundary orbit sizes under beta", "specfile")
-    add("analyze-group", _cmd_analyze_group, "group-theoretic shape of an action", "specfile")
+        if add_arguments is not None:
+            add_arguments(p)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # a call that names its subcommand first builds that subparser only;
+    # anything else (no words, -h, an unknown command) builds them all
+    parser = _build_parser(argv[0] if argv and argv[0] in _COMMANDS else None)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

@@ -25,7 +25,6 @@ from __future__ import annotations
 import re
 from collections import Counter
 from enum import Enum
-from fractions import Fraction
 from math import gcd
 
 from ._record import Record
@@ -197,6 +196,7 @@ def total_sum(symbol: SeifertSymbol) -> Fraction:
     >>> total_sum(parse_symbol("(0,o1|(2,1),(3,2),(1,1))"))
     Fraction(13, 6)
     """
+    from fractions import Fraction   # the module's only use: imported here, on demand
     return sum((Fraction(pr.p, pr.q) for pr in symbol.pairs), Fraction(0))
 
 

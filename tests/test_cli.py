@@ -373,6 +373,8 @@ def test_usage_errors(capsys):
 
 
 def test_parser_is_built_once(capsys, monkeypatch, docs):
+    # one parser per command and process: the parser of the command named
+    # first, or the full parser for anything else; a repeat builds nothing
     built = []
     init = argparse.ArgumentParser.__init__
 
@@ -382,13 +384,56 @@ def test_parser_is_built_once(capsys, monkeypatch, docs):
     monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
     seifert.cli._build_parser.cache_clear()
     first = run(capsys, "no-such-command")
-    once = len(built)
-    assert once and first[0] == 2 and first[2]
+    assert first[0] == 2 and first[2]
+    assert built == [None, "seifert"] + [f"seifert {name}" for name in seifert.cli._COMMANDS]
+    del built[:]
+    assert run(capsys, "h1", "(1,n2|(2,1))")[0] == 0
+    assert run(capsys, "validate-action", docs["z4"])[0] == 0
+    assert built == [None, "seifert", "seifert h1", None, "seifert", "seifert validate-action"]
+    del built[:]
     assert run(capsys, "no-such-command") == first
     assert run(capsys, "validate-action", docs["z4"])[0] == 0
     assert run(capsys, "h1", "(1,n2|(2,1))")[0] == 0
-    assert run(capsys, "no-such-command") == first
-    assert len(built) == once
+    assert built == []
+
+
+def parse_with(capsys, parser, argv):
+    """(exit code, stdout, stderr, namespace) of one parse_args call."""
+    try:
+        namespace, code = parser.parse_args(argv), None
+    except SystemExit as exc:
+        namespace, code = None, exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err, namespace
+
+
+# argument lists beyond help, missing arguments, an unknown flag and extra words
+OPTION_CASES = {
+    "snf": [["-1,2;3,4"], ["--", "-1,2;3,4"], ["-1,x"], ["--porcelain", "-2"]],
+    "obstruction": [["-b", "3", "--orbits", "2,4", "--orbits-extra", "-3"]],
+    "induced-torus": [["spec.json", "-i", "1", "-g", "-1", "--det"]],
+    "project": [["spec.json", "-o", "out.json"]],
+    "lift": [["-o"]],
+}
+
+
+@pytest.mark.parametrize("name", list(seifert.cli._COMMANDS))
+def test_one_command_parser_reads_as_the_full_parser(capsys, name):
+    full, alone = seifert.cli._build_parser(), seifert.cli._build_parser(name)
+    for rest in [["--help"], [], ["--no-such-flag", "x"], ["a", "b", "c", "d"],
+                 *OPTION_CASES.get(name, [])]:
+        argv = [name, *rest]
+        assert parse_with(capsys, alone, argv) == parse_with(capsys, full, argv), argv
+
+
+@pytest.mark.parametrize("argv", [
+    [], ["-h"], ["--help"], ["no-such-command"], ["--porcelain", "h1", "(1,n2|(2,1))"],
+    ["H1", "(1,n2|(2,1))"],
+])
+def test_calls_naming_no_command_first_use_the_full_parser(capsys, argv):
+    code, out, err, _ = parse_with(capsys, seifert.cli._build_parser(), argv)
+    assert run(capsys, *argv) == (code, out, err)
+    assert code == (0 if argv in (["-h"], ["--help"]) else 2)
 
 
 def test_value_errors_exit_two(capsys):
