@@ -10,7 +10,11 @@ construction.  Records compare and hash by that tuple, only against
 records of the same class, refuse assignment and deletion, and print
 as ``Name(field=value, ...)``.  :func:`_built` stores fields the same
 way but skips ``__post_init__``, for values the package has already
-checked or built correct by construction.
+checked or built correct by construction.  Every record the package
+derives from checked records is built through it: the group
+constructors (:func:`~seifert.groups.cyclic_group` and
+:func:`~seifert.groups.direct_product`), the document reader, and
+projection and lift of actions.
 
 >>> class Point(Record):
 ...     x: int

@@ -482,13 +482,14 @@ class ProjectedActionDescriptor(Record):
     @cached_property
     def _lifted(self) -> ExtendedProductActionSpec:
         # read by lift_action only, once the scan of this view has passed,
-        # so the spec keeps the view and the report and is not scanned again
+        # so the spec keeps the view and the report and is not scanned again;
+        # its shape holds: rotations are Fraction(v, N), 0 <= v < N, beta rows copy beta_bar's
         view = mod, data = self._int_view
         alpha, turns, beta, rows = zip(*data)
         rotation = {v: Fraction(v, mod) for v in set(turns).union(*rows)}.__getitem__
-        spec = ExtendedProductActionSpec(
-            orientable_double_cover(self.base), self.group, tuple(map(rotation, turns)),
-            alpha, beta, tuple(tuple(map(rotation, row)) for row in rows))
+        spec = _built(ExtendedProductActionSpec, orientable_double_cover(self.base), self.group,
+                      tuple(map(rotation, turns)), alpha, beta,
+                      tuple(tuple(map(rotation, row)) for row in rows))
         spec.__dict__.update(_int_view=view, _law_report=_PASS)
         return spec
 
@@ -546,7 +547,9 @@ def project_action(spec: ExtendedProductActionSpec) -> ProjectedActionDescriptor
     beta_bar = tuple(tuple(spec.beta[g][i] % n for i in range(n))
                      for g in spec.group.elements())
     theta2_bar = tuple(tuple(spec.theta2[g][:n]) for g in spec.group.elements())
-    return ProjectedActionDescriptor(base, spec.group, epsilon, beta_bar, theta2_bar)
+    # shape holds: a beta_bar row is a permutation, as beta(i) = beta(j) mod n,
+    # i != j < n, would give beta(j) = beta(i + n) by sigma-equivariance
+    return _built(ProjectedActionDescriptor, base, spec.group, epsilon, beta_bar, theta2_bar)
 
 
 def lift_action(descriptor: ProjectedActionDescriptor) -> ExtendedProductActionSpec:

@@ -27,6 +27,7 @@ import sys
 from functools import cache
 from pathlib import Path
 
+from .groups import _INTEGER   # the one integer grammar, loaded with the package root
 # the symbol layer only: the action layer (json, fractions, group tables)
 # is imported inside the handlers that use it
 from .homology import first_homology, smith_normal_form
@@ -76,10 +77,6 @@ def _require(args, key: str, label: str, report):
         print(f"{key.replace('_', ' ')} check failed: {label} {name}, "
               f"witness {witness}: {message}", file=sys.stderr)
     raise _Rejected
-
-
-# every integer on the command line: an optional '-' and ASCII digits
-_INTEGER = re.compile(r"-?[0-9]+")
 
 
 def _parse_ints(text: str, message: str) -> list[int]:
@@ -197,7 +194,7 @@ def _cmd_induced_torus(args) -> int:
     fields = {"longitude": data.longitude, "meridian": data.meridian, "sign": data.sign}
     if args.det:
         glue = gluing_matrix(spec.symbol.pairs[spec.beta[args.element][i]])
-        fields["gluing"] = f"{glue.x},{glue.pair.p};{glue.y},{glue.pair.q}"
+        fields["gluing"] = ";".join(map(_join, glue.matrix()))
     _say(args, fields)
     return 0
 

@@ -116,7 +116,7 @@ def direct_product(a: FiniteGroup, b: FiniteGroup) -> FiniteGroup:
                                      for a_row in a.table for b_row in b.table))
 
 
-# a table entry or order: an optional '-' and ASCII digits
+# a table entry or order, or any command-line integer: an optional '-' and ASCII digits
 _INTEGER = re.compile(r"-?[0-9]+")
 # constructor text splits into these tokens and single characters; joined
 # back they give the text, so an error quotes the rest from a token on

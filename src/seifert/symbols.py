@@ -9,10 +9,10 @@ exceptional fiber and only shift the obstruction class.
 
 The normalized form of a symbol keeps the pairs with ``q > 1`` reduced to
 ``0 < p < q``, sorted, and folds everything that was carried out of range
-into a single integer ``b``, the obstruction class.  Two symbols of the
-same class and genus describe the same fibered space up to fiber
-preserving equivalence exactly when their normalized forms agree, which is
-what :func:`equivalent` tests.
+into a single integer ``b``, the obstruction class; it keeps genus and
+class as they are.  Two symbols describe the same fibered space up to
+fiber preserving equivalence exactly when their normalized forms agree,
+which is what :func:`equivalent` tests.
 
 >>> str(normalize(parse_symbol("(0,o1|(3,4))")).expand())
 '(0,o1|(3,1),(1,1))'
@@ -25,6 +25,7 @@ from __future__ import annotations
 import re
 from collections import Counter
 from enum import Enum
+from functools import total_ordering
 from math import gcd
 
 from ._record import Record
@@ -41,6 +42,7 @@ class Orientability(Enum):
     N2 = "n2"
 
 
+@total_ordering
 class SeifertPair(Record):
     """One filled fiber ``(q, p)`` with ``q >= 1`` and ``gcd(q, p) = 1``."""
 
@@ -48,6 +50,9 @@ class SeifertPair(Record):
     p: int
 
     def __post_init__(self):
+        # type, not isinstance: True and 2.0 would print as no symbol reads
+        if type(self.q) is not int or type(self.p) is not int:
+            raise ValueError(f"pair ({self.q!r},{self.p!r}): q and p must be integers")
         if self.q < 1:
             raise ValueError(f"pair ({self.q},{self.p}): q must be >= 1")
         if gcd(self.q, self.p) != 1:
@@ -56,18 +61,9 @@ class SeifertPair(Record):
     def __str__(self):
         return f"({self.q},{self.p})"
 
-    # pairs sort by (q, p)
+    # pairs sort by (q, p); total_ordering derives <=, > and >=
     def __lt__(self, other):
         return self._values < other._values if other.__class__ is self.__class__ else NotImplemented
-
-    def __le__(self, other):
-        return self._values <= other._values if other.__class__ is self.__class__ else NotImplemented
-
-    def __gt__(self, other):
-        return self._values > other._values if other.__class__ is self.__class__ else NotImplemented
-
-    def __ge__(self, other):
-        return self._values >= other._values if other.__class__ is self.__class__ else NotImplemented
 
 
 class SeifertSymbol(Record):
@@ -78,6 +74,15 @@ class SeifertSymbol(Record):
     pairs: tuple[SeifertPair, ...]
 
     def __post_init__(self):
+        if type(self.genus) is not int:
+            raise ValueError(f"genus must be an integer, got {self.genus!r}")
+        if not isinstance(self.orientability, Orientability):
+            raise ValueError(f"class must be an Orientability, got {self.orientability!r}")
+        if type(self.pairs) is not tuple:
+            raise ValueError(f"pairs must be a tuple, got {type(self.pairs).__name__}")
+        for pr in self.pairs:
+            if type(pr) is not SeifertPair:
+                raise ValueError(f"pair {pr!r} is not a SeifertPair")
         if self.genus < 0:
             raise ValueError(f"genus must be >= 0, got {self.genus}")
         # n2 counts crosscaps, so the class needs at least one
@@ -231,15 +236,12 @@ def obstruction_class(symbol: SeifertSymbol) -> int:
 
 
 def equivalent(a: SeifertSymbol, b: SeifertSymbol) -> bool:
-    """Fiber preserving equivalence at fixed genus and class.
+    """Fiber preserving equivalence: equality of normalized forms.
 
-    True exactly when genus and class agree and the normalized forms
-    coincide (same exceptional multiset, same obstruction class; the two
-    together pin the exact total sum).  Symbols of different genus or
-    class are never reported equivalent.
+    The normalized form records genus and class, the exceptional multiset
+    and the obstruction class (the last two together pin the exact total
+    sum), so symbols of different genus or class are never equivalent.
     """
-    if (a.genus, a.orientability) != (b.genus, b.orientability):
-        return False
     return normalize(a) == normalize(b)
 
 

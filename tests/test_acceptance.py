@@ -678,6 +678,28 @@ def test_descriptor_integer_view_is_the_lift_view():
         assert descriptor._int_view == fresh._int_view
 
 
+def test_projection_and_lift_build_what_the_constructors_accept():
+    # both build their records unchecked; rebuilt field by field through
+    # the checked constructors, each must pass and compare equal
+    rng = random.Random(7411)
+    descriptors = [specbuild.z2_lens_descriptor(), specbuild.z2z3_descriptor()]
+    descriptors += [_random_descriptor(rng) for _ in range(200)]
+    specs = [specbuild.z2_swap_spec(), specbuild.z2z3_block_spec(),
+             specbuild.mixed_crossing_spec(),
+             specbuild.trivial_spec("(0,o1|(2,1),(3,1),(2,1),(3,1))", cyclic_group(3))]
+    specs += [lift_action(d) for d in descriptors]
+    for spec in specs:
+        d = project_action(spec)
+        assert ProjectedActionDescriptor(d.base, d.group, d.epsilon, d.beta_bar,
+                                         d.theta2_bar) == d
+        if validate_descriptor(d):
+            descriptors.append(d)
+    for descriptor in descriptors:
+        s = lift_action(descriptor)
+        assert ExtendedProductActionSpec(s.symbol, s.group, s.theta1, s.alpha, s.beta,
+                                         s.theta2) == s
+
+
 def test_criterion_10_obstruction_witnesses():
     rng = random.Random(77377)
     for _ in range(500):

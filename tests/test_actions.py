@@ -480,14 +480,22 @@ def scans(monkeypatch):
 
 @pytest.fixture
 def built_specs(monkeypatch):
-    """Every ExtendedProductActionSpec constructed, in order."""
+    """Every ExtendedProductActionSpec constructed, checked or trusted, in order."""
     built = []
     check = ExtendedProductActionSpec.__post_init__
+    trusted = seifert.actions._built
 
     def counted(spec):
         built.append(spec)
         check(spec)
+
+    def counted_built(cls, *values):
+        record = trusted(cls, *values)
+        if cls is ExtendedProductActionSpec:
+            built.append(record)
+        return record
     monkeypatch.setattr(ExtendedProductActionSpec, "__post_init__", counted)
+    monkeypatch.setattr(seifert.actions, "_built", counted_built)
     return built
 
 

@@ -461,8 +461,10 @@ def _set_table_entry(doc, value):
     (lambda doc: doc.update(group={"order": "4", "table": doc["group"]["table"]}),
      "group order must be an integer, got '4'"),
     (lambda doc: doc["alpha"].__setitem__(1, 1.0), "alpha entries must be 1 or -1"),
+    (lambda doc: doc["group"].update(table="0 1 2 3"), "group table must be a list of rows"),
+    (lambda doc: doc["group"].update(order=3), "group table has 4 rows, order says 3"),
 ], ids=["symbol-int", "group-file-int", "float-entry", "null-row", "bool-beta",
-        "order-text", "float-alpha"])
+        "order-text", "float-alpha", "table-text", "order-mismatch"])
 def test_mistyped_document_fields_exit_two(capsys, tmp_path, edit, fragment):
     doc = json.loads(format_action_spec(specbuild.z4_swap_spec()))
     edit(doc)

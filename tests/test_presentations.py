@@ -134,6 +134,8 @@ def test_export_text_layout():
         "c1^2*t\n"
         "c1*x^-2"
     )
+    # the empty word prints as the identity
+    assert pres.format_word(()) == "1"
 
 
 def test_abelianize_rows():

@@ -8,6 +8,7 @@ from hypothesis import given
 import hypothesis.strategies as st
 
 from seifert import (
+    NormalizedSymbol,
     Orientability,
     SeifertPair,
     SeifertSymbol,
@@ -110,6 +111,27 @@ def test_constructor_rejects_bad_data():
         SeifertSymbol(-1, Orientability.O1, ())
     with pytest.raises(ValueError):
         SeifertSymbol(0, Orientability.N2, ())
+    # mistyped fields: each is refused here, not by a later TypeError
+    pairs = (SeifertPair(2, 1),)
+    for build, message in [
+        (lambda: SeifertPair(2, True), "must be integers"),
+        (lambda: SeifertPair(2.0, 1), "must be integers"),
+        (lambda: SeifertSymbol(1.0, Orientability.N2, pairs), "genus must be an integer"),
+        (lambda: SeifertSymbol(0, "o1", ()), "must be an Orientability"),
+        (lambda: SeifertSymbol(0, Orientability.O1, list(pairs)), "must be a tuple, got list"),
+        (lambda: SeifertSymbol(0, Orientability.O1, ((2, 1),)), "is not a SeifertPair"),
+    ]:
+        with pytest.raises(ValueError, match=message):
+            build()
+
+
+def test_normalized_symbol_constructor():
+    with pytest.raises(ValueError, match="not in normal range"):
+        NormalizedSymbol(0, Orientability.O1, (SeifertPair(3, 4),), 0)
+    with pytest.raises(ValueError, match="must be sorted"):
+        NormalizedSymbol(0, Orientability.O1, (SeifertPair(3, 1), SeifertPair(2, 1)), 0)
+    # it prints as its expansion
+    assert str(NormalizedSymbol(1, Orientability.N2, (SeifertPair(2, 1),), -1)) == "(1,n2|(2,1),(1,-1))"
 
 
 # -- total sum -------------------------------------------------------------
@@ -241,6 +263,8 @@ def test_cover_rejects_orientable_base():
 @pytest.mark.parametrize("above, below", [
     ("(0,o1|(2,1),(2,1))", "(1,n2|(2,1))"),
     ("(1,o1|)", "(2,n2|)"),
+    # neither block nor adjacent doubled: assembled from the normal form
+    ("(0,o1|(2,1),(3,1),(3,1),(2,1))", "(1,n2|(2,1),(3,1))"),
 ])
 def test_quotient_goldens(above, below):
     assert base_quotient(parse_symbol(above)) == parse_symbol(below)
@@ -280,3 +304,15 @@ def test_cover_doubles_obstruction(m):
 @given(seifert_symbols(classes=(Orientability.N2,)))
 def test_quotient_inverts_cover(m):
     assert base_quotient(orientable_double_cover(m)) == m
+
+
+@given(seifert_symbols(classes=(Orientability.N2,)), st.data())
+def test_quotient_of_shuffled_cover(m, data):
+    # a shuffled cover is mostly no literal doubling; its quotient comes
+    # from the normal form, and its cover is equivalent, if not equal
+    cover = orientable_double_cover(m)
+    shuffled = SeifertSymbol(cover.genus, Orientability.O1,
+                             tuple(data.draw(st.permutations(cover.pairs))))
+    quotient = base_quotient(shuffled)
+    assert quotient is not None
+    assert equivalent(orientable_double_cover(quotient), shuffled)
