@@ -40,15 +40,18 @@ the order of [0, 1), so every verdict and witness is the one the
 fractions give.  Laws (a) to (d) are decided over G x S, S the group's
 generating set, and law (e) over S alone; the witness of a failure is
 the first one a scan of all pairs names, in a fixed order, so it does
-not depend on S.  A spec or descriptor is law-scanned once: the report
-is kept on the frozen object, and every function that needs valid data
-reads it.
+not depend on S.  Each law is decided a generator at a time: the datum
+of s gives one composer (for beta and theta2 an itemgetter over
+beta(s)), and each element's datum takes one call of it.  A spec or
+descriptor is law-scanned once: the report is kept on the frozen
+object, and every function that needs valid data reads it.
 
 A document has few distinct rotation values and repeats them across
 its tables, so the boundary handles each distinct value once: the
 reader parses and reduces each distinct rotation text of a document
 once, the lift builds Fraction(v, N) once per distinct integer v, and
-the writer prints the checked Fractions as they are, with no copy.
+the writer prints the checked Fractions as they are, with no copy,
+joining whole rows into the layout of ``json.dumps(..., indent=2)``.
 
 The covering-translation machinery works on symbols whose pair list is
 doubled in blocks, pairs i and i+n equal for i < n: exactly the
@@ -65,6 +68,7 @@ import re
 from fractions import Fraction
 from functools import cached_property
 from math import lcm
+from operator import add, itemgetter, ne
 from pathlib import Path
 
 from ._record import Record, _built
@@ -118,19 +122,25 @@ def _check_tables(data, n: int, symbol_field: str):
     """Shape check of the element tables of a spec or descriptor.
 
     ``type(data)._tables`` names them, in field order, with their kinds;
-    all lengths are checked before any value.  Signs and permutation
-    entries must be ints: ``True`` and ``1.0`` compare equal to 1 but
-    would be written as documents that cannot be read back.
+    all lengths are checked before any value.  Tables and their rows
+    must be tuples: a list neither hashes nor equals the tuples the law
+    scan compares it with.  Signs and permutation entries must be ints:
+    ``True`` and ``1.0`` compare equal to 1 but would be written as
+    documents that cannot be read back.
     """
     order = data.group.order
     indices = list(range(n))
     for name, kind in data._tables.items():
         table = getattr(data, name)
+        if type(table) is not tuple:
+            raise ValueError(f"{name} must be a tuple, got {type(table).__name__}")
         if len(table) != order:
             unit = "entries" if kind in ("rotation", "sign") else "rows"
             raise ValueError(f"{name} has {len(table)} {unit}, group order is {order}")
     for name, kind in data._tables.items():
         for entry in getattr(data, name):
+            if kind in ("permutation", "rotation rows") and type(entry) is not tuple:
+                raise ValueError(f"{name} row must be a tuple, got {type(entry).__name__}")
             if kind == "sign":
                 if type(entry) is not int or entry not in (1, -1):
                     raise ValueError(f"{name} values must be +1 or -1, got {entry}")
@@ -175,14 +185,39 @@ _SPEC_LAWS = {
 }
 
 
+def _picker(indices: tuple[int, ...]):
+    """The map row -> tuple(row[j] for j in indices) as one call.
+
+    ``itemgetter`` gives it for two or more indices; for one it returns
+    a bare item, and it takes no empty index list.
+    """
+    if len(indices) > 1:
+        return itemgetter(*indices)
+    if indices:
+        j, = indices
+        return lambda row: (row[j],)
+    return lambda row: ()
+
+
+def _beta_law(b, mod):
+    pick = _picker(b[2])
+    return lambda a: pick(a[2])
+
+
+def _theta2_law(b, mod):
+    pick, reduced = _picker(b[2]), mod.__rmod__
+    turns = {1: b[3], -1: tuple(-v for v in b[3])}
+    return lambda a: tuple(map(reduced, map(add, pick(a[3]), turns[a[0]])))
+
+
 # Laws (a) to (d), one per datum component, in the order they are checked:
-# component k of the datum of gh from the integer data a of g and b of h,
-# rotations mod N.
+# built from the integer datum b of h, a composer maps the integer datum a
+# of g to component k of the datum of gh, rotations mod N.
 _COMPONENT_LAWS = (
-    ("alpha", lambda a, b, mod: a[0] * b[0]),
-    ("theta1", lambda a, b, mod: (a[1] + a[0] * b[1]) % mod),
-    ("beta", lambda a, b, mod: tuple(a[2][j] for j in b[2])),
-    ("theta2", lambda a, b, mod: tuple((a[3][j] + a[0] * v) % mod for j, v in zip(b[2], b[3]))),
+    ("alpha", lambda b, mod: lambda a: a[0] * b[0]),
+    ("theta1", lambda b, mod: lambda a: (a[1] + a[0] * b[1]) % mod),
+    ("beta", _beta_law),
+    ("theta2", _theta2_law),
 )
 
 
@@ -205,11 +240,6 @@ def _scan_laws(group: FiniteGroup, view: tuple, pairs: tuple, laws: dict) -> Val
         return fail("identity", (0,))
     table, generators = group.table, group.generators
 
-    def sweep(k, component, hs):
-        """The first (g, h), g in element order and then h in hs, where law k fails."""
-        return next(((g, h) for g, a in enumerate(data) for h in hs
-                     if data[table[g][h]][k] != component(a, data[h], mod)), None)
-
     # Each law reads only its own component and those of earlier laws,
     # and the sub-data (alpha), (alpha, theta1), (beta) and (alpha, beta,
     # theta2) each compose associatively with the trivial datum as
@@ -217,13 +247,20 @@ def _scan_laws(group: FiniteGroup, view: tuple, pairs: tuple, laws: dict) -> Val
     # holding for every g and every generator s extends to every h by
     # induction on the word length of h.  Hence the first law that fails
     # on G x S is the first law the scan over all (g, h) fails, and that
-    # scan, run for it alone, names the witness.
-    for k, (law, component) in enumerate(_COMPONENT_LAWS):
-        if sweep(k, component, generators) is None:
+    # scan, run for it alone, names the witness.  Law k is decided a
+    # generator at a time: one composer per s, and the component k of
+    # every g*s against it applied to every g.
+    for k, (law, composer) in enumerate(_COMPONENT_LAWS):
+        component = [datum[k] for datum in data]
+        if not any(any(map(ne, map(component.__getitem__, map(itemgetter(s), table)),
+                           map(composer(data[s], mod), data)))
+                   for s in generators):
             continue
-        g, h = sweep(k, component, group.elements())
+        composers = [composer(b, mod) for b in data]
+        g, h = next((g, h) for g, a in enumerate(data)
+                    for h, compose in enumerate(composers) if component[table[g][h]] != compose(a))
         gh = table[g][h]
-        got, want = data[gh][k], component(data[g], data[h], mod)
+        got, want = data[gh][k], composers[h](data[g])
         if law == "theta2":
             i = next(i for i in range(n) if got[i] != want[i])
             return fail(law, (g, h, i), gh=gh, i=i, value=Fraction(got[i], mod),
@@ -738,22 +775,41 @@ def load_descriptor(path) -> ProjectedActionDescriptor:
     return parse_descriptor_text(*_read(path))
 
 
+def _json_list(texts, indent: str, quote: str = "") -> str:
+    """``json.dumps(..., indent=2)`` of a list, written at this indent, of
+    the item texts (each wrapped in quote), joined a whole row at a time."""
+    inner = "\n" + indent + "  "
+    body = (quote + "," + inner + quote).join(texts)
+    return f"[{inner}{quote}{body}{quote}\n{indent}]" if body else "[]"
+
+
 def _format_document(symbol: SeifertSymbol, data) -> str:
-    """The document of a spec or descriptor over symbol (group written inline)."""
-    n = len(symbol.pairs)
-    doc = {"symbol": str(symbol),
-           "group": {"order": data.group.order, "table": [list(row) for row in data.group.table]}}
+    """The document of a spec or descriptor over symbol (group written inline).
+
+    The text of ``json.dumps(document, indent=2) + "\n"``: key order, then
+    the tables, the boundary-indexed rotation rows (the transpose of
+    theta2) and the 1-based permutation rows.  Symbols, ints and fractions
+    print with no character JSON escapes.
+    """
+    group = data.group
+    rows = _json_list((_json_list(map(str, row), "      ") for row in group.table), "    ")
+    fields = [f'"symbol": "{symbol}"',
+              f'"group": {{\n    "order": {group.order},\n    "table": {rows}\n  }}']
+    one_based = [str(j + 1) for j in range(len(symbol.pairs))]
     for name, kind in data._tables.items():
         table = getattr(data, name)
         if kind == "rotation":
-            doc[name] = [str(v) for v in table]
+            text = _json_list(map(str, table), "  ", '"')
         elif kind == "sign":
-            doc[name] = list(table)
+            text = _json_list(map(str, table), "  ")
         elif kind == "permutation":
-            doc[name] = [[v + 1 for v in row] for row in table]
+            text = _json_list((_json_list(map(one_based.__getitem__, row), "    ")
+                               for row in table), "  ")
         else:
-            doc[name] = [[str(row[i]) for row in table] for i in range(n)]
-    return json.dumps(doc, indent=2) + "\n"
+            text = _json_list((_json_list(map(str, column), "    ", '"')
+                               for column in zip(*table)), "  ")
+        fields.append(f'"{name}": {text}')
+    return "{\n  " + ",\n  ".join(fields) + "\n}\n"
 
 
 def format_action_spec(spec: ExtendedProductActionSpec) -> str:

@@ -2,12 +2,18 @@
 
 A group of order m is a tuple of m rows of m element indices with the
 identity at index 0; ``table[g][h]`` is the product g*h.  Constructing
-a ``FiniteGroup`` from a table validates the whole structure: Latin
-square and identity in O(m^2), then associativity by Light's test over
-a generating set S found by greedy closure, (x*s)*y == x*(s*y) for all
-x, y and every s in S, in O(m^2 |S|).  The elements s passing it are
-closed under products, and every element is a product of generators, so
-it decides associativity exactly.  :func:`cyclic_group` and
+a ``FiniteGroup`` from a table validates the whole structure: tuples of
+int entries in range, Latin square and identity in O(m^2), then
+associativity by Light's test over a generating set S found by greedy
+closure, (x*s)*y == x*(s*y) for all x, y and every s in S, in
+O(m^2 |S|).  The elements s passing it are closed under products, and
+every element is a product of generators, so it decides associativity
+exactly.  Each step works on whole rows: one type set and one range
+check per row, and for Light's test one tuple compare per (x, s), row
+x*s against row x read at the entries of row s.  Only a row that fails
+is walked entry by entry, to name its first bad entry or (x, s, y).
+(Holt, Eick and O'Brien, *Handbook of Computational Group Theory*,
+2005.)  :func:`cyclic_group` and
 :func:`direct_product` build groups by construction (Z/n, and the
 product of two groups, each a ``FiniteGroup`` and so a group) and skip
 the check.  :func:`is_homomorphism` reads the same set S: f(g*s) =
@@ -23,6 +29,8 @@ from __future__ import annotations
 
 import re
 from functools import cached_property
+from itertools import chain
+from operator import itemgetter
 
 from ._record import Record, _built
 
@@ -31,17 +39,22 @@ class FiniteGroup(Record):
     table: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        m = len(self.table)
+        table = self.table
+        if type(table) is not tuple:
+            raise ValueError(f"multiplication table must be a tuple, got {type(table).__name__}")
+        m = len(table)
         if m == 0:
             raise ValueError("a group needs at least the identity element")
-        for row in self.table:
+        entries = set(range(m))
+        for row in table:
+            if type(row) is not tuple:
+                raise ValueError(f"table row must be a tuple, got {type(row).__name__}")
             if len(row) != m:
                 raise ValueError("multiplication table must be square")
-            for v in row:
-                # type, not isinstance: True and 1.0 are not table entries
-                if type(v) is not int or not 0 <= v < m:
-                    raise ValueError(f"table entry {v!r} is not an integer in [0, {m})")
-        table = self.table
+            # type, not isinstance: True and 1.0 are not table entries
+            if set(map(type, row)) != {int} or not entries.issuperset(row):
+                v = next(v for v in row if type(v) is not int or v not in entries)
+                raise ValueError(f"table entry {v!r} is not an integer in [0, {m})")
         for i, column in enumerate(zip(*table)):
             if table[0][i] != i or table[i][0] != i:
                 raise ValueError("index 0 must be the identity")
@@ -49,11 +62,13 @@ class FiniteGroup(Record):
                 raise ValueError(f"row {i} is not a permutation")
             if len(set(column)) != m:
                 raise ValueError(f"column {i} is not a permutation")
+        # m > 1 when there are generators, so itemgetter returns a tuple
         for s in self.generators:
+            times_s = itemgetter(*table[s])
             for x, row in enumerate(table):
-                for y, sy in enumerate(table[s]):
-                    if table[row[s]][y] != row[sy]:
-                        raise ValueError(f"associativity fails at ({x},{s},{y})")
+                if table[row[s]] != times_s(row):
+                    y = next(y for y, sy in enumerate(table[s]) if table[row[s]][y] != row[sy])
+                    raise ValueError(f"associativity fails at ({x},{s},{y})")
 
     @cached_property
     def generators(self) -> tuple[int, ...]:
@@ -110,10 +125,15 @@ def cyclic_group(n: int) -> FiniteGroup:
 
 
 def direct_product(a: FiniteGroup, b: FiniteGroup) -> FiniteGroup:
-    """Componentwise product; (i, j) lives at index i*|b| + j."""
+    """Componentwise product; (i, j) lives at index i*|b| + j.
+
+    Row (i, j) is row j of b shifted into block x, for each x of row i of
+    a in turn, the blocks joined.
+    """
     nb = b.order
-    return _built(FiniteGroup, tuple(tuple(x * nb + y for x in a_row for y in b_row)
-                                     for a_row in a.table for b_row in b.table))
+    shifted = [[tuple(x * nb + y for y in b_row) for x in a.elements()] for b_row in b.table]
+    return _built(FiniteGroup, tuple(tuple(chain.from_iterable(map(blocks.__getitem__, a_row)))
+                                     for a_row in a.table for blocks in shifted))
 
 
 # a table entry or order, or any command-line integer: an optional '-' and ASCII digits

@@ -145,6 +145,55 @@ def naive_associative(table) -> bool:
                for g in range(m) for h in range(m) for k in range(m))
 
 
+def group_check(table) -> str | None:
+    """The message a table's group check gives, or None for a group, read entry by entry.
+
+    Faults in order: the table, then each row as it comes, not a tuple;
+    no rows; a row of the wrong length, then its first entry that is not
+    an int (``type``, so not ``True`` or ``1.0``) in [0, m); then for each
+    index i, the identity at (0, i) and (i, 0), row i and column i each
+    a permutation; then (x*s)*y == x*(s*y) for s over the greedy
+    generators (each the least element that right products of the ones
+    before it do not reach from 0), x and then y in order.
+    """
+    if type(table) is not tuple:
+        return f"multiplication table must be a tuple, got {type(table).__name__}"
+    m = len(table)
+    if m == 0:
+        return "a group needs at least the identity element"
+    for row in table:
+        if type(row) is not tuple:
+            return f"table row must be a tuple, got {type(row).__name__}"
+        if len(row) != m:
+            return "multiplication table must be square"
+        for v in row:
+            if type(v) is not int or v < 0 or v >= m:
+                return f"table entry {v!r} is not an integer in [0, {m})"
+    for i in range(m):
+        if table[0][i] != i or table[i][0] != i:
+            return "index 0 must be the identity"
+        if sorted(table[i]) != list(range(m)):
+            return f"row {i} is not a permutation"
+        if sorted(table[x][i] for x in range(m)) != list(range(m)):
+            return f"column {i} is not a permutation"
+    gens, reached = [], {0}
+    for g in range(m):
+        if g in reached:
+            continue
+        gens.append(g)
+        while True:
+            new = {table[x][s] for x in reached for s in gens} - reached
+            if not new:
+                break
+            reached |= new
+    for s in gens:
+        for x in range(m):
+            for y in range(m):
+                if table[table[x][s]][y] != table[x][table[s][y]]:
+                    return f"associativity fails at ({x},{s},{y})"
+    return None
+
+
 def naive_homomorphism(source, target, images) -> bool:
     """f(gh) == f(g)f(h) for every pair of source elements (tables)."""
     m = len(source)

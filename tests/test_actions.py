@@ -87,6 +87,20 @@ def test_spec_value_ranges_are_enforced():
         replace(swap, beta=((False, True), (1, 0)))
 
 
+@pytest.mark.parametrize("field, value, message", [
+    ("theta1", [ZERO, F(1, 2)], "theta1 must be a tuple, got list"),
+    ("alpha", [1, 1], "alpha must be a tuple, got list"),
+    ("beta", [(0, 1), (1, 0)], "beta must be a tuple, got list"),
+    ("beta", ((0, 1), [1, 0]), "beta row must be a tuple, got list"),
+    ("theta2", ([ZERO, ZERO], (ZERO, ZERO)), "theta2 row must be a tuple, got list"),
+])
+def test_spec_tables_must_be_tuples(field, value, message):
+    # a list table once passed, then failed law identity against the
+    # tuple identity datum and could not be hashed
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        replace(specbuild.z2_swap_spec(), **{field: value})
+
+
 # -- the cocycle laws ------------------------------------------------------
 
 def test_trivial_spec_passes():
@@ -134,11 +148,16 @@ def test_each_law_is_swept_once_over_g_x_s(monkeypatch):
     names = [law for law, _ in seifert.actions._COMPONENT_LAWS]
     counts = dict.fromkeys(names, 0)
 
-    def counted(law, component):
-        def count(a, b, mod):
-            counts[law] += 1
-            return component(a, b, mod)
-        return law, count
+    # a composer is built from the datum of h and called once per g
+    def counted(law, composer):
+        def counted_composer(b, mod):
+            compose = composer(b, mod)
+
+            def count(a):
+                counts[law] += 1
+                return compose(a)
+            return count
+        return law, counted_composer
 
     monkeypatch.setattr(seifert.actions, "_COMPONENT_LAWS",
                         tuple(counted(*entry) for entry in seifert.actions._COMPONENT_LAWS))
@@ -166,6 +185,50 @@ def test_each_law_is_swept_once_over_g_x_s(monkeypatch):
             k = len(names) if law is None else names.index(law)
             assert [counts[name] for name in names[:k]] == [base.group.order * len(generators)] * k
             assert [counts[name] for name in names[k + 1:]] == [0] * len(names[k + 1:])
+
+
+def test_law_scans_at_zero_and_one_pairs():
+    # valid coboundary data on n = 0 and n = 1 indices (composers over no
+    # index and over one), and one entry of it changed, against the naive
+    # scans, for specs and for descriptors
+    rng = random.Random(5106)
+    groups = [cyclic_group(m) for m in (1, 2, 3, 4, 6)] + [
+        seifert.direct_product(cyclic_group(2), cyclic_group(2))]
+    spec_laws, descriptor_laws = set(), set()
+    for _ in range(400):
+        group, n = rng.choice(groups), rng.randrange(2)
+        m = group.order
+        # on these groups the parity of the index is a homomorphism to +-1
+        signs = tuple((-1) ** g for g in group.elements()) if m % 2 == 0 and rng.randrange(2) \
+            else (1,) * m
+        t, v = F(rng.randrange(6), 6), tuple(F(rng.randrange(5), 5) for _ in range(n))
+        spec = specbuild.coboundary_action("(0,o1|(3,1))" if n else "(0,o1|)", group, signs,
+                                           ((0,) * n,) * m, t, v)
+        # the folded coboundary theta2_bar(g) = epsilon(g)*v - v
+        epsilon, rows = signs, tuple(tuple((e * x - x) % 1 for x in v) for e in signs)
+        g, edit = rng.randrange(m), rng.randrange(4)
+        if edit == 0:
+            spec = replace(spec, alpha=spec.alpha[:g] + (-spec.alpha[g],) + spec.alpha[g + 1:])
+            epsilon = signs[:g] + (-signs[g],) + signs[g + 1:]
+        elif edit == 1:
+            spec = replace(spec, theta1=spec.theta1[:g] + ((spec.theta1[g] + F(1, 4)) % 1,)
+                           + spec.theta1[g + 1:])
+        elif edit == 2 and n:
+            spec = replace(spec, theta2=spec.theta2[:g] + (((spec.theta2[g][0] + F(1, 7)) % 1,),)
+                           + spec.theta2[g + 1:])
+            rows = rows[:g] + (((rows[g][0] + F(1, 7)) % 1,),) + rows[g + 1:]
+        descriptor = ProjectedActionDescriptor(parse_symbol("(1,n2|(2,1))" if n else "(1,n2|)"),
+                                               group, epsilon, ((0,) * n,) * m, rows)
+        report = validate_action_spec(spec)
+        assert (report.ok, report.law, report.witness) == oracles.law_scan(spec)
+        folded = validate_descriptor(descriptor)
+        assert (folded.ok, folded.law, folded.witness) == oracles.folded_law_scan(descriptor)
+        spec_laws.add((n, report.law))
+        descriptor_laws.add((n, folded.law))
+    assert spec_laws >= {(0, None), (0, "identity"), (0, "alpha"), (0, "theta1"), (1, None),
+                         (1, "identity"), (1, "alpha"), (1, "theta1"), (1, "theta2")}
+    assert descriptor_laws >= {(0, None), (0, "identity"), (0, "epsilon"), (1, None),
+                               (1, "identity"), (1, "epsilon"), (1, "theta2_bar")}
 
 
 def test_theta1_drift_is_caught_with_witness():
@@ -463,6 +526,14 @@ def test_descriptor_structure_enforced():
     with pytest.raises(ValueError, match="is not a permutation of 1 indices"):
         ProjectedActionDescriptor(good.base, good.group, good.epsilon,
                                   ((0,), (0.0,)), good.theta2_bar)
+    for fields, message in [
+            (([1, -1], good.beta_bar, good.theta2_bar), "epsilon must be a tuple, got list"),
+            ((good.epsilon, ([0], (0,)), good.theta2_bar), "beta_bar row must be a tuple, got list"),
+            ((good.epsilon, good.beta_bar, [(ZERO,), (ZERO,)]), "theta2_bar must be a tuple, got list"),
+            ((good.epsilon, good.beta_bar, ((ZERO,), [ZERO])),
+             "theta2_bar row must be a tuple, got list")]:
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            ProjectedActionDescriptor(good.base, good.group, *fields)
 
 
 @pytest.fixture
@@ -843,6 +914,48 @@ def test_descriptor_document_diagnostics(edits, message):
 
 
 Z2_GROUP = {"order": 2, "table": [[0, 1], [1, 0]]}
+
+
+def document(data) -> dict:
+    """The document of a spec or descriptor as a JSON value, field by field."""
+    symbol = data.symbol if isinstance(data, ExtendedProductActionSpec) else data.base
+
+    def by_index(rows):
+        # rotation rows are written one per boundary index
+        return [[str(row[i]) for row in rows] for i in range(len(symbol.pairs))]
+
+    if isinstance(data, ExtendedProductActionSpec):
+        tables = {"theta1": [str(v) for v in data.theta1], "alpha": list(data.alpha),
+                  "beta": [[v + 1 for v in row] for row in data.beta],
+                  "theta2": by_index(data.theta2)}
+    else:
+        tables = {"epsilon": list(data.epsilon),
+                  "beta_bar": [[v + 1 for v in row] for row in data.beta_bar],
+                  "theta2_bar": by_index(data.theta2_bar)}
+    return {"symbol": str(symbol),
+            "group": {"order": data.group.order, "table": [list(row) for row in data.group.table]},
+            **tables}
+
+
+def test_writer_is_the_json_layout():
+    # the writer joins whole rows; its bytes are json.dumps's at every
+    # size that changes a row's shape: one element, no pairs, one pair
+    cases = [specbuild.trivial_spec("(0,o1|(2,1))", cyclic_group(1)),
+             specbuild.trivial_spec("(0,o1|)", cyclic_group(1)),
+             specbuild.trivial_spec("(0,o1|)", cyclic_group(3)),
+             ExtendedProductActionSpec(parse_symbol("(0,o1|)"), cyclic_group(2),
+                                       (ZERO, F(1, 2)), (1, 1), ((), ()), ((), ())),
+             specbuild.faithful_rotation_spec(12),
+             ProjectedActionDescriptor(parse_symbol("(1,n2|)"), cyclic_group(1), (1,), ((),), ((),)),
+             ProjectedActionDescriptor(parse_symbol("(1,n2|)"), cyclic_group(2), (1, -1),
+                                       ((), ()), ((), ()))]
+    cases += [build() for build in vars(specbuild).values()
+              if getattr(build, "__module__", None) == "specbuild" and callable(build)
+              and not build.__code__.co_argcount and build.__name__ != "F"]
+    assert sum(isinstance(c, ProjectedActionDescriptor) for c in cases) >= 4 and len(cases) >= 18
+    for data in cases:
+        write = format_action_spec if isinstance(data, ExtendedProductActionSpec) else format_descriptor
+        assert write(data) == json.dumps(document(data), indent=2) + "\n"
 
 
 def test_format_goldens():

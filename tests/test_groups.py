@@ -1,6 +1,7 @@
 """Multiplication-table groups, constructors, and map checking."""
 
 import random
+import re
 
 import pytest
 
@@ -40,7 +41,7 @@ def test_table_validation():
     with pytest.raises(ValueError, match="^column 1 is not a permutation$"):
         FiniteGroup(((0, 1, 2, 3), (1, 2, 3, 0), (2, 1, 1, 0), (3, 0, 0, 1)))
     # the smallest non-associative Latin square with identity
-    with pytest.raises(ValueError, match="associativity fails"):
+    with pytest.raises(ValueError, match=r"^associativity fails at \(1,1,2\)$"):
         FiniteGroup((
             (0, 1, 2, 3, 4),
             (1, 0, 3, 4, 2),
@@ -48,6 +49,28 @@ def test_table_validation():
             (3, 2, 4, 0, 1),
             (4, 3, 1, 2, 0),
         ))
+
+
+@pytest.mark.parametrize("table, message", [
+    # the first entry that is not an int in range names the row's fault
+    (((0, 1.0, -1), (1, 2, 0), (2, 0, 1)), "table entry 1.0 is not an integer in [0, 3)"),
+    (((0, 1, 2), (1, 2, 0), (2, 0, -1)), "table entry -1 is not an integer in [0, 3)"),
+    (((0, 1), (True, 0)), "table entry True is not an integer in [0, 2)"),
+    (((0, [1]), (1, 0)), "table entry [1] is not an integer in [0, 2)"),
+    (((0, 5, 1), (1, 2, 0), (2, 0, 1)), "table entry 5 is not an integer in [0, 3)"),
+    # rows are read in order, each length before its entries
+    (((0, 1.0), (1,)), "table entry 1.0 is not an integer in [0, 2)"),
+    (((0, 1), (1,), (2.0, 0)), "multiplication table must be square"),
+    # a list table or row would give a record that cannot be hashed
+    ([(0,)], "multiplication table must be a tuple, got list"),
+    (([0, 1], (1, 0)), "table row must be a tuple, got list"),
+    (((0, 1), [1, 0]), "table row must be a tuple, got list"),
+], ids=["float", "negative", "bool", "list-entry", "out-of-range", "row-order", "square-first",
+        "list-table", "list-row-0", "list-row-1"])
+def test_table_entry_messages(table, message):
+    assert oracles.group_check(table) == message
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        FiniteGroup(table)
 
 
 def test_direct_product_shapes():
@@ -225,6 +248,80 @@ def test_associativity_agrees_with_naive_scan():
             assert accepted == oracles.naive_associative(square)
             verdicts.append(accepted)
     assert verdicts.count(False) >= 50 and verdicts.count(True) >= 30
+
+
+def random_loop(rng, m):
+    """A seeded Latin square of order m, filled row by row (a row that
+    runs out of choices is drawn again), then reduced so that row and
+    column 0 read 0..m-1."""
+    rows = []
+    while len(rows) < m:
+        row, used = [], [set(column) for column in zip(*rows)] if rows else [set()] * m
+        for c in range(m):
+            free = [v for v in range(m) if v not in row and v not in used[c]]
+            if not free:
+                break
+            row.append(rng.choice(free))
+        if len(row) == m:
+            rows.append(row)
+    order = sorted(range(m), key=rows[0].__getitem__)
+    square = [[row[c] for c in order] for row in rows]
+    square.sort(key=lambda row: row[0])
+    return tuple(map(tuple, square))
+
+
+def mutate(rng, table):
+    """table with one seeded fault: an entry changed, two swapped, a row
+    shortened or made a list."""
+    m = len(table)
+    rows = [list(row) for row in table]
+    x, y = rng.randrange(m), rng.randrange(m)
+    kind = rng.randrange(5)
+    if kind == 0:
+        rows[x][y] = rng.choice([rng.randrange(m), rng.randrange(m), m, -1, True, False,
+                                 float(rows[x][y]), [rows[x][y]], str(rows[x][y])])
+    elif kind == 1:
+        z = rng.randrange(m)
+        rows[x][y], rows[x][z] = rows[x][z], rows[x][y]
+    elif kind == 2:
+        w = rng.randrange(m)
+        rows[x][y], rows[w][y] = rows[w][y], rows[x][y]
+    elif kind == 3:
+        del rows[x][y]
+    out = tuple(map(tuple, rows))
+    if kind == 4:
+        return out[:x] + (list(out[x]),) + out[x + 1:]
+    return out
+
+
+def checked(table):
+    try:
+        FiniteGroup(table)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+def test_group_check_agrees_with_entry_by_entry_reference():
+    # same verdict and message as the reference on groups with one seeded
+    # fault and on random loops, most of which are not groups
+    rng = random.Random(5105)
+    tables = seeded_tables(rng)
+    messages = set()
+    for _ in range(4000):
+        table = mutate(rng, rng.choice(tables))
+        message = oracles.group_check(table)
+        assert checked(table) == message, table
+        messages.add(message.split(" at (")[0] if message else message)
+    loops = []
+    for _ in range(600):
+        loop = random_loop(rng, rng.randrange(4, 9))
+        message = oracles.group_check(loop)
+        assert checked(loop) == message, loop
+        assert (message is None) == oracles.naive_associative(loop)
+        loops.append(message)
+    assert len(messages) >= 8 and None in messages
+    assert loops.count(None) >= 50 and loops.count(None) <= 300 and len(set(loops)) >= 8
 
 
 def test_direct_product_is_componentwise():
