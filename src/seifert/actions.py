@@ -15,6 +15,9 @@ and a projected descriptor has the sign ``epsilon``, the permutation
 tables by kind once, in field order (``_tables``); one shape check, one
 document reader and one writer serve both.  The reader checks
 everything the shape check does, so what it reads is not checked again.
+Every file it reads, a document or the group table file one names, is
+read through ``_read``: a file that cannot be read or is not UTF-8 is
+bad input, and the message names the file.
 
 Composition is the left action convention, phi(gh) = phi(g) o phi(h),
 which forces the cocycle laws checked by :func:`validate_action_spec`
@@ -97,6 +100,7 @@ class ExtendedProductActionSpec(Record):
                "theta2": "rotation rows"}
 
     def __post_init__(self):
+        _check_records(self.symbol, "symbol", self.group)
         _check_tables(self, len(self.symbol.pairs), "symbol")
 
     @cached_property
@@ -116,6 +120,14 @@ def _scaled(rows, *moduli) -> tuple[int, list[tuple[int, ...]]]:
     mod = lcm(*denominators, *moduli)
     scale = {d: mod // d for d in denominators}
     return mod, [tuple(v.numerator * scale[v.denominator] for v in row) for row in rows]
+
+
+def _check_records(symbol, symbol_field: str, group):
+    """The symbol and group fields are those records, before any of their fields is read."""
+    if type(symbol) is not SeifertSymbol:
+        raise ValueError(f"{symbol_field} must be a SeifertSymbol, got {type(symbol).__name__}")
+    if type(group) is not FiniteGroup:
+        raise ValueError(f"group must be a FiniteGroup, got {type(group).__name__}")
 
 
 def _check_tables(data, n: int, symbol_field: str):
@@ -496,6 +508,7 @@ class ProjectedActionDescriptor(Record):
     _tables = {"epsilon": "sign", "beta_bar": "permutation", "theta2_bar": "rotation rows"}
 
     def __post_init__(self):
+        _check_records(self.base, "base", self.group)
         _check_n2_base(self.base)
         _check_tables(self, len(self.base.pairs), "base")
 
@@ -506,7 +519,7 @@ class ProjectedActionDescriptor(Record):
         mod, fronts = _scaled(self.theta2_bar, 2 if -1 in self.epsilon else 1)
         data = []
         for sign, perm, front in zip(self.epsilon, self.beta_bar, fronts):
-            kept, crossed = tuple(perm), tuple(j + n for j in perm)
+            kept, crossed = perm, tuple(j + n for j in perm)
             turn, row = (0, kept + crossed) if sign == 1 else (mod // 2, crossed + kept)
             data.append((1, turn, row, front + tuple(-v % mod for v in front)))
         return mod, tuple(data)
@@ -580,10 +593,9 @@ def project_action(spec: ExtendedProductActionSpec) -> ProjectedActionDescriptor
         raise ValueError(f"action does not commute with the covering translation: {tau.message}")
     base = _block_base(spec.symbol)
     n = len(base.pairs)
-    epsilon = tuple(1 if spec.theta1[g] == 0 else -1 for g in spec.group.elements())
-    beta_bar = tuple(tuple(spec.beta[g][i] % n for i in range(n))
-                     for g in spec.group.elements())
-    theta2_bar = tuple(tuple(spec.theta2[g][:n]) for g in spec.group.elements())
+    epsilon = tuple(1 if t == 0 else -1 for t in spec.theta1)
+    beta_bar = tuple(tuple(j % n for j in perm[:n]) for perm in spec.beta)
+    theta2_bar = tuple(row[:n] for row in spec.theta2)
     # shape holds: a beta_bar row is a permutation, as beta(i) = beta(j) mod n,
     # i != j < n, would give beta(j) = beta(i + n) by sigma-equivariance
     return _built(ProjectedActionDescriptor, base, spec.group, epsilon, beta_bar, theta2_bar)
@@ -645,10 +657,7 @@ def _group_from_field(value, base_dir: Path | None) -> FiniteGroup:
             path = Path(_string(value["file"], "group file"))
             if base_dir is not None and not path.is_absolute():
                 path = base_dir / path
-            try:
-                return parse_group_text(path.read_text(encoding="utf-8"))
-            except OSError as exc:
-                raise ValueError(f"cannot read group file {path}: {exc}") from None
+            return parse_group_text(_read(path, "group file ")[0])
         if "order" not in value or "table" not in value:
             raise ValueError("group object needs 'order' and 'table' (or 'file')")
         order = value["order"]
@@ -759,12 +768,13 @@ def parse_descriptor_text(text: str, base_dir: Path | None = None) -> ProjectedA
     return descriptor
 
 
-def _read(path) -> tuple[str, Path]:
+def _read(path, what: str = "") -> tuple[str, Path]:
+    """(text, directory) of a file; unreadable or not UTF-8, a ValueError names it."""
     p = Path(path)
     try:
         return p.read_text(encoding="utf-8"), p.parent
-    except OSError as exc:
-        raise ValueError(f"cannot read {p}: {exc}") from None
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ValueError(f"cannot read {what}{p}: {exc}") from None
 
 
 def load_action_spec(path) -> ExtendedProductActionSpec:

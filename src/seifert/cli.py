@@ -11,7 +11,8 @@ Every library operation is reachable as a subcommand::
 
 Exit codes: 0 for success and true verdicts, 1 for false verdicts and
 failed validations (with a report on stderr), 2 for usage and parse
-errors.  Output is deterministic; ``--porcelain`` switches every command
+errors and output that cannot be written.  Output is deterministic;
+``--porcelain`` switches every command
 to line-oriented ``key=value`` output for scripting.  ``induced-torus``
 and ``analyze-group`` print ``key=value`` lines with or without it, and
 ``project`` and ``lift`` write a JSON document either way.  Boundary indices
@@ -22,6 +23,7 @@ files; group elements are 0-based table indices with 0 the identity.
 from __future__ import annotations
 
 import argparse
+import os
 import re
 import sys
 from functools import cache
@@ -283,12 +285,8 @@ def _induced_torus_arguments(p):
                    help="also print the gluing matrix used")
 
 
-def _project_arguments(p):
-    p.add_argument("-o", "--output", help="write the descriptor document here")
-
-
-def _lift_arguments(p):
-    p.add_argument("-o", "--output", help="write the action-spec document here")
+def _output_arguments(p):
+    p.add_argument("-o", "--output", help="write the document here, not to stdout")
 
 
 def _obstruction_arguments(p):
@@ -320,9 +318,9 @@ _COMMANDS = {
     "check-tau": (_cmd_check_tau, "commutation with the covering translation",
                   ("specfile",), None),
     "project": (_cmd_project, "fold a commuting action to the quotient descriptor",
-                ("specfile",), _project_arguments),
+                ("specfile",), _output_arguments),
     "lift": (_cmd_lift, "canonical commuting action over a descriptor",
-             ("descriptorfile",), _lift_arguments),
+             ("descriptorfile",), _output_arguments),
     "obstruction": (_cmd_obstruction, "solve b = sum of b_i * orbit_i", (),
                     _obstruction_arguments),
     "orbits": (_cmd_orbits, "boundary orbit sizes under beta", ("specfile",), None),
@@ -372,13 +370,23 @@ def main(argv=None) -> int:
         return args.handler(args)
     except _Rejected:
         return 1
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
 
 def console():
-    raise SystemExit(main(sys.argv[1:]))
+    code = main(sys.argv[1:])
+    try:
+        sys.stdout.flush()
+    except BrokenPipeError as exc:
+        # the reader is gone: as the signal module's docs advise for
+        # SIGPIPE, point stdout at devnull so the interpreter's last flush
+        # writes nothing
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print(f"error: {exc}", file=sys.stderr)
+        code = 2
+    raise SystemExit(code)
 
 
 if __name__ == "__main__":

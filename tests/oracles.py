@@ -5,16 +5,18 @@ the library gets there: equivalence is decided by searching the actual
 move graph, Smith invariants come from minor gcds, group and map laws
 are checked on every triple or pair, action and descriptor laws are
 read straight off the tables, structure reports are recomputed from the
-action tables without building a group, and the image group of an
-action is built by composing its data pair by pair.  Keeping them apart
+action tables without building a group, the image group of an action
+is built by composing its data pair by pair, and the descriptors of a
+cyclic group are counted in closed form.  Keeping them apart
 from the package means a bug cannot hide behind shared code.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations
-from math import gcd, lcm
+from math import factorial, gcd, lcm, prod
 
 from seifert import SeifertSymbol
 
@@ -350,3 +352,54 @@ def structure_scan(spec) -> tuple[str, int, bool]:
     tau = tau_scan(spec)
     route = "covering-translation" if tau and tau[0] else "fiber-rotation"
     return route, len(set(shadows)), len(set(coords)) == m
+
+
+def cycle_types(k: int, m: int):
+    """The cycle types of the permutations of k points whose order divides m.
+
+    Each is a dict {cycle length l: count a_l}, with sum(l * a_l) = k and
+    every l dividing m; the type of the identity is {1: k}.
+    """
+    def parts(rest, largest):
+        if rest == 0:
+            yield {}
+            return
+        for l in range(min(rest, largest), 0, -1):
+            if m % l == 0:
+                for a in range(rest // l, 0, -1):
+                    for tail in parts(rest - a * l, l - 1):
+                        yield {l: a, **tail}
+    return list(parts(k, k))
+
+
+def permutations_of_type(k: int, cycle_type: dict) -> int:
+    """How many permutations of k points have this cycle type: k!/prod(l^a_l a_l!)."""
+    return factorial(k) // prod(l ** a * factorial(a) for l, a in cycle_type.items())
+
+
+def cyclic_descriptor_count(base, m: int, N: int) -> int:
+    """Valid descriptors over base for the cyclic group Z/m, every
+    theta2_bar entry in (1/N)Z/Z, counted in closed form.
+
+    The data of the generator, (e, pi, r) = (epsilon(1), beta_bar(1),
+    theta2_bar row of 1), fix the descriptor: the folded law at (k, 1)
+    gives row(k + 1)[i] = e * row(k)[pi(i)] + r[i].  It is valid exactly
+    when e^m = 1, pi^m = 1, pi keeps each (q, p), and row(m) = 0: the
+    sum over j < m of e^j * r[pi^j(i)] vanishes mod 1 at every i.  On a
+    cycle of pi of length l that sum is c times one linear form of the
+    cycle's l entries, c = m/l if e^l = 1 and c = 0 otherwise, so the
+    cycle admits N^(l-1) * gcd(c, N) rows (gcd(0, N) = N).  Permutations
+    of one class of k equal pairs are summed by cycle type, with
+    :func:`permutations_of_type` of them for each.  Brown, *Cohomology
+    of Groups*, GTM 87, section III.1: Z^1 of a cyclic group is the
+    kernel of the norm map.
+    """
+    classes = Counter((pr.q, pr.p) for pr in base.pairs).values()
+    total = 0
+    for e in (1, -1) if m % 2 == 0 else (1,):
+        def rows(l):
+            return N ** (l - 1) * gcd(m // l if e ** l == 1 else 0, N)
+        total += prod(sum(permutations_of_type(k, t) * prod(rows(l) ** a for l, a in t.items())
+                          for t in cycle_types(k, m))
+                      for k in classes)
+    return total

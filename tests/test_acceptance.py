@@ -30,8 +30,6 @@ from seifert import (
     direct_product,
     equivalent,
     first_homology,
-    format_action_spec,
-    format_descriptor,
     lift_action,
     normalize,
     obstruction_class,
@@ -121,24 +119,6 @@ def equivalence_corpus():
             ("perturbed", a,
              SeifertSymbol(a.genus, a.orientability, tuple(bumped))))
     return corpus
-
-
-@pytest.fixture(scope="module")
-def cli_docs(tmp_path_factory):
-    root = tmp_path_factory.mktemp("accept_docs")
-
-    def put(name, text):
-        path = root / name
-        path.write_text(text, encoding="utf-8")
-        return str(path)
-
-    return {
-        "z4": put("z4.json", format_action_spec(specbuild.z4_swap_spec())),
-        "swap": put("swap.json", format_action_spec(specbuild.z2_swap_spec())),
-        "blocks": put("blocks.json",
-                      format_action_spec(specbuild.z2z3_block_spec())),
-        "lens": put("lens.json", format_descriptor(specbuild.z2_lens_descriptor())),
-    }
 
 
 # -- criteria --------------------------------------------------------------
@@ -258,37 +238,6 @@ def test_criterion_06_homology_is_an_equivalence_invariant(equivalence_corpus):
     _pass(6, "equivalent symbols share first homology")
 
 
-def _laws_hold(spec) -> bool:
-    group = spec.group
-    n = len(spec.symbol.pairs)
-    if spec.theta1[0] % 1 != 0 or spec.alpha[0] != 1:
-        return False
-    if spec.beta[0] != tuple(range(n)):
-        return False
-    if any(value % 1 != 0 for value in spec.theta2[0]):
-        return False
-    for g in range(group.order):
-        for h in range(group.order):
-            gh = group.mul(g, h)
-            if spec.alpha[gh] != spec.alpha[g] * spec.alpha[h]:
-                return False
-            drift = spec.theta1[gh] - spec.theta1[g] - spec.alpha[g] * spec.theta1[h]
-            if drift % 1 != 0:
-                return False
-            for i in range(n):
-                if spec.beta[gh][i] != spec.beta[g][spec.beta[h][i]]:
-                    return False
-                want = (spec.theta2[g][spec.beta[h][i]]
-                        + spec.alpha[g] * spec.theta2[h][i])
-                if (spec.theta2[gh][i] - want) % 1 != 0:
-                    return False
-    for g in range(group.order):
-        for i in range(n):
-            if spec.symbol.pairs[i] != spec.symbol.pairs[spec.beta[g][i]]:
-                return False
-    return True
-
-
 def _mutate_one_entry(rng, spec) -> ExtendedProductActionSpec:
     order = spec.group.order
     n = len(spec.symbol.pairs)
@@ -334,7 +283,7 @@ def test_criterion_07_validator_agrees_with_naive_law_scan():
     ]
     for base in bases:
         assert validate_action_spec(base).ok
-        assert _laws_hold(base)
+        assert oracles.law_scan(base)[0]
     rng = random.Random(90017)
     rejected = 0
     accepted = 0
@@ -343,7 +292,7 @@ def test_criterion_07_validator_agrees_with_naive_law_scan():
         mutant = _mutate_one_entry(rng, bases[step % len(bases)])
         step += 1
         report = validate_action_spec(mutant)
-        assert report.ok == _laws_hold(mutant)
+        assert report.ok == oracles.law_scan(mutant)[0]
         if report.ok:
             accepted += 1
             continue
@@ -765,7 +714,7 @@ def test_structure_agrees_with_naive_scan():
     assert routes == {"covering-translation", "fiber-rotation", "orientation-mixed"}
 
 
-def test_criterion_12_cli_round_trips_are_deterministic(capsys, cli_docs):
+def test_criterion_12_cli_round_trips_are_deterministic(capsys, docs):
     invocations = [
         (["normalize", "(0,o1|(3,4))"], 0),
         (["normalize", "--porcelain", "(0,o1|(3,4))"], 0),
@@ -777,14 +726,14 @@ def test_criterion_12_cli_round_trips_are_deterministic(capsys, cli_docs):
         (["orbifold-pi1", "--porcelain", "(1,n2|(2,1))"], 0),
         (["h1", "(1,n2|(2,1))"], 0),
         (["snf", "2,0;0,3"], 0),
-        (["validate-action", cli_docs["z4"]], 0),
-        (["induced-torus", cli_docs["z4"], "-i", "1", "-g", "1", "--det"], 0),
-        (["check-tau", cli_docs["swap"]], 0),
-        (["project", cli_docs["swap"]], 0),
-        (["lift", cli_docs["lens"]], 0),
+        (["validate-action", docs["z4"]], 0),
+        (["induced-torus", docs["z4"], "-i", "1", "-g", "1", "--det"], 0),
+        (["check-tau", docs["swap"]], 0),
+        (["project", docs["swap"]], 0),
+        (["lift", docs["lens"]], 0),
         (["obstruction", "--porcelain", "-b", "1", "--orbits", "2,3"], 0),
-        (["orbits", cli_docs["blocks"]], 0),
-        (["analyze-group", cli_docs["blocks"]], 0),
+        (["orbits", docs["blocks"]], 0),
+        (["analyze-group", docs["blocks"]], 0),
     ]
     covered = {argv[0] for argv, _ in invocations}
     assert covered == {

@@ -85,6 +85,14 @@ def test_spec_value_ranges_are_enforced():
         replace(swap, beta=((0, 1), (1.0, 0)))
     with pytest.raises(ValueError, match="is not a permutation of 2 indices"):
         replace(swap, beta=((False, True), (1, 0)))
+    # the records themselves, checked before any of their fields is read
+    # (each once escaped as an AttributeError)
+    for changes, message in [
+            (dict(symbol="(0,o1|(2,1),(2,1))"), "symbol must be a SeifertSymbol, got str"),
+            (dict(group=((0, 1), (1, 0))), "group must be a FiniteGroup, got tuple"),
+            (dict(symbol=None, group=None), "symbol must be a SeifertSymbol, got NoneType")]:
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            replace(swap, **changes)
 
 
 @pytest.mark.parametrize("field, value, message", [
@@ -534,6 +542,11 @@ def test_descriptor_structure_enforced():
              "theta2_bar row must be a tuple, got list")]:
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             ProjectedActionDescriptor(good.base, good.group, *fields)
+    for base, group, message in [
+            ("(1,n2|(2,1))", good.group, "base must be a SeifertSymbol, got str"),
+            (good.base, ((0, 1), (1, 0)), "group must be a FiniteGroup, got tuple")]:
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            ProjectedActionDescriptor(base, group, good.epsilon, good.beta_bar, good.theta2_bar)
 
 
 @pytest.fixture

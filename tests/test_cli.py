@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from seifert import ExtendedProductActionSpec, ProjectedActionDescriptor
+from seifert import ExtendedProductActionSpec
 from seifert import format_action_spec, format_descriptor, parse_symbol
 import seifert.cli
 from seifert.cli import main
@@ -22,43 +22,6 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
-
-
-def broken_spec() -> ExtendedProductActionSpec:
-    good = specbuild.z4_swap_spec()
-    return ExtendedProductActionSpec(
-        good.symbol, good.group,
-        (ZERO, Fraction(1, 3), Fraction(1, 2), Fraction(3, 4)),
-        good.alpha, good.beta, good.theta2)
-
-
-def broken_descriptor() -> ProjectedActionDescriptor:
-    return ProjectedActionDescriptor(
-        parse_symbol("(1,n2|(2,1))"), specbuild.cyclic_group(3),
-        (1, -1, -1), ((0,),) * 3, ((ZERO,),) * 3)
-
-
-@pytest.fixture(scope="module")
-def docs(tmp_path_factory):
-    root = tmp_path_factory.mktemp("docs")
-
-    def put(name, text):
-        path = root / name
-        path.write_text(text, encoding="utf-8")
-        return str(path)
-
-    return {
-        "z4": put("z4.json", format_action_spec(specbuild.z4_swap_spec())),
-        "swap": put("swap.json", format_action_spec(specbuild.z2_swap_spec())),
-        "thirds": put("thirds.json", format_action_spec(specbuild.z3_rotation_spec())),
-        "blocks": put("blocks.json", format_action_spec(specbuild.z2z3_block_spec())),
-        "mixed": put("mixed.json", format_action_spec(specbuild.mixed_crossing_spec())),
-        "broken": put("broken.json", format_action_spec(broken_spec())),
-        "lens": put("lens.json", format_descriptor(specbuild.z2_lens_descriptor())),
-        "broken_descr": put("broken_descr.json",
-                            format_descriptor(broken_descriptor())),
-        "root": str(root),
-    }
 
 
 # -- symbol commands -------------------------------------------------------
@@ -518,6 +481,50 @@ def test_missing_file_is_reported(capsys, docs):
     code, out, err = run(capsys, "validate-action", docs["root"] + "/absent.json")
     assert code == 2
     assert "cannot read" in err
+
+
+@pytest.mark.parametrize("command, doc", [("project", "swap"), ("lift", "lens")])
+def test_output_that_cannot_be_written_exits_two(capsys, docs, tmp_path, command, doc):
+    # these once ended in a traceback and exit 1, the false-verdict code
+    for target, reason in ((tmp_path / "missing" / "out.json", "No such file or directory"),
+                           (tmp_path, "Is a directory")):
+        code, out, err = run(capsys, command, docs[doc], "-o", str(target))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.endswith(f"{reason}: {str(target)!r}\n")
+
+
+@pytest.mark.parametrize("pairs", [1, 3000], ids=["flushed-on-exit", "written-in-main"])
+def test_closed_stdout_exits_two_without_traceback(pairs):
+    # no reader: a short output fails at the last flush, a long one in
+    # the command's own print
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    symbol = "(40,n2|" + ",".join(["(2,1)"] * pairs) + ")"
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        done = subprocess.run([sys.executable, "-c", "from seifert.cli import console; console()",
+                               "pi1", symbol], stdout=write_end, stderr=subprocess.PIPE,
+                              text=True, env=env, timeout=60)
+    finally:
+        os.close(write_end)
+    assert (done.returncode, done.stderr) == (2, "error: [Errno 32] Broken pipe\n")
+
+
+def test_files_that_are_not_utf8_are_named(capsys, tmp_path):
+    path = tmp_path / "latin1.json"
+    path.write_bytes('{"symbol": "(0,o1|)", "note": "\u00e9"}'.encode("latin-1"))
+    code, out, err = run(capsys, "validate-action", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: cannot read {path}: 'utf-8' codec can't decode byte 0xe9")
+    doc = json.loads(format_action_spec(specbuild.z4_swap_spec()))
+    doc["group"] = {"file": "table.txt"}
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    table = tmp_path / "table.txt"
+    table.write_bytes("4\n0 1 2 3\n1 2 3 0\n2 3 0 1\n3 0 1 2\n".encode("utf-16"))
+    code, out, err = run(capsys, "validate-action", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: cannot read group file {table}: 'utf-8' codec can't decode")
 
 
 def test_repeat_runs_are_identical(capsys, docs):

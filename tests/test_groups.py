@@ -6,6 +6,7 @@ import re
 import pytest
 
 import oracles
+import specbuild
 
 from seifert import (
     FiniteGroup,
@@ -165,14 +166,6 @@ def test_map_validation():
         GroupMap(z2, z2, (0, 5))
 
 
-def dihedral_table(n: int) -> tuple[tuple[int, ...], ...]:
-    """D_n with r^k s^e at index e*n + k."""
-    def mul(x, y):
-        (e1, k1), (e2, k2) = divmod(x, n), divmod(y, n)
-        return (e1 ^ e2) * n + (k1 + (-1) ** e1 * k2) % n
-    return tuple(tuple(mul(x, y) for y in range(2 * n)) for x in range(2 * n))
-
-
 def relabel(rng, table):
     """The same group under a seeded relabelling that keeps 0 the identity."""
     m = len(table)
@@ -208,7 +201,7 @@ def seeded_tables(rng):
     tables += [group_from_constructor(text).table for text in (
         "product:cyclic:2,cyclic:2", "product:cyclic:2,cyclic:4", "product:cyclic:3,cyclic:3",
         "product:product:cyclic:2,cyclic:2,cyclic:2", "product:cyclic:2,cyclic:6")]
-    tables += [dihedral_table(n) for n in (3, 4, 5, 6)]
+    tables += [specbuild.dihedral_group(n).table for n in (3, 4, 5, 6)]
     return tables + [relabel(rng, t) for t in tables if len(t) > 2]
 
 
