@@ -103,7 +103,7 @@ def _parse_matrix(text: str) -> list[list[int]]:
 
 def _emit(text: str, output: str | None):
     if output is None:
-        sys.stdout.write(text)
+        print(text, end="")   # as every command prints: nothing when stdout is None
     else:
         Path(output).write_text(text, encoding="utf-8")
 
@@ -378,11 +378,12 @@ def main(argv=None) -> int:
 def console():
     code = main(sys.argv[1:])
     try:
-        sys.stdout.flush()
-    except BrokenPipeError as exc:
-        # the reader is gone: as the signal module's docs advise for
-        # SIGPIPE, point stdout at devnull so the interpreter's last flush
-        # writes nothing
+        if sys.stdout is not None:   # None when started with descriptor 1 closed
+            sys.stdout.flush()
+    except OSError as exc:
+        # a closed pipe or a full disk: as the signal module's docs advise
+        # for SIGPIPE, point stdout at devnull so the interpreter's last
+        # flush writes nothing
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         print(f"error: {exc}", file=sys.stderr)
         code = 2

@@ -493,22 +493,45 @@ def test_output_that_cannot_be_written_exits_two(capsys, docs, tmp_path, command
         assert err.startswith("error: ") and err.endswith(f"{reason}: {str(target)!r}\n")
 
 
+CONSOLE = [sys.executable, "-c", "from seifert.cli import console; console()"]
+
+
+def console_env():
+    return dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+
+
 @pytest.mark.parametrize("pairs", [1, 3000], ids=["flushed-on-exit", "written-in-main"])
-def test_closed_stdout_exits_two_without_traceback(pairs):
+def test_closed_pipe_exits_two_without_traceback(pairs):
     # no reader: a short output fails at the last flush, a long one in
     # the command's own print
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=src)
     symbol = "(40,n2|" + ",".join(["(2,1)"] * pairs) + ")"
     read_end, write_end = os.pipe()
     os.close(read_end)
     try:
-        done = subprocess.run([sys.executable, "-c", "from seifert.cli import console; console()",
-                               "pi1", symbol], stdout=write_end, stderr=subprocess.PIPE,
-                              text=True, env=env, timeout=60)
+        done = subprocess.run(CONSOLE + ["pi1", symbol], stdout=write_end, stderr=subprocess.PIPE,
+                              text=True, env=console_env(), timeout=60)
     finally:
         os.close(write_end)
     assert (done.returncode, done.stderr) == (2, "error: [Errno 32] Broken pipe\n")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_full_device_exits_two_without_traceback():
+    with open("/dev/full", "w") as full:
+        done = subprocess.run(CONSOLE + ["h1", "(1,n2|(2,1))"], stdout=full,
+                              stderr=subprocess.PIPE, text=True, env=console_env(), timeout=60)
+    assert (done.returncode, done.stderr) == (2, "error: [Errno 28] No space left on device\n")
+
+
+@pytest.mark.parametrize("argv", [["h1", "(1,n2|(2,1))"], ["project", "swap"]],
+                         ids=["printed", "document"])
+def test_no_stdout_writes_nothing(docs, argv):
+    # started with descriptor 1 closed, sys.stdout is None and print
+    # writes nothing; a document once raised AttributeError there
+    argv = [docs.get(a, a) for a in argv]
+    done = subprocess.run(["sh", "-c", 'exec "$@" >&-', "sh"] + CONSOLE + argv,
+                          capture_output=True, text=True, env=console_env(), timeout=60)
+    assert (done.returncode, done.stderr) == (0, "")
 
 
 def test_files_that_are_not_utf8_are_named(capsys, tmp_path):
