@@ -354,7 +354,7 @@ def structure_scan(spec) -> tuple[str, int, bool]:
     return route, len(set(shadows)), len(set(coords)) == m
 
 
-def cycle_types(k: int, m: int):
+def _cycle_types(k: int, m: int):
     """The cycle types of the permutations of k points whose order divides m.
 
     Each is a dict {cycle length l: count a_l}, with sum(l * a_l) = k and
@@ -372,7 +372,7 @@ def cycle_types(k: int, m: int):
     return list(parts(k, k))
 
 
-def permutations_of_type(k: int, cycle_type: dict) -> int:
+def _permutations_of_type(k: int, cycle_type: dict) -> int:
     """How many permutations of k points have this cycle type: k!/prod(l^a_l a_l!)."""
     return factorial(k) // prod(l ** a * factorial(a) for l, a in cycle_type.items())
 
@@ -390,7 +390,7 @@ def cyclic_descriptor_count(base, m: int, N: int) -> int:
     cycle's l entries, c = m/l if e^l = 1 and c = 0 otherwise, so the
     cycle admits N^(l-1) * gcd(c, N) rows (gcd(0, N) = N).  Permutations
     of one class of k equal pairs are summed by cycle type, with
-    :func:`permutations_of_type` of them for each.  Brown, *Cohomology
+    :func:`_permutations_of_type` of them for each.  Brown, *Cohomology
     of Groups*, GTM 87, section III.1: Z^1 of a cyclic group is the
     kernel of the norm map.
     """
@@ -399,7 +399,7 @@ def cyclic_descriptor_count(base, m: int, N: int) -> int:
     for e in (1, -1) if m % 2 == 0 else (1,):
         def rows(l):
             return N ** (l - 1) * gcd(m // l if e ** l == 1 else 0, N)
-        total += prod(sum(permutations_of_type(k, t) * prod(rows(l) ** a for l, a in t.items())
-                          for t in cycle_types(k, m))
+        total += prod(sum(_permutations_of_type(k, t) * prod(rows(l) ** a for l, a in t.items())
+                          for t in _cycle_types(k, m))
                       for k in classes)
     return total
