@@ -56,11 +56,6 @@ class Record:
             return self._values == other._values
         return NotImplemented
 
-    def __ne__(self, other):
-        if other.__class__ is self.__class__:
-            return self._values != other._values
-        return NotImplemented
-
     def __hash__(self):
         return hash(self._values)
 

@@ -287,9 +287,10 @@ def _scan_laws(group: FiniteGroup, view: tuple, pairs: tuple, laws: dict) -> Val
     # names the (g, i) witness a scan of all of G would name
     for g in generators:
         perm = data[g][2]
-        for i in range(n):
-            if pairs[perm[i]] != pairs[i]:
-                return fail("pairs", (g, i), g=g, i=i)
+        # one tuple compare per generator; only a failing row is walked
+        if tuple(map(pairs.__getitem__, perm)) != pairs:
+            i = next(i for i in range(n) if pairs[perm[i]] != pairs[i])
+            return fail("pairs", (g, i), g=g, i=i)
     return _PASS
 
 
@@ -581,12 +582,14 @@ def project_action(spec: ExtendedProductActionSpec) -> ProjectedActionDescriptor
     block half of the doubled symbol, epsilon reads off theta1, beta_bar
     folds indices mod n and theta2_bar keeps the representative rows.
 
-    The fold is faithful, and the result passes
-    :func:`validate_descriptor`, exactly when each element crosses the
-    two blocks at every index or at none, matching its epsilon; outputs
-    of :func:`lift_action` always have that shape.  Commuting actions
-    with other crossing patterns fold to the same literal data, which
-    the caller should validate before relying on.
+    An action whose every element crosses the two blocks at every index
+    or at none, matching its epsilon, folds to a descriptor that passes
+    :func:`validate_descriptor`; outputs of :func:`lift_action` always
+    have that shape.  The fold is many-to-one, and other commuting
+    actions fold too: some to a valid descriptor whose lift is a
+    different action (one that turns the fiber by a half and never
+    crosses the blocks), some to data that breaks the descriptor laws.
+    Validate the result before relying on it.
     """
     tau = check_tau_commuting(spec)
     if not tau:
@@ -742,9 +745,19 @@ def _read_tables(doc: dict, kinds: dict, order: int, n: int) -> list[tuple]:
     return tables
 
 
+def _object(pairs: list) -> dict:
+    """A JSON object of the document; a field given twice is bad input."""
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        names = [name for name, _ in pairs]
+        name = next(name for k, name in enumerate(names) if names.index(name) < k)
+        raise ValueError(f"field {name!r} is given twice")
+    return obj
+
+
 def _parse_document(text: str, base_dir: Path | None, cls):
     try:
-        doc = json.loads(text)
+        doc = json.loads(text, object_pairs_hook=_object)
     except (json.JSONDecodeError, RecursionError) as exc:
         raise ValueError(f"malformed document: {exc}") from None
     if not isinstance(doc, dict):
@@ -769,11 +782,12 @@ def parse_descriptor_text(text: str, base_dir: Path | None = None) -> ProjectedA
 
 
 def _read(path, what: str = "") -> tuple[str, Path]:
-    """(text, directory) of a file; unreadable or not UTF-8, a ValueError names it."""
+    """(text, directory) of a file; unreadable, not UTF-8 or a path with a
+    NUL byte, a ValueError names it."""
     p = Path(path)
     try:
         return p.read_text(encoding="utf-8"), p.parent
-    except (OSError, UnicodeDecodeError) as exc:
+    except (OSError, ValueError) as exc:   # UnicodeDecodeError is a ValueError
         raise ValueError(f"cannot read {what}{p}: {exc}") from None
 
 

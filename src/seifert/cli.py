@@ -210,8 +210,8 @@ def _cmd_check_tau(args) -> int:
 def _cmd_project(args) -> int:
     from .actions import format_descriptor, project_action, validate_descriptor
     descriptor = project_action(_commuting_spec(args))
-    # non-canonical block crossing folds to data outside the descriptor
-    # laws; refuse to write a document that would not load
+    # refuse a fold that breaks the descriptor laws (such as one crossing the
+    # blocks at some index pairs only): its document would not load
     _require(args, "projectable", "law", validate_descriptor(descriptor))
     _emit(format_descriptor(descriptor), args.output)
     return 0

@@ -23,7 +23,6 @@ True
 from __future__ import annotations
 
 import re
-from collections import Counter
 from enum import Enum
 from functools import total_ordering
 from math import gcd
@@ -107,6 +106,10 @@ class NormalizedSymbol(Record):
     b: int
 
     def __post_init__(self):
+        if type(self.exceptional) is not tuple:
+            kind = type(self.exceptional).__name__
+            raise ValueError(f"exceptional pairs must be a tuple, got {kind}")
+        self.expand()   # the symbol's rules: field types, genus and class, b an integer
         for pr in self.exceptional:
             if pr.q <= 1 or not 0 < pr.p < pr.q:
                 raise ValueError(f"exceptional pair {pr} is not in normal range")
@@ -264,12 +267,11 @@ def orientable_double_cover(symbol: SeifertSymbol) -> SeifertSymbol:
 def _halved(pairs: tuple[SeifertPair, ...]) -> tuple[SeifertPair, ...] | None:
     # Literal doubling patterns invert exactly: block (a,b,...,a,b,...),
     # the cover's own layout and so tried first, and adjacent (a,a,b,b,...).
-    if len(pairs) % 2:
-        return None
+    # An odd-length list fails both: its halves differ in length.
     n = len(pairs) // 2
     if pairs[:n] == pairs[n:]:
         return pairs[:n]
-    if all(pairs[2 * i] == pairs[2 * i + 1] for i in range(n)):
+    if pairs[0::2] == pairs[1::2]:
         return pairs[0::2]
     return None
 
@@ -295,13 +297,11 @@ def base_quotient(symbol: SeifertSymbol) -> SeifertSymbol | None:
     half = _halved(symbol.pairs)
     if half is not None:
         return SeifertSymbol(symbol.genus + 1, Orientability.N2, half)
+    # sorted pairs halve as a multiset exactly when they halve adjacently
     norm = normalize(symbol)
-    counts = Counter(norm.exceptional)
-    if norm.b % 2 or any(c % 2 for c in counts.values()):
+    half = _halved(norm.exceptional)
+    if half is None or norm.b % 2:
         return None
-    halves: list[SeifertPair] = []
-    for pr in sorted(counts):
-        halves.extend([pr] * (counts[pr] // 2))
     if norm.b != 0:
-        halves.append(SeifertPair(1, norm.b // 2))
-    return SeifertSymbol(symbol.genus + 1, Orientability.N2, tuple(halves))
+        half += (SeifertPair(1, norm.b // 2),)
+    return SeifertSymbol(symbol.genus + 1, Orientability.N2, half)

@@ -11,11 +11,8 @@ from specbuild import ZERO
 
 
 def broken_spec() -> ExtendedProductActionSpec:
-    good = specbuild.z4_swap_spec()
-    return ExtendedProductActionSpec(
-        good.symbol, good.group,
-        (ZERO, Fraction(1, 3), Fraction(1, 2), Fraction(3, 4)),
-        good.alpha, good.beta, good.theta2)
+    return specbuild.replace(specbuild.z4_swap_spec(),
+                             theta1=(ZERO, Fraction(1, 3), Fraction(1, 2), Fraction(3, 4)))
 
 
 def broken_descriptor() -> ProjectedActionDescriptor:

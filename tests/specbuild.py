@@ -17,6 +17,12 @@ F = Fraction
 ZERO = F(0)
 
 
+def replace(record, **changes):
+    """record with the named fields changed, rebuilt through its checked constructor."""
+    fields = {name: getattr(record, name) for name in record._fields}
+    return type(record)(**{**fields, **changes})
+
+
 def trivial_spec(symbol_text: str, group) -> ExtendedProductActionSpec:
     symbol = parse_symbol(symbol_text)
     n = len(symbol.pairs)

@@ -238,41 +238,6 @@ def test_criterion_06_homology_is_an_equivalence_invariant(equivalence_corpus):
     _pass(6, "equivalent symbols share first homology")
 
 
-def _mutate_one_entry(rng, spec) -> ExtendedProductActionSpec:
-    order = spec.group.order
-    n = len(spec.symbol.pairs)
-    theta1 = list(spec.theta1)
-    alpha = list(spec.alpha)
-    beta = [list(row) for row in spec.beta]
-    theta2 = [list(row) for row in spec.theta2]
-    field = rng.choice(("theta1", "alpha", "beta", "theta2"))
-    if field == "theta1":
-        k = rng.randrange(order)
-        while True:
-            value = Fraction(rng.randint(0, 11), rng.randint(1, 12)) % 1
-            if value != theta1[k]:
-                break
-        theta1[k] = value
-    elif field == "alpha":
-        k = rng.randrange(order)
-        alpha[k] = -alpha[k]
-    elif field == "beta":
-        k = rng.randrange(order)
-        i, j = rng.sample(range(n), 2)
-        beta[k][i], beta[k][j] = beta[k][j], beta[k][i]
-    else:
-        k = rng.randrange(order)
-        i = rng.randrange(n)
-        while True:
-            value = Fraction(rng.randint(0, 11), rng.randint(1, 12)) % 1
-            if value != theta2[k][i]:
-                break
-        theta2[k][i] = value
-    return ExtendedProductActionSpec(
-        spec.symbol, spec.group, tuple(theta1), tuple(alpha),
-        tuple(tuple(row) for row in beta), tuple(tuple(row) for row in theta2))
-
-
 def test_criterion_07_validator_agrees_with_naive_law_scan():
     known_laws = {"identity", "alpha", "theta1", "beta", "theta2", "pairs"}
     bases = [
@@ -289,7 +254,8 @@ def test_criterion_07_validator_agrees_with_naive_law_scan():
     accepted = 0
     step = 0
     while rejected < 1000 and step < 2000:
-        mutant = _mutate_one_entry(rng, bases[step % len(bases)])
+        base = bases[step % len(bases)]
+        mutant = _edit_element(rng, base, rng.randrange(base.group.order))
         step += 1
         report = validate_action_spec(mutant)
         assert report.ok == oracles.law_scan(mutant)[0]
@@ -331,10 +297,7 @@ def _edit(rng, spec, field, k) -> ExtendedProductActionSpec:
         field, rows = "theta2", list(spec.theta2)
         i = rng.randrange(n)
         rows[k] = rows[k][:i] + ((rows[k][i] + shift) % 1,) + rows[k][i + 1:]
-    fields = dict(symbol=spec.symbol, group=spec.group, theta1=spec.theta1,
-                  alpha=spec.alpha, beta=spec.beta, theta2=spec.theta2)
-    fields[field] = tuple(rows)
-    return ExtendedProductActionSpec(**fields)
+    return specbuild.replace(spec, **{field: tuple(rows)})
 
 
 def test_non_generator_edits_agree_with_naive_law_scan():

@@ -36,16 +36,9 @@ from seifert import (
 from seifert.cli import main
 import oracles
 import specbuild
-from specbuild import ZERO
+from specbuild import ZERO, replace
 
 F = Fraction
-
-
-def replace(spec: ExtendedProductActionSpec, **changes) -> ExtendedProductActionSpec:
-    fields = dict(symbol=spec.symbol, group=spec.group, theta1=spec.theta1,
-                  alpha=spec.alpha, beta=spec.beta, theta2=spec.theta2)
-    fields.update(changes)
-    return ExtendedProductActionSpec(**fields)
 
 
 # -- structural validation -------------------------------------------------

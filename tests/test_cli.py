@@ -426,8 +426,11 @@ def _set_table_entry(doc, value):
     (lambda doc: doc["alpha"].__setitem__(1, 1.0), "alpha entries must be 1 or -1"),
     (lambda doc: doc["group"].update(table="0 1 2 3"), "group table must be a list of rows"),
     (lambda doc: doc["group"].update(order=3), "group table has 4 rows, order says 3"),
+    (lambda doc: doc.update(group="cyclic:0"), "cyclic group order must be >= 1"),
+    (lambda doc: doc.update(group="product:cyclic:2,cyclic:0"), "cyclic group order must be >= 1"),
 ], ids=["symbol-int", "group-file-int", "float-entry", "null-row", "bool-beta",
-        "order-text", "float-alpha", "table-text", "order-mismatch"])
+        "order-text", "float-alpha", "table-text", "order-mismatch", "cyclic-zero",
+        "product-cyclic-zero"])
 def test_mistyped_document_fields_exit_two(capsys, tmp_path, edit, fragment):
     doc = json.loads(format_action_spec(specbuild.z4_swap_spec()))
     edit(doc)
@@ -548,6 +551,34 @@ def test_files_that_are_not_utf8_are_named(capsys, tmp_path):
     code, out, err = run(capsys, "validate-action", str(path))
     assert (code, out) == (2, "")
     assert err.startswith(f"error: cannot read group file {table}: 'utf-8' codec can't decode")
+
+
+def test_paths_with_a_nul_byte_are_named(capsys, tmp_path):
+    # reading such a path raises ValueError, not OSError; it once printed
+    # the bare "embedded null byte"
+    doc = json.loads(format_action_spec(specbuild.z2_swap_spec()))
+    doc["group"] = {"file": "\u0000x"}
+    path = tmp_path / "nul.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert run(capsys, "validate-action", str(path)) == (
+        2, "", f"error: cannot read group file {tmp_path / chr(0)}x: embedded null byte\n")
+
+
+SWAP_TEXT = format_action_spec(specbuild.z2_swap_spec())
+
+
+@pytest.mark.parametrize("command, text, name", [
+    ("validate-action", '{"alpha": [1, -1],' + SWAP_TEXT[1:], "alpha"),
+    ("lift", '{"epsilon": [1, 1],' + format_descriptor(specbuild.z2_lens_descriptor())[1:],
+     "epsilon"),
+    ("validate-action", SWAP_TEXT.replace('"order": 2', '"order": 3, "order": 2'), "order"),
+], ids=["spec", "descriptor", "group-object"])
+def test_a_field_given_twice_exits_two(capsys, tmp_path, command, text, name):
+    # json.loads keeps the last value of a repeated field: these documents
+    # once passed with their first value unread
+    path = tmp_path / "twice.json"
+    path.write_text(text, encoding="utf-8")
+    assert run(capsys, command, str(path)) == (2, "", f"error: field {name!r} is given twice\n")
 
 
 def test_repeat_runs_are_identical(capsys, docs):

@@ -16,6 +16,7 @@ from fractions import Fraction
 from math import lcm, prod
 
 import oracles
+from specbuild import replace
 from seifert import (ExtendedProductActionSpec, ProjectedActionDescriptor, analyze_structure,
                      check_tau_commuting, cyclic_group, lift_action, parse_symbol,
                      validate_action_spec, validate_descriptor)
@@ -101,22 +102,18 @@ def swap(rng, row):
 
 def spec_mutant(rng, spec) -> ExtendedProductActionSpec:
     k = rng.randrange(spec.group.order)
-    fields = dict(theta1=spec.theta1, alpha=spec.alpha, beta=spec.beta, theta2=spec.theta2)
     field = rng.choice(("theta1", "theta2", "theta2", "alpha", "beta"))
     value = {"theta1": lambda: rotation(rng), "theta2": lambda: rerotate(rng, spec.theta2[k]),
              "alpha": lambda: -spec.alpha[k], "beta": lambda: swap(rng, spec.beta[k])}[field]()
-    fields[field] = edit(fields[field], k, value)
-    return ExtendedProductActionSpec(spec.symbol, spec.group, **fields)
+    return replace(spec, **{field: edit(getattr(spec, field), k, value)})
 
 
 def descriptor_mutant(rng, d) -> ProjectedActionDescriptor:
     k = rng.randrange(d.group.order)
-    fields = dict(epsilon=d.epsilon, beta_bar=d.beta_bar, theta2_bar=d.theta2_bar)
     field = rng.choice(("theta2_bar", "theta2_bar", "theta2_bar", "epsilon", "beta_bar"))
     value = {"theta2_bar": lambda: rerotate(rng, d.theta2_bar[k]),
              "epsilon": lambda: -d.epsilon[k], "beta_bar": lambda: swap(rng, d.beta_bar[k])}[field]()
-    fields[field] = edit(fields[field], k, value)
-    return ProjectedActionDescriptor(d.base, d.group, **fields)
+    return replace(d, **{field: edit(getattr(d, field), k, value)})
 
 
 def reported(message):

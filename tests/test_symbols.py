@@ -1,10 +1,11 @@
 """Symbol parsing, normalization, equivalence, and the double cover."""
 
 import re
+from collections import Counter
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 import hypothesis.strategies as st
 
 from seifert import (
@@ -22,7 +23,7 @@ from seifert import (
     total_sum,
 )
 from budget import needs_alarm, time_budget
-from strategies import seifert_symbols
+from strategies import seifert_pairs, seifert_symbols
 
 
 # -- construction and parsing ---------------------------------------------
@@ -132,6 +133,18 @@ def test_normalized_symbol_constructor():
         NormalizedSymbol(0, Orientability.O1, (SeifertPair(3, 1), SeifertPair(2, 1)), 0)
     # it prints as its expansion
     assert str(NormalizedSymbol(1, Orientability.N2, (SeifertPair(2, 1),), -1)) == "(1,n2|(2,1),(1,-1))"
+    # mistyped fields are refused here, by the expansion's rules, not later in str()
+    for args, message in [
+        ((0, "o1", (), 1.5), "must be integers"),
+        ((0, Orientability.O1, (), 1.5), "must be integers"),
+        ((True, Orientability.O1, (), 0), "genus must be an integer"),
+        ((-3, Orientability.N2, (), 0), "genus must be >= 0"),
+        ((0, "o1", (), 0), "must be an Orientability"),
+        ((0, Orientability.O1, ((2, 1),), 0), "is not a SeifertPair"),
+        ((0, Orientability.O1, [SeifertPair(2, 1)], 0), "must be a tuple, got list"),
+    ]:
+        with pytest.raises(ValueError, match=message):
+            NormalizedSymbol(*args)
 
 
 # -- total sum -------------------------------------------------------------
@@ -294,6 +307,25 @@ def test_quotient_handles_carried_doubling():
 def test_quotient_rejects_crosscap_base():
     with pytest.raises(ValueError, match="class o1"):
         base_quotient(parse_symbol("(1,n2|)"))
+
+
+@given(st.integers(0, 2), st.lists(seifert_pairs(max_q=4, max_p=6), max_size=4), st.booleans(),
+       st.data())
+def test_quotient_from_the_normal_form(genus, pairs, doubled, data):
+    # lists that are neither block- nor adjacent-doubled: the quotient,
+    # if any, is assembled from the normal form
+    if doubled:
+        pairs = data.draw(st.permutations(pairs + pairs))
+    pairs = tuple(pairs)
+    n = len(pairs) // 2
+    assume(pairs[:n] != pairs[n:] and pairs[0::2] != pairs[1::2])
+    symbol = SeifertSymbol(genus, Orientability.O1, pairs)
+    norm = normalize(symbol)
+    odd = norm.b % 2 == 1 or any(c % 2 for c in Counter(norm.exceptional).values())
+    quotient = base_quotient(symbol)
+    assert (quotient is None) == odd
+    if quotient is not None:
+        assert equivalent(orientable_double_cover(quotient), symbol)
 
 
 @given(seifert_symbols(classes=(Orientability.N2,)))
