@@ -91,9 +91,12 @@ def _parse_ints(text: str, message: str) -> list[int]:
 
 def _int_option(text: str) -> int:
     """The type of -b, -i and -g; a bad value gets argparse's own message."""
-    if not _INTEGER.fullmatch(text):
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
-    return int(text)
+    if _INTEGER.fullmatch(text):
+        try:
+            return int(text)
+        except ValueError:   # more digits than the interpreter converts
+            pass
+    raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
 
 
 def _parse_matrix(text: str) -> list[list[int]]:

@@ -9,16 +9,24 @@ absolute value, ties going to the least fill-in (Markowitz 1957), which
 keeps both the entries and the number of nonzeros small, and then to the
 first entry in row order.  The search compares |v| alone and works out
 the fill-in only for an entry whose |v| ties or beats the best so far; it
-visits every nonzero and stops early only at |v| = 1 with no fill-in.
-The rule is kept as it is because the pivot order fixes every
-intermediate coefficient, and the two cheaper-looking searches measured,
-per-row cached keys and a restart in the pivot's row or column only, cost
+stops early only at |v| = 1 with no fill-in.  The rule is kept as it is
+because the pivot order fixes every intermediate coefficient, and two
+cheaper-looking searches measured, per-row cached keys and a restart
+searching only the pivot's row or column (which chose other pivots), cost
 more than the rescans they save.  Row operations clear the pivot's column
 and column operations its row; a row update touches a column's row set
-only where an entry appears or vanishes.  Any nonzero remainder is a
-smaller entry, and the search starts again.  What is left is a diagonal,
-and one closing pass replaces each pair (a, b) by (gcd, lcm), an
-equivalent diagonal, until the entries form a divisor chain.
+only where an entry appears or vanishes.  Any nonzero remainder is
+smaller than the pivot, and the search starts again, over only the rows
+the step changed (all rows when that is most of them): those the row
+operations updated, and after column operations the pivot's row as well.
+The pivot was the least |v| of all entries and every other row is
+unchanged, so each entry tying for the new least |v| lies in a searched
+row, and the search returns the pivot a full one would, fill-in read from
+the live column counts.  After a diagonal entry the search visits every
+row.  What is left is a diagonal, and one closing pass over its entries
+other than 1 (a 1 divides every entry) replaces each pair (a, b) by
+(gcd, lcm), an equivalent diagonal, until the entries form a divisor
+chain.
 
 >>> smith_normal_form([[2, 0], [0, 3]])
 [1, 6]
@@ -35,13 +43,15 @@ from .presentations import abelianize, pi1
 from .symbols import Orientability, SeifertSymbol
 
 
-def _pivot(rows, cols):
+def _pivot(rows, cols, among):
     """Entry of least |v|, then least fill-in (row nnz - 1)(col nnz - 1).
 
-    Entries that tie on both go to the first in row order.
+    Searches the rows ``among``, indices in row order; entries that tie on
+    both go to the first in row order.
     """
     best = 0
-    for i, row in rows.items():
+    for i in among:
+        row = rows[i]
         others = len(row) - 1
         for j, v in row.items():
             if v < 0:
@@ -84,12 +94,17 @@ def smith_normal_form(matrix) -> list[int]:
                 cols[j].add(i)
 
     diag = []
+    changed = rows   # the rows the last step changed; all rows after a diagonal entry
     while rows:
-        pi, pj = _pivot(rows, cols)
+        # search all rows when the step changed most of them: listing those
+        # would cost more than it saves
+        among = rows if 2 * len(changed) > len(rows) else sorted(rows.keys() & changed)
+        pi, pj = _pivot(rows, cols, among)
         prow = rows[pi]
         p = prow[pj]
         items = list(prow.items())
-        for i in cols[pj] - {pi}:
+        targets = cols[pj] - {pi}
+        for i in targets:
             row = rows[i]
             q = row[pj] // p
             # |row[pj]| >= |p|, so q != 0 and a new entry is never zero
@@ -106,6 +121,7 @@ def smith_normal_form(matrix) -> list[int]:
             if not row:
                 del rows[i]
         if len(cols[pj]) > 1:
+            changed = targets
             continue
         # the pivot column is zero off the pivot, so column operations
         # change only the pivot row
@@ -117,17 +133,21 @@ def smith_normal_form(matrix) -> list[int]:
                 del prow[j]
                 cols[j].discard(pi)
         if len(prow) > 1:
+            changed = targets | {pi}
             continue
         diag.append(abs(p))
         del rows[pi]
         cols[pj].clear()
+        changed = rows
 
-    for i in range(len(diag)):
-        for j in range(i + 1, len(diag)):
-            if diag[j] % diag[i]:
-                g = gcd(diag[i], diag[j])
-                diag[i], diag[j] = g, diag[i] * diag[j] // g
-    return diag + [0] * (size - len(diag))
+    # a 1 divides every entry and stays a 1
+    rest = [d for d in diag if d != 1]
+    for i in range(len(rest)):
+        for j in range(i + 1, len(rest)):
+            if rest[j] % rest[i]:
+                g = gcd(rest[i], rest[j])
+                rest[i], rest[j] = g, rest[i] * rest[j] // g
+    return [1] * (len(diag) - len(rest)) + rest + [0] * (size - len(diag))
 
 
 class AbelianGroupStructure(Record):

@@ -109,7 +109,9 @@ class NormalizedSymbol(Record):
         if type(self.exceptional) is not tuple:
             kind = type(self.exceptional).__name__
             raise ValueError(f"exceptional pairs must be a tuple, got {kind}")
-        self.expand()   # the symbol's rules: field types, genus and class, b an integer
+        if type(self.b) is not int:
+            raise ValueError(f"b must be an integer, got {self.b!r}")
+        self.expand()   # the symbol's rules: field types, genus and class
         for pr in self.exceptional:
             if pr.q <= 1 or not 0 < pr.p < pr.q:
                 raise ValueError(f"exceptional pair {pr} is not in normal range")

@@ -171,7 +171,10 @@ def test_induced_torus(capsys, docs):
     code, out, err = run(capsys, "induced-torus", docs["z4"], "-i", "1", "-g", "9")
     assert code == 2
     assert "group element must be in 0..3" in err
-    for index, element, name in (("+1", "1", "-i/--index"), ("1", "1_0", "-g/--element")):
+    # 4301 digits: past the interpreter's limit for int()
+    huge = "1" * 4301
+    for index, element, name in (("+1", "1", "-i/--index"), ("1", "1_0", "-g/--element"),
+                                 (huge, "1", "-i/--index"), ("1", huge, "-g/--element")):
         code, out, err = run(capsys, "induced-torus", docs["z4"], "-i", index, "-g", element)
         assert (code, out) == (2, "")
         assert f"argument {name}: invalid int value:" in err
@@ -261,8 +264,9 @@ def test_obstruction(capsys, docs):
     assert code == 2
     assert "both -b and --orbits are required" in err
 
-    # integers are an optional '-' and ASCII digits; int() would take these
-    for bad in ("1_0", "+1", " 1", "\u0661"):
+    # integers are an optional '-' and ASCII digits; int() would take the first four,
+    # and refuses the last, 4301 digits, past its limit
+    for bad in ("1_0", "+1", " 1", "\u0661", "1" * 4301):
         code, out, err = run(capsys, "obstruction", "-b", bad, "--orbits", "2,3")
         assert (code, out) == (2, "")
         assert f"argument -b: invalid int value: {bad!r}" in err

@@ -133,10 +133,14 @@ def test_normalized_symbol_constructor():
         NormalizedSymbol(0, Orientability.O1, (SeifertPair(3, 1), SeifertPair(2, 1)), 0)
     # it prints as its expansion
     assert str(NormalizedSymbol(1, Orientability.N2, (SeifertPair(2, 1),), -1)) == "(1,n2|(2,1),(1,-1))"
-    # mistyped fields are refused here, by the expansion's rules, not later in str()
+    # mistyped fields are refused here, b by name and the rest by the expansion's
+    # rules, not later in str()
     for args, message in [
-        ((0, "o1", (), 1.5), "must be integers"),
-        ((0, Orientability.O1, (), 1.5), "must be integers"),
+        ((0, "o1", (), 1.5), "b must be an integer, got 1.5"),
+        ((0, Orientability.O1, (), 1.5), "b must be an integer, got 1.5"),
+        ((0, Orientability.O1, (), True), "b must be an integer, got True"),
+        ((0, Orientability.O1, (), "1"), "b must be an integer, got '1'"),
+        ((0, Orientability.O1, (), None), "b must be an integer, got None"),
         ((True, Orientability.O1, (), 0), "genus must be an integer"),
         ((-3, Orientability.N2, (), 0), "genus must be >= 0"),
         ((0, "o1", (), 0), "must be an Orientability"),
