@@ -13,8 +13,10 @@ way but skips ``__post_init__``, for values the package has already
 checked or built correct by construction.  Every record the package
 derives from checked records is built through it: the group
 constructors (:func:`~seifert.groups.cyclic_group` and
-:func:`~seifert.groups.direct_product`), the document reader, and
-projection and lift of actions.
+:func:`~seifert.groups.direct_product`), the document reader,
+projection and lift of actions, and the presentations read off a symbol
+(:func:`~seifert.presentations.pi1` and
+:func:`~seifert.presentations.orbifold_pi1`).
 
 >>> class Point(Record):
 ...     x: int

@@ -755,9 +755,15 @@ def _object(pairs: list) -> dict:
     return obj
 
 
+# one decoder for every document: json.loads with a hook builds a new one per call
+_DECODER = json.JSONDecoder(object_pairs_hook=_object)
+
+
 def _parse_document(text: str, base_dir: Path | None, cls):
     try:
-        doc = json.loads(text, object_pairs_hook=_object)
+        if text.startswith("\ufeff"):   # json.loads's check, which the decoder leaves out
+            raise json.JSONDecodeError("Unexpected UTF-8 BOM (decode using utf-8-sig)", text, 0)
+        doc = _DECODER.decode(text)
     except (json.JSONDecodeError, RecursionError) as exc:
         raise ValueError(f"malformed document: {exc}") from None
     if not isinstance(doc, dict):

@@ -84,9 +84,12 @@ def _require(args, key: str, label: str, report):
 def _parse_ints(text: str, message: str) -> list[int]:
     """Comma-separated integers; ``message`` formats ``text`` when one is bad."""
     values = text.split(",")
-    if not all(map(_INTEGER.fullmatch, values)):
-        raise ValueError(message.format(text))
-    return [int(v) for v in values]
+    if all(map(_INTEGER.fullmatch, values)):
+        try:
+            return [int(v) for v in values]
+        except ValueError:   # more digits than the interpreter converts
+            pass
+    raise ValueError(message.format(text))
 
 
 def _int_option(text: str) -> int:

@@ -3,8 +3,11 @@
 All arithmetic is exact over Python ints.  The relation matrices of
 symbols are sparse: a pair's row touches its own generator and the fiber,
 and the commutator rows of the abelianization vanish.  So the Smith form
-is a sparse elimination.  Rows are ``{column: entry}`` dicts and each
-column keeps the set of rows that use it.  The pivot is the entry of least
+is a sparse elimination, :func:`_eliminate`.  Rows are ``{column: entry}``
+dicts and each column keeps the set of rows that use it.
+:func:`first_homology` hands it the relators' exponent sums in that form
+directly, never writing the matrix out; :func:`smith_normal_form` checks
+a dense matrix and converts its rows.  The pivot is the entry of least
 absolute value, ties going to the least fill-in (Markowitz 1957), which
 keeps both the entries and the number of nonzeros small, and then to the
 first entry in row order.  The search compares |v| alone and works out
@@ -39,7 +42,7 @@ from __future__ import annotations
 from math import gcd
 
 from ._record import Record
-from .presentations import abelianize, pi1
+from .presentations import _exponent_sums, pi1
 from .symbols import Orientability, SeifertSymbol
 
 
@@ -83,11 +86,20 @@ def smith_normal_form(matrix) -> list[int]:
     n = len(dense[0]) if dense else 0
     if any(len(row) != n for row in dense):
         raise ValueError("matrix rows must all have the same length")
-    size = min(len(dense), n)
+    return _eliminate([{j: v for j, v in enumerate(row) if v} for row in dense], n)
+
+
+def _eliminate(sparse: list[dict[int, int]], n: int) -> list[int]:
+    """The Smith diagonal of rows given as ``{column: nonzero entry}``
+    dicts over n columns; the dicts are used up.  Columns ascend in each
+    dict, as in a dense row, because pivot ties go to the first entry.
+
+    Returns min(len(sparse), n) entries, as :func:`smith_normal_form`.
+    """
+    size = min(len(sparse), n)
     rows: dict[int, dict[int, int]] = {}
     cols: list[set[int]] = [set() for _ in range(n)]
-    for i, row in enumerate(dense):
-        entries = {j: v for j, v in enumerate(row) if v}
+    for i, entries in enumerate(sparse):
         if entries:
             rows[i] = entries
             for j in entries:
@@ -182,7 +194,7 @@ def first_homology(symbol: SeifertSymbol) -> AbelianGroupStructure:
     'Z'
     """
     pres = pi1(symbol)
-    invariants = smith_normal_form(abelianize(pres))
+    invariants = _eliminate(_exponent_sums(pres), len(pres.generators))
     rank = sum(1 for d in invariants if d)
     free = len(pres.generators) - rank
     torsion = tuple(d for d in invariants if d > 1)

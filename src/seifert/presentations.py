@@ -10,12 +10,18 @@ double covers.
 
 A word is a tuple of (generator index, exponent) syllables, freely
 reduced at the syllable level; :func:`word` builds one from raw
-syllables.  Text export writes each relator in ``c1^2*t`` form.
+syllables.  The templates write distinct names and reduced words by
+construction, so :func:`pi1` and :func:`orbifold_pi1` build their
+presentations without the checks a ``Presentation(...)`` call runs.
+Text export writes each relator in ``c1^2*t`` form.  Abelianization
+counts each relator's exponent sums once, in :func:`_exponent_sums`:
+:func:`abelianize` writes them as dense rows, and
+:func:`~seifert.homology.first_homology` reads them sparse.
 """
 
 from __future__ import annotations
 
-from ._record import Record
+from ._record import Record, _built
 from .symbols import Orientability, SeifertSymbol
 
 Syllable = tuple[int, int]
@@ -42,7 +48,8 @@ def word(*syllables: Syllable) -> tuple[Syllable, ...]:
 
 
 def _commutator(a: int, b: int) -> tuple[Syllable, ...]:
-    return word((a, 1), (b, 1), (a, -1), (b, -1))
+    # reduced as it stands: every caller passes a != b
+    return ((a, 1), (b, 1), (a, -1), (b, -1))
 
 
 class Presentation(Record):
@@ -85,8 +92,9 @@ def _named(count: int, stem: str) -> list[str]:
 
 def _assemble(generators: list[str], relators: list[tuple[Syllable, ...]]) -> Presentation:
     # The surface relator degenerates to the empty word for (0,o1|); empty
-    # relators say nothing and are dropped.
-    return Presentation(tuple(generators), tuple(r for r in relators if r))
+    # relators say nothing and are dropped.  The names are distinct and
+    # every word is reduced by construction, so nothing is re-checked.
+    return _built(Presentation, tuple(generators), tuple(r for r in relators if r))
 
 
 def _handle_names(handles: int) -> list[str]:
@@ -169,13 +177,26 @@ def orbifold_pi1(symbol: SeifertSymbol) -> Presentation:
                      [word(*(s for s in rel if s[0] != t)) for rel in pres.relators])
 
 
+def _exponent_sums(presentation: Presentation) -> list[dict[int, int]]:
+    """One ``{generator: exponent sum}`` dict per relator, zero sums left
+    out and generators ascending, as a dense row lists them; a commutator
+    gives ``{}``."""
+    out = []
+    for rel in presentation.relators:
+        sums: dict[int, int] = {}
+        for gen, exp in rel:
+            sums[gen] = sums.get(gen, 0) + exp
+        out.append({gen: sums[gen] for gen in sorted(sums) if sums[gen]})
+    return out
+
+
 def abelianize(presentation: Presentation) -> list[list[int]]:
     """Exponent-sum matrix, one row per relator, one column per generator."""
     cols = len(presentation.generators)
     rows = []
-    for rel in presentation.relators:
+    for sums in _exponent_sums(presentation):
         row = [0] * cols
-        for gen, exp in rel:
-            row[gen] += exp
+        for gen, total in sums.items():
+            row[gen] = total
         rows.append(row)
     return rows

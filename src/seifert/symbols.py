@@ -168,7 +168,10 @@ def parse_symbol(text: str) -> SeifertSymbol:
         nonlocal k
         number, other = tokens[k]
         if want is int and number:
-            value = int(number)
+            try:
+                value = int(number)
+            except ValueError:   # more digits than the interpreter converts
+                raise _syntax_error(text, k, "integer has too many digits") from None
         elif want is Orientability and other in _CLASSES:
             value = _CLASSES[other]
         elif other == want:

@@ -106,6 +106,9 @@ def test_h1_output(capsys):
     assert run(capsys, "h1", "--porcelain", "(1,n2|(2,1))") == (
         0, "free_rank=0\ntorsion=8\n", "")
     assert run(capsys, "h1", "(0,o1|)") == (0, "Z\n", "")
+    # 4301 digits: past the interpreter's limit for int(), whose own message names no offset
+    assert run(capsys, "h1", f"(0,o1|(2,{'1' * 4301}))") == (
+        2, "", "error: syntax error at position 9: integer has too many digits\n")
 
 
 def test_snf_output(capsys):
@@ -118,9 +121,10 @@ def test_snf_output(capsys):
     # a word "-" then not "-" is a matrix, not an unknown option
     assert run(capsys, "snf", "-\u0663,1") == (
         2, "", "error: bad matrix row '-\u0663,1'; use comma-separated integers, rows split by ';'\n")
-    for bad in ("", ";"):
+    # the last row has 4301 digits, past the interpreter's limit for int()
+    for bad, row in (("", ""), (";", ""), (f"2,0;0,{'1' * 4301}", f"0,{'1' * 4301}")):
         assert run(capsys, "snf", bad) == (
-            2, "", "error: bad matrix row ''; use comma-separated integers, rows split by ';'\n")
+            2, "", f"error: bad matrix row {row!r}; use comma-separated integers, rows split by ';'\n")
 
 
 @pytest.mark.parametrize("argv", [
@@ -271,7 +275,7 @@ def test_obstruction(capsys, docs):
         assert (code, out) == (2, "")
         assert f"argument -b: invalid int value: {bad!r}" in err
     for option in ("--orbits", "--orbits-extra"):
-        for bad in ("2,+3", "2, 3", "1_0", "2,\u0663"):
+        for bad in ("2,+3", "2, 3", "1_0", "2,\u0663", "2," + "1" * 4301):
             argv = ["-b", "1", "--orbits", "2"] if option == "--orbits-extra" else ["-b", "1"]
             assert run(capsys, "obstruction", *argv, option, bad) == (
                 2, "", f"error: bad integer list {bad!r}\n")
@@ -473,6 +477,14 @@ def test_deep_nesting_exits_two(capsys, tmp_path):
     code, out, err = run(capsys, "validate-action", str(path))
     assert (code, out) == (2, "")
     assert err.startswith("error: malformed document:")
+
+
+def test_document_with_a_byte_order_mark_is_malformed(capsys, tmp_path):
+    path = tmp_path / "bom.json"
+    path.write_text("\ufeff" + format_action_spec(specbuild.z4_swap_spec()), encoding="utf-8")
+    assert run(capsys, "validate-action", str(path)) == (
+        2, "", "error: malformed document: Unexpected UTF-8 BOM (decode using utf-8-sig): "
+               "line 1 column 1 (char 0)\n")
 
 
 @pytest.mark.parametrize("module", ["seifert", "seifert.cli"])

@@ -148,16 +148,25 @@ def seeded_matrices():
                     for _ in range(cols)] for _ in range(rows)]
 
 
-def seeded_relation_matrices():
+def seeded_relation_symbols():
     rng = random.Random(1957)
     for _ in range(10):
         cls = rng.choice((Orientability.O1, Orientability.N2))
-        symbol = seeded_symbol(rng, cls, rng.randint(0, 60), rng.randint(1, 3))
-        yield abelianize(pi1(symbol))
+        yield seeded_symbol(rng, cls, rng.randint(0, 60), rng.randint(1, 3))
     # a 60-pair cover: where a divisibility repair inside the elimination
     # loop swells the entries until H1 never finishes
     n2 = seeded_symbol(random.Random(30), Orientability.N2, 30, 2)
-    yield abelianize(pi1(orientable_double_cover(n2)))
+    yield orientable_double_cover(n2)
+
+
+def seeded_relation_matrices():
+    for symbol in seeded_relation_symbols():
+        yield abelianize(pi1(symbol))
+
+
+def ladder(n):
+    """(2,o1|(2,1),(3,1),...,(n+1,1)): n pairs of coprime orders."""
+    return parse_symbol("(2,o1|" + ",".join(f"({k},1)" for k in range(2, n + 2)) + ")")
 
 
 def test_snf_matches_sympy():
@@ -235,8 +244,7 @@ def test_ladder_h1_without_coefficient_swell():
     rng = random.Random(80)
     with time_budget(10):
         for n in (41, 44, 49, 60, 80, 200, 400, 800):
-            symbol = parse_symbol(
-                "(2,o1|" + ",".join(f"({k},1)" for k in range(2, n + 2)) + ")")
+            symbol = ladder(n)
             h = first_homology(symbol)
             assert h.free_rank == 4
             assert prod(h.torsion) == abs(total_sum(symbol)) * prod(p.q for p in symbol.pairs)
@@ -285,6 +293,23 @@ def test_h1_golden_case_against_oracle():
     matrix = abelianize(pi1_orientable(parse_symbol("(0,o1|(2,1),(2,1))")))
     invariants = [d for d in snf_minor_gcd(matrix) if d > 1]
     assert invariants == [4]
+
+
+def dense_h1(symbol):
+    """H1 through the public route: the relation matrix written out dense,
+    then checked and converted by smith_normal_form."""
+    pres = pi1(symbol)
+    invariants = smith_normal_form(abelianize(pres))
+    rank = sum(1 for d in invariants if d)
+    return AbelianGroupStructure(len(pres.generators) - rank, tuple(d for d in invariants if d > 1))
+
+
+def test_h1_equals_the_dense_route():
+    symbols = list(seeded_relation_symbols())
+    symbols += [orientable_double_cover(s) for s in symbols if s.orientability is Orientability.N2]
+    symbols += [ladder(n) for n in range(1, 101)]
+    for symbol in symbols:
+        assert first_homology(symbol) == dense_h1(symbol), symbol
 
 
 @given(seifert_symbols(max_pairs=4))

@@ -1,18 +1,24 @@
 """Presentation templates, text export, and abelianization."""
 
+import random
+from math import gcd
+
 import pytest
 from hypothesis import given
 
 from seifert import (
     Orientability,
+    SeifertPair,
+    SeifertSymbol,
     abelianize,
     orbifold_pi1,
     orientable_double_cover,
     parse_symbol,
+    pi1,
     pi1_nonorientable,
     pi1_orientable,
 )
-from seifert.presentations import Presentation, word
+from seifert.presentations import Presentation, _exponent_sums, word
 from strategies import seifert_symbols
 
 
@@ -147,6 +153,45 @@ def test_abelianize_rows():
         [0, 2, 1],
         [1, 1, 0],
     ]
+
+
+def seeded_presentations():
+    """pi1 and orbifold_pi1 of seeded symbols of both classes, and of the
+    covers of the class n2 ones."""
+    rng = random.Random(24)
+    for _ in range(60):
+        cls = rng.choice((Orientability.O1, Orientability.N2))
+        pairs = []
+        for _ in range(rng.randint(0, 8)):
+            q = rng.randint(1, 12)
+            pairs.append(SeifertPair(q, rng.choice([p for p in range(-30, 31) if gcd(p, q) == 1])))
+        symbol = SeifertSymbol(rng.randint(cls is Orientability.N2, 4), cls, tuple(pairs))
+        for s in [symbol, orientable_double_cover(symbol)] if cls is Orientability.N2 else [symbol]:
+            yield pi1(s)
+            yield orbifold_pi1(s)
+
+
+def test_templates_pass_the_presentation_checks():
+    # pi1 and orbifold_pi1 skip the checks: each must pass them when rebuilt
+    for pres in seeded_presentations():
+        assert Presentation(pres.generators, pres.relators) == pres
+
+
+def test_abelianize_is_the_syllable_recount():
+    # gen 2 first and gen 0 twice: the sums still list generators ascending
+    by_hand = Presentation(("a", "b", "c"), (((2, 1), (0, -1), (2, 2), (1, 3), (0, 1)),))
+    assert abelianize(by_hand) == [[0, 3, 3]]
+    for pres in [by_hand, *seeded_presentations()]:
+        recount = []
+        for rel in pres.relators:
+            row = [0] * len(pres.generators)
+            for gen, exp in rel:
+                row[gen] += exp
+            recount.append(row)
+        assert abelianize(pres) == recount
+        # first_homology's sparse rows: each dense row's nonzeros, in column order
+        assert [list(sums.items()) for sums in _exponent_sums(pres)] == [
+            [(j, v) for j, v in enumerate(row) if v] for row in recount]
 
 
 # -- template shape properties ---------------------------------------------

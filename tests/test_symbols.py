@@ -103,6 +103,13 @@ def test_parse_reports_error_position():
         with pytest.raises(SymbolSyntaxError, match="coprime") as info:
             parse_symbol(text)
         assert info.value.position == position
+    # 4301 digits: past the interpreter's limit for int(), whose own message names no offset
+    huge = "1" * 4301
+    for text, position in ((f"({huge},o1|)", 1), (f"(0,o1|(2,{huge}))", 9),
+                           (f"(0,o1|(3,1), ( -{huge},1))", 15)):
+        with pytest.raises(SymbolSyntaxError, match="integer has too many digits$") as info:
+            parse_symbol(text)
+        assert info.value.position == position
 
 
 def test_constructor_rejects_bad_data():
