@@ -641,9 +641,13 @@ def parse_fraction_text(text) -> Fraction:
     if match is None:
         raise ValueError(f"not a fraction: {text!r} (use integers or 'a/b')")
     numerator, denominator = match.groups(default="1")
-    if int(denominator) == 0:
+    try:
+        numerator, denominator = int(numerator), int(denominator)
+    except ValueError:   # more digits than the interpreter converts
+        raise ValueError("fraction has too many digits") from None
+    if denominator == 0:
         raise ValueError(f"zero denominator in fraction {text!r}")
-    return Fraction(int(numerator), int(denominator))
+    return Fraction(numerator, denominator)
 
 
 def _string(value, name: str) -> str:
@@ -745,13 +749,17 @@ def _read_tables(doc: dict, kinds: dict, order: int, n: int) -> list[tuple]:
     return tables
 
 
+class _GivenTwice(ValueError):
+    """A field given twice, told apart from the decoder's own ValueError."""
+
+
 def _object(pairs: list) -> dict:
     """A JSON object of the document; a field given twice is bad input."""
     obj = dict(pairs)
     if len(obj) < len(pairs):
         names = [name for name, _ in pairs]
         name = next(name for k, name in enumerate(names) if names.index(name) < k)
-        raise ValueError(f"field {name!r} is given twice")
+        raise _GivenTwice(f"field {name!r} is given twice")
     return obj
 
 
@@ -766,6 +774,10 @@ def _parse_document(text: str, base_dir: Path | None, cls):
         doc = _DECODER.decode(text)
     except (json.JSONDecodeError, RecursionError) as exc:
         raise ValueError(f"malformed document: {exc}") from None
+    except _GivenTwice:
+        raise
+    except ValueError:   # a number with more digits than the interpreter converts
+        raise ValueError("malformed document: a number has too many digits") from None
     if not isinstance(doc, dict):
         raise ValueError("document must be a JSON object with named fields")
     symbol = parse_symbol(_string(_field(doc, "symbol"), "symbol"))

@@ -150,7 +150,10 @@ def parse_group_text(text: str) -> FiniteGroup:
         raise ValueError("empty group file")
     if not _INTEGER.fullmatch(lines[0].strip()):
         raise ValueError(f"group file: bad order line {lines[0]!r}")
-    m = int(lines[0])
+    try:
+        m = int(lines[0])
+    except ValueError:   # more digits than the interpreter converts
+        raise ValueError("group file: order has too many digits") from None
     if len(lines) != m + 1:
         raise ValueError(f"group file: expected {m} table rows, got {len(lines) - 1}")
     table = []
@@ -158,7 +161,10 @@ def parse_group_text(text: str) -> FiniteGroup:
         entries = ln.split()
         if not all(map(_INTEGER.fullmatch, entries)):
             raise ValueError(f"group file: bad table row {ln!r}")
-        table.append(tuple(int(v) for v in entries))
+        try:
+            table.append(tuple(map(int, entries)))
+        except ValueError:   # more digits than the interpreter converts
+            raise ValueError("group file: a table entry has too many digits") from None
     return FiniteGroup(tuple(table))
 
 
@@ -182,7 +188,11 @@ def group_from_constructor(spec: str) -> FiniteGroup:
             raise ValueError(f"unknown group constructor {''.join(tokens[k:])!r}")
         if token == "cyclic:":
             raise ValueError(f"cyclic: expects an integer in {''.join(tokens[k:])!r}")
-        group = cyclic_group(int(token[len("cyclic:"):]))
+        try:
+            order = int(token[len("cyclic:"):])
+        except ValueError:   # more digits than the interpreter converts
+            raise ValueError("cyclic: order has too many digits") from None
+        group = cyclic_group(order)
         k += 1
         while open_products and open_products[-1][1] is not None:
             group = direct_product(open_products.pop()[1], group)

@@ -18,18 +18,22 @@ cheaper-looking searches measured, per-row cached keys and a restart
 searching only the pivot's row or column (which chose other pivots), cost
 more than the rescans they save.  Row operations clear the pivot's column
 and column operations its row; a row update touches a column's row set
-only where an entry appears or vanishes.  Any nonzero remainder is
-smaller than the pivot, and the search starts again, over only the rows
-the step changed (all rows when that is most of them): those the row
-operations updated, and after column operations the pivot's row as well.
-The pivot was the least |v| of all entries and every other row is
-unchanged, so each entry tying for the new least |v| lies in a searched
-row, and the search returns the pivot a full one would, fill-in read from
-the live column counts.  After a diagonal entry the search visits every
-row.  What is left is a diagonal, and one closing pass over its entries
-other than 1 (a 1 divides every entry) replaces each pair (a, b) by
-(gcd, lcm), an equivalent diagonal, until the entries form a divisor
-chain.
+only where an entry appears or vanishes.  Both keep the least absolute
+remainder, at most |p|/2, where the floor remainder can reach |p| - 1
+(a tie, |r| = |p|/2, keeps the floor one).  So the pivot after a
+remainder is at most half the last, the Euclid variant with the fewest
+steps (Knuth, TAOCP vol. 2, 4.5.3; Havas and Majewski 1997 for
+matrices).  After a nonzero remainder the search starts again, over only
+the rows the step changed (all rows when that is most of them): those
+the row operations updated, and after column operations the pivot's row
+as well.  The pivot was the least |v| of all entries, every other row is
+unchanged, and a remainder of at most half the pivot exists, so each
+entry tying for the new least |v| lies in a searched row, and the search
+returns the pivot a full one would, fill-in read from the live column
+counts.  After a diagonal entry the search visits every row.  What is
+left is a diagonal, and one closing pass over its entries other than 1
+(a 1 divides every entry) replaces each pair (a, b) by (gcd, lcm), an
+equivalent diagonal, until the entries form a divisor chain.
 
 >>> smith_normal_form([[2, 0], [0, 3]])
 [1, 6]
@@ -80,9 +84,9 @@ def smith_normal_form(matrix) -> list[int]:
     """
     dense = [list(row) for row in matrix]
     for row in dense:
-        for v in row:
-            if type(v) is not int:
-                raise ValueError(f"matrix entries must be integers, got {v!r}")
+        if not {int}.issuperset(map(type, row)):
+            v = next(v for v in row if type(v) is not int)
+            raise ValueError(f"matrix entries must be integers, got {v!r}")
     n = len(dense[0]) if dense else 0
     if any(len(row) != n for row in dense):
         raise ValueError("matrix rows must all have the same length")
@@ -118,7 +122,9 @@ def _eliminate(sparse: list[dict[int, int]], n: int) -> list[int]:
         targets = cols[pj] - {pi}
         for i in targets:
             row = rows[i]
-            q = row[pj] // p
+            q, r = divmod(row[pj], p)
+            if 2 * abs(r) > abs(p):
+                q += 1
             # |row[pj]| >= |p|, so q != 0 and a new entry is never zero
             for j, v in items:
                 w = row.get(j)
@@ -139,6 +145,8 @@ def _eliminate(sparse: list[dict[int, int]], n: int) -> list[int]:
         # change only the pivot row
         for j in [j for j in prow if j != pj]:
             w = prow[j] % p
+            if 2 * abs(w) > abs(p):
+                w -= p
             if w:
                 prow[j] = w
             else:

@@ -416,6 +416,9 @@ def test_value_errors_exit_two(capsys):
     assert "syntax error at position" in err
 
 
+LONG = "1" * 4301   # past the interpreter's limit for int()
+
+
 def _set_table_entry(doc, value):
     doc["group"] = {"order": 4, "table": [[(g + h) % 4 for h in range(4)] for g in range(4)]}
     doc["group"]["table"][1][2] = value
@@ -436,14 +439,29 @@ def _set_table_entry(doc, value):
     (lambda doc: doc["group"].update(order=3), "group table has 4 rows, order says 3"),
     (lambda doc: doc.update(group="cyclic:0"), "cyclic group order must be >= 1"),
     (lambda doc: doc.update(group="product:cyclic:2,cyclic:0"), "cyclic group order must be >= 1"),
+    # integers past the interpreter's limit for int(); an edit that returns
+    # text writes it in place of the document
+    (lambda doc: doc.update(group="cyclic:" + LONG), "cyclic: order has too many digits"),
+    (lambda doc: doc.update(group={"file": "long-order.txt"}),
+     "group file: order has too many digits"),
+    (lambda doc: doc.update(group={"file": "long-entry.txt"}),
+     "group file: a table entry has too many digits"),
+    (lambda doc: json.dumps(doc).replace('"table": [[0', '"table": [[' + LONG),
+     "malformed document: a number has too many digits"),
+    (lambda doc: json.dumps(doc).replace('"alpha": [1', '"alpha": [' + LONG),
+     "malformed document: a number has too many digits"),
+    (lambda doc: doc["theta1"].__setitem__(1, LONG + "/2"), "fraction has too many digits"),
 ], ids=["symbol-int", "group-file-int", "float-entry", "null-row", "bool-beta",
         "order-text", "float-alpha", "table-text", "order-mismatch", "cyclic-zero",
-        "product-cyclic-zero"])
+        "product-cyclic-zero", "cyclic-digits", "group-file-order-digits",
+        "group-file-entry-digits", "table-entry-digits", "alpha-digits", "rotation-digits"])
 def test_mistyped_document_fields_exit_two(capsys, tmp_path, edit, fragment):
+    (tmp_path / "long-order.txt").write_text(f"{LONG}\n0\n", encoding="utf-8")
+    (tmp_path / "long-entry.txt").write_text(f"2\n0 1\n1 {LONG}\n", encoding="utf-8")
     doc = json.loads(format_action_spec(specbuild.z4_swap_spec()))
-    edit(doc)
+    text = edit(doc) or json.dumps(doc)
     path = tmp_path / "doc.json"
-    path.write_text(json.dumps(doc), encoding="utf-8")
+    path.write_text(text, encoding="utf-8")
     code, out, err = run(capsys, "validate-action", str(path))
     assert (code, out) == (2, "")
     assert err.startswith("error: ") and fragment in err

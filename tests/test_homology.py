@@ -182,20 +182,24 @@ def checked_pivots():
 
     Yields the set of restarts seen: "column" after a remainder in the
     pivot's column, whose search leaves out the pivot's row, and "row"
-    after a remainder in the pivot's row, whose search includes it.
+    after a remainder in the pivot's row, whose search includes it.  Each
+    remainder is a least absolute one, so a narrowed search's pivot is at
+    most half the last pivot.
     """
     search = seifert.homology._pivot
     seen = set()
-    last = None
+    last = last_v = None
 
     def checked(rows, cols, among):
-        nonlocal last
+        nonlocal last, last_v
         at = search(rows, cols, among)
+        v = abs(rows[at[0]][at[1]])
         if among is not rows:
             assert list(among) == sorted(among)
             assert at == search(rows, cols, rows)
+            assert 2 * v <= last_v
             seen.add("row" if last[0] in among else "column")
-        last = at
+        last, last_v = at, v
         return at
 
     with mock.patch.object(seifert.homology, "_pivot", checked):
@@ -209,6 +213,12 @@ def test_restart_finds_the_full_search_pivot():
         assert smith_normal_form([[4, 0], [6, 7]]) == [1, 28]
         assert smith_normal_form(
             [[4, 0, 0, 0], [6, 7, 0, 0], [0, 0, 5, 0], [0, 0, 0, 5]]) == [1, 1, 5, 140]
+    assert seen == {"column", "row"}
+    # pivot 4 over 7 in its column, then in its row: the floor remainder 3
+    # is more than half the pivot, the least absolute one -1 is not
+    with checked_pivots() as seen:
+        assert smith_normal_form([[4], [7]]) == [1]
+        assert smith_normal_form([[4, 7, 0], [0, 0, 5]]) == [1, 5]
     assert seen == {"column", "row"}
     with checked_pivots() as seen:
         for matrix in seeded_relation_matrices():
@@ -240,22 +250,24 @@ def test_restart_finds_the_full_search_pivot_on_sparse_matrices(m):
 @needs_alarm
 def test_ladder_h1_without_coefficient_swell():
     # dense pivoting with a divisibility repair inside the loop swells on
-    # these: from 3.9 s to over a minute each
+    # these: from 3.9 s to over a minute each.  Floor remainders took 70 s
+    # on the n = 800 shuffle of a fresh Random(80), for the Euclid steps
     rng = random.Random(80)
     with time_budget(10):
-        for n in (41, 44, 49, 60, 80, 200, 400, 800):
+        for n in (41, 44, 49, 60, 80, 200, 400, 800, 1000):
             symbol = ladder(n)
             h = first_homology(symbol)
             assert h.free_rank == 4
             assert prod(h.torsion) == abs(total_sum(symbol)) * prod(p.q for p in symbol.pairs)
             matrix = abelianize(pi1(symbol))
-            rows = rng.sample(matrix, len(matrix))
-            cols = rng.sample(range(len(matrix[0])), len(matrix[0]))
-            shuffled = [[row[j] for j in cols] for row in rows]
             # the diagonal of the unshuffled matrix, as first_homology read it
-            rank = len(cols) - h.free_rank
+            rank = len(matrix[0]) - h.free_rank
             diagonal = [1] * (rank - len(h.torsion)) + list(h.torsion)
-            assert smith_normal_form(shuffled) == diagonal + [0] * (min(len(rows), len(cols)) - rank)
+            diagonal += [0] * (min(len(matrix), len(matrix[0])) - rank)
+            for draw in [rng, random.Random(80)] if n == 800 else [rng]:
+                rows = draw.sample(matrix, len(matrix))
+                cols = draw.sample(range(len(matrix[0])), len(matrix[0]))
+                assert smith_normal_form([[row[j] for j in cols] for row in rows]) == diagonal
 
 
 # -- homology of symbols ---------------------------------------------------
