@@ -14,7 +14,8 @@ checked or built correct by construction.  Every record the package
 derives from checked records is built through it: the group
 constructors (:func:`~seifert.groups.cyclic_group` and
 :func:`~seifert.groups.direct_product`), the document reader,
-projection and lift of actions, and the presentations read off a symbol
+projection and lift of actions (all three through
+``seifert.actions._from_view``), and the presentations read off a symbol
 (:func:`~seifert.presentations.pi1` and
 :func:`~seifert.presentations.orbifold_pi1`).
 

@@ -32,13 +32,17 @@ which forces the cocycle laws checked by :func:`validate_action_spec`
 plus triviality of the identity element's datum.  Rotation numbers are
 exact fractions in [0, 1), the type of every public field, document
 and report.  The checks read them as integers mod N, N the lcm of a
-spec's rotation denominators: each spec computes that integer view of
-its data once and keeps it, and the law scan, the covering-translation
-test and the structure report of :mod:`seifert.structure` all read
-it.  A descriptor computes the same view of its lift straight from its
-own tables and is law-scanned on that integer lift; :func:`lift_action`
-builds the Fraction spec from it once, when first called, and the spec
-keeps that view and the passing report.  v -> v*N is exact and keeps
+spec's rotation denominators: each spec keeps that integer view of its
+data, and the law scan, the covering-translation test and the
+structure report of :mod:`seifert.structure` all read it.  A
+descriptor's view is the one of its lift, built from its own tables,
+and it is law-scanned on that integer lift, at the folded indices for
+law (d).  A record the package derives (a read document, a projection,
+a lift) is built from its integer view by one builder, ``_from_view``,
+and keeps that view from birth; a record a caller constructs computes
+it from its Fractions on first use.  :func:`lift_action` builds the
+Fraction spec once, when first called, and the spec keeps the
+descriptor's view and the passing report.  v -> v*N is exact and keeps
 the order of [0, 1), so every verdict and witness is the one the
 fractions give.  Laws (a) to (d) are decided over G x S, S the group's
 generating set, and law (e) over S alone; the witness of a failure is
@@ -51,10 +55,12 @@ object, and every function that needs valid data reads it.
 
 A document has few distinct rotation values and repeats them across
 its tables, so the boundary handles each distinct value once: the
-reader parses and reduces each distinct rotation text of a document
-once, the lift builds Fraction(v, N) once per distinct integer v, and
-the writer prints the checked Fractions as they are, with no copy,
-joining whole rows into the layout of ``json.dumps(..., indent=2)``.
+reader parses each distinct rotation text of a document once, to a
+pair reduced mod 1, and reads every table row into integers mod N by
+one lookup per entry; the builder makes Fraction(v, N) once per
+distinct integer v; and the writer prints the checked Fractions as
+they are, with no copy, joining whole rows into the layout of
+``json.dumps(..., indent=2)``.
 
 The covering-translation machinery works on symbols whose pair list is
 doubled in blocks, pairs i and i+n equal for i < n: exactly the
@@ -70,7 +76,8 @@ import json
 import re
 from fractions import Fraction
 from functools import cached_property
-from math import lcm
+from itertools import chain
+from math import gcd, lcm
 from operator import add, itemgetter, ne
 from pathlib import Path
 
@@ -103,11 +110,16 @@ class ExtendedProductActionSpec(Record):
         _check_records(self.symbol, "symbol", self.group)
         _check_tables(self, len(self.symbol.pairs), "symbol")
 
+    @staticmethod
+    def _view(mod, theta1, alpha, beta, theta2) -> tuple[int, tuple[tuple, ...]]:
+        """(N, per-element datum (alpha, theta1*N, beta row, theta2*N row)),
+        from the tables in field order, rotations as integers mod N."""
+        return mod, tuple(zip(alpha, theta1, beta, theta2))
+
     @cached_property
     def _int_view(self) -> tuple[int, tuple[tuple, ...]]:
-        """(N, per-element datum (alpha, theta1*N, beta row, theta2*N row))."""
         mod, (theta1, *theta2) = _scaled((self.theta1, *self.theta2))
-        return mod, tuple(zip(self.alpha, theta1, self.beta, theta2))
+        return self._view(mod, theta1, self.alpha, self.beta, theta2)
 
     @cached_property
     def _law_report(self) -> ValidationReport:
@@ -120,6 +132,32 @@ def _scaled(rows, *moduli) -> tuple[int, list[tuple[int, ...]]]:
     mod = lcm(*denominators, *moduli)
     scale = {d: mod // d for d in denominators}
     return mod, [tuple(v.numerator * scale[v.denominator] for v in row) for row in rows]
+
+
+def _from_view(cls, symbol, group, mod: int, *tables):
+    """The record of cls whose tables, in field order, are ``tables`` with
+    each rotation entry an integer v read as v/N.
+
+    The one home for building a record from an integer view: the read
+    document, the projection and the lift.  Each distinct v becomes one
+    ``Fraction(v, N)``, the record is built through ``_built`` (the
+    caller has established its shape, with 0 <= v < N) and keeps the
+    integer view of these tables, so :func:`_scaled` never runs for it.
+    """
+    kinds = cls._tables.values()
+    distinct = set()
+    for kind, table in zip(kinds, tables):
+        if kind == "rotation":
+            distinct.update(table)
+        elif kind == "rotation rows":
+            distinct.update(*table)
+    rotation = {v: Fraction(v, mod) for v in distinct}.__getitem__
+    fields = [tuple(map(rotation, table)) if kind == "rotation"
+              else tuple(tuple(map(rotation, row)) for row in table) if kind == "rotation rows"
+              else table for kind, table in zip(kinds, tables)]
+    record = _built(cls, symbol, group, *fields)
+    record.__dict__["_int_view"] = cls._view(mod, *tables)
+    return record
 
 
 def _check_records(symbol, symbol_field: str, group):
@@ -240,7 +278,9 @@ def _scan_laws(group: FiniteGroup, view: tuple, pairs: tuple, laws: dict) -> Val
     Stops at the first failure; ``laws`` names it and words its message.
     The witness is the first one a scan of all (g, h), each law before
     the next, would name, so reports do not depend on S.  A rotation in
-    a message is Fraction(v, N).
+    a message is Fraction(v, N).  On a descriptor's lift (``laws`` is
+    ``_DESCRIPTOR_LAWS``) law (d) is read at the folded indices i < n
+    only: there it holds at i + n exactly where it holds at i.
     """
     def fail(law, witness, **values):
         name, message = laws[law]
@@ -251,6 +291,12 @@ def _scan_laws(group: FiniteGroup, view: tuple, pairs: tuple, laws: dict) -> Val
     if data[0] != (1, 0, tuple(range(n)), (0,) * n):
         return fail("identity", (0,))
     table, generators = group.table, group.generators
+    # law (d) on a lift: the data whose theta2 rows are compared and whose
+    # composers are built cut to the folded half, so that a composer gives
+    # the theta2 row of gh at the folded indices
+    fronts = data
+    if laws is _DESCRIPTOR_LAWS:
+        fronts = [(a, t, p[:n // 2], r[:n // 2]) for a, t, p, r in data]
 
     # Each law reads only its own component and those of earlier laws,
     # and the sub-data (alpha), (alpha, theta1), (beta) and (alpha, beta,
@@ -263,18 +309,19 @@ def _scan_laws(group: FiniteGroup, view: tuple, pairs: tuple, laws: dict) -> Val
     # generator at a time: one composer per s, and the component k of
     # every g*s against it applied to every g.
     for k, (law, composer) in enumerate(_COMPONENT_LAWS):
-        component = [datum[k] for datum in data]
+        compared = fronts if law == "theta2" else data
+        component = [datum[k] for datum in compared]
         if not any(any(map(ne, map(component.__getitem__, map(itemgetter(s), table)),
-                           map(composer(data[s], mod), data)))
+                           map(composer(compared[s], mod), data)))
                    for s in generators):
             continue
-        composers = [composer(b, mod) for b in data]
+        composers = [composer(b, mod) for b in compared]
         g, h = next((g, h) for g, a in enumerate(data)
                     for h, compose in enumerate(composers) if component[table[g][h]] != compose(a))
         gh = table[g][h]
-        got, want = data[gh][k], composers[h](data[g])
+        got, want = component[gh], composers[h](data[g])
         if law == "theta2":
-            i = next(i for i in range(n) if got[i] != want[i])
+            i = next(i for i in range(len(got)) if got[i] != want[i])
             return fail(law, (g, h, i), gh=gh, i=i, value=Fraction(got[i], mod),
                         want=Fraction(want[i], mod))
         if law == "theta1":
@@ -513,17 +560,22 @@ class ProjectedActionDescriptor(Record):
         _check_n2_base(self.base)
         _check_tables(self, len(self.base.pairs), "base")
 
-    @cached_property
-    def _int_view(self) -> tuple[int, tuple[tuple, ...]]:
-        """The integer view of the lift (see :func:`lift_action`), from these tables."""
-        n = len(self.base.pairs)
-        mod, fronts = _scaled(self.theta2_bar, 2 if -1 in self.epsilon else 1)
-        data = []
-        for sign, perm, front in zip(self.epsilon, self.beta_bar, fronts):
+    @staticmethod
+    def _view(mod, epsilon, beta_bar, fronts) -> tuple[int, tuple[tuple, ...]]:
+        """The integer view of the lift (see :func:`lift_action`), from the
+        tables in field order, theta2_bar as integers mod N; N is even
+        when some epsilon is -1."""
+        n, data = len(beta_bar[0]), []
+        for sign, perm, front in zip(epsilon, beta_bar, fronts):
             kept, crossed = perm, tuple(j + n for j in perm)
             turn, row = (0, kept + crossed) if sign == 1 else (mod // 2, crossed + kept)
             data.append((1, turn, row, front + tuple(-v % mod for v in front)))
         return mod, tuple(data)
+
+    @cached_property
+    def _int_view(self) -> tuple[int, tuple[tuple, ...]]:
+        mod, fronts = _scaled(self.theta2_bar, _half_turns(self.epsilon))
+        return self._view(mod, self.epsilon, self.beta_bar, fronts)
 
     @cached_property
     def _law_report(self) -> ValidationReport:
@@ -533,16 +585,20 @@ class ProjectedActionDescriptor(Record):
     @cached_property
     def _lifted(self) -> ExtendedProductActionSpec:
         # read by lift_action only, once the scan of this view has passed,
-        # so the spec keeps the view and the report and is not scanned again;
-        # its shape holds: rotations are Fraction(v, N), 0 <= v < N, beta rows copy beta_bar's
-        view = mod, data = self._int_view
+        # so the spec keeps this view object and the report and is not
+        # scanned again; its shape holds: 0 <= v < N, beta rows copy beta_bar's
+        mod, data = self._int_view
         alpha, turns, beta, rows = zip(*data)
-        rotation = {v: Fraction(v, mod) for v in set(turns).union(*rows)}.__getitem__
-        spec = _built(ExtendedProductActionSpec, orientable_double_cover(self.base), self.group,
-                      tuple(map(rotation, turns)), alpha, beta,
-                      tuple(tuple(map(rotation, row)) for row in rows))
-        spec.__dict__.update(_int_view=view, _law_report=_PASS)
+        spec = _from_view(ExtendedProductActionSpec, orientable_double_cover(self.base),
+                          self.group, mod, turns, alpha, beta, rows)
+        spec.__dict__.update(_int_view=self._int_view, _law_report=_PASS)
         return spec
+
+
+def _half_turns(epsilon) -> int:
+    """2 if some element lifts with the half fiber turn, else 1: a factor of
+    the N of a descriptor's integer view."""
+    return 2 if -1 in epsilon else 1
 
 
 def _check_n2_base(base: SeifertSymbol):
@@ -553,7 +609,8 @@ def _check_n2_base(base: SeifertSymbol):
 # The spec laws, read on the descriptor's integer lift, named by its fields.
 # There alpha is identically +1, the theta1 law is the epsilon law, and
 # for i < n the theta2 law is the folded theta2_bar law (for i >= n its
-# negation), so the first witness always names a folded index.
+# negation), so the first witness always names a folded index and the
+# scan reads that law at i < n only.
 _DESCRIPTOR_LAWS = {
     "identity": _SPEC_LAWS["identity"],
     "theta1": ("epsilon", "epsilon({gh}) != epsilon({g})*epsilon({h})"),
@@ -596,12 +653,15 @@ def project_action(spec: ExtendedProductActionSpec) -> ProjectedActionDescriptor
         raise ValueError(f"action does not commute with the covering translation: {tau.message}")
     base = _block_base(spec.symbol)
     n = len(base.pairs)
+    mod, data = spec._int_view
     epsilon = tuple(1 if t == 0 else -1 for t in spec.theta1)
     beta_bar = tuple(tuple(j % n for j in perm[:n]) for perm in spec.beta)
-    theta2_bar = tuple(row[:n] for row in spec.theta2)
     # shape holds: a beta_bar row is a permutation, as beta(i) = beta(j) mod n,
-    # i != j < n, would give beta(j) = beta(i + n) by sigma-equivariance
-    return _built(ProjectedActionDescriptor, base, spec.group, epsilon, beta_bar, theta2_bar)
+    # i != j < n, would give beta(j) = beta(i + n) by sigma-equivariance.
+    # N is the spec's: theta1 is 1/2 exactly where epsilon is -1, and the
+    # back half of each theta2 row negates the front, which has its denominators
+    return _from_view(ProjectedActionDescriptor, base, spec.group, mod, epsilon, beta_bar,
+                      tuple(row[:n] for _, _, _, row in data))
 
 
 def lift_action(descriptor: ProjectedActionDescriptor) -> ExtendedProductActionSpec:
@@ -631,10 +691,16 @@ _FRACTION = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
 
 def parse_fraction_text(text) -> Fraction:
     """Exact fraction from an int or 'a/b' string; decimals rejected."""
+    return Fraction(*_fraction_terms(text))
+
+
+def _fraction_terms(text) -> tuple[int, int]:
+    """(numerator, denominator) as :func:`parse_fraction_text` reads them,
+    not reduced; the denominator is positive."""
     if isinstance(text, bool):
         raise ValueError(f"not a fraction: {text!r}")
     if isinstance(text, int):
-        return Fraction(text)
+        return text, 1
     if isinstance(text, float):
         raise ValueError(f"decimal fractions are not accepted: {text!r}")
     match = _FRACTION.fullmatch(text.strip()) if isinstance(text, str) else None
@@ -647,7 +713,7 @@ def parse_fraction_text(text) -> Fraction:
         raise ValueError("fraction has too many digits") from None
     if denominator == 0:
         raise ValueError(f"zero denominator in fraction {text!r}")
-    return Fraction(numerator, denominator)
+    return numerator, denominator
 
 
 def _string(value, name: str) -> str:
@@ -689,53 +755,61 @@ def _field(doc: dict, name: str):
     return doc[name]
 
 
-def _read_tables(doc: dict, kinds: dict, order: int, n: int) -> list[tuple]:
-    """The element tables of a document, in field order, indexed by element.
+def _read_tables(doc: dict, kinds: dict, order: int, n: int, modulus=None) -> tuple[int, list]:
+    """(N, the element tables of a document in field order, indexed by
+    element, each rotation entry an integer v mod N standing for v/N).
 
-    A document repeats its few rotation values many times, so each
-    distinct rotation text is read and reduced mod 1 once per call and
-    its Fraction shared.  Only strings are memo keys: ``True``, ``1`` and
-    ``1.0`` hash alike, and each of them must meet
-    :func:`parse_fraction_text` itself.
+    N is the lcm of the rotations' reduced denominators and of
+    ``modulus(signs)``, signs the sign table.  A document repeats its few
+    rotation values many times, so each distinct rotation text is read
+    once per call, to a pair (v, d) reduced mod 1, and a table row is
+    then one lookup per entry.  Only strings are read once: ``True``,
+    ``1`` and ``1.0`` hash alike, so any other entry meets
+    :func:`parse_fraction_text`'s reading itself, and an error is the
+    first one a reading entry by entry meets.
     """
-    memo = {}
+    terms = {}   # rotation entry -> (v, d), 0 <= v < d coprime
 
-    def rotation(text):
-        value = memo.get(text) if type(text) is str else None
-        if value is None:
-            value = parse_fraction_text(text)
-            num, den = value.numerator, value.denominator
-            if not 0 <= num < den:
-                value = Fraction(num % den, den)
-            if type(text) is str:
-                memo[text] = value
-        return value
+    def read(entries):
+        if set(map(type, entries)) <= {str}:
+            entries = dict.fromkeys(entries)
+        for text in entries:
+            if type(text) is not str or text not in terms:
+                num, den = _fraction_terms(text)
+                common = gcd(num, den)
+                terms[text] = (num // common % (den // common), den // common)
 
-    tables = []
+    tables, signs = [], None
+    # the 1-based indices of a permutation row; zero_based[v] is v - 1
+    indices, zero_based = set(range(1, n + 1)), tuple(range(-1, n))
     for name, kind in kinds.items():
         raw = _field(doc, name)
         if kind != "rotation rows" and (not isinstance(raw, list) or len(raw) != order):
             entry = "fraction" if kind == "rotation" else kind
             raise ValueError(f"{name} must list one {entry} per group element ({order})")
         if kind == "rotation":
-            tables.append(tuple(map(rotation, raw)))
+            read(raw)
+            tables.append(raw)
         elif kind == "sign":
-            for v in raw:
-                if type(v) is not int or v not in (1, -1):
-                    raise ValueError(f"{name} entries must be 1 or -1, got {v!r}")
-            tables.append(tuple(raw))
+            # type, not isinstance, and before the values: True equals 1
+            if not (set(map(type, raw)) <= {int} and set(raw) <= {1, -1}):
+                v = next(v for v in raw if type(v) is not int or v not in (1, -1))
+                raise ValueError(f"{name} entries must be 1 or -1, got {v!r}")
+            signs = tuple(raw)
+            tables.append(signs)
         elif kind == "permutation":
+            # one set compare per row; only a failing row is walked
             for g, row in enumerate(raw):
                 if not isinstance(row, list) or len(row) != n:
                     raise ValueError(f"{name} row {g} must have {n} entries")
-                for v in row:
-                    if type(v) is not int or not 1 <= v <= n:
-                        raise ValueError(f"{name} row {g}: entries are 1-based indices in 1..{n}")
-                if len(set(row)) != n:
-                    v = next(v for k, v in enumerate(row) if v in row[:k])
-                    raise ValueError(f"{name} row {g}: index {v} repeats, "
-                                     f"entries are a permutation of 1..{n}")
-            tables.append(tuple(tuple(v - 1 for v in row) for row in raw))
+                if set(map(type, row)) <= {int} and set(row) == indices:
+                    continue
+                if any(type(v) is not int or not 1 <= v <= n for v in row):
+                    raise ValueError(f"{name} row {g}: entries are 1-based indices in 1..{n}")
+                v = next(v for k, v in enumerate(row) if v in row[:k])
+                raise ValueError(f"{name} row {g}: index {v} repeats, "
+                                 f"entries are a permutation of 1..{n}")
+            tables.append(tuple(tuple(map(zero_based.__getitem__, row)) for row in raw))
         else:
             # one row per boundary index, one entry per element: the transpose
             if not isinstance(raw, list) or len(raw) != n:
@@ -744,9 +818,17 @@ def _read_tables(doc: dict, kinds: dict, order: int, n: int) -> list[tuple]:
             for i, row in enumerate(raw):
                 if not isinstance(row, list) or len(row) != order:
                     raise ValueError(f"{name} row {i} must have one entry per group element ({order})")
-            columns = zip(*raw) if n else [()] * order
-            tables.append(tuple(tuple(map(rotation, column)) for column in columns))
-    return tables
+            columns = list(zip(*raw)) if n else [()] * order
+            read(list(chain.from_iterable(columns)))
+            tables.append(columns)
+    mod = lcm(*{den for _, den in terms.values()}, modulus(signs) if modulus else 1)
+    value = {text: num * (mod // den) for text, (num, den) in terms.items()}.__getitem__
+    for k, kind in enumerate(kinds.values()):
+        if kind == "rotation":
+            tables[k] = tuple(map(value, tables[k]))
+        elif kind == "rotation rows":
+            tables[k] = tuple(tuple(map(value, column)) for column in tables[k])
+    return mod, tables
 
 
 class _GivenTwice(ValueError):
@@ -783,8 +865,9 @@ def _parse_document(text: str, base_dir: Path | None, cls):
     symbol = parse_symbol(_string(_field(doc, "symbol"), "symbol"))
     group = _group_from_field(_field(doc, "group"), base_dir)
     # _read_tables checks all that _check_tables does
-    return _built(cls, symbol, group, *_read_tables(doc, cls._tables, group.order,
-                                                    len(symbol.pairs)))
+    modulus = _half_turns if cls is ProjectedActionDescriptor else None
+    mod, tables = _read_tables(doc, cls._tables, group.order, len(symbol.pairs), modulus)
+    return _from_view(cls, symbol, group, mod, *tables)
 
 
 def parse_action_spec_text(text: str, base_dir: Path | None = None) -> ExtendedProductActionSpec:

@@ -297,7 +297,9 @@ def _output_arguments(p):
 
 def _obstruction_arguments(p):
     p.add_argument("specfile", nargs="?",
-                   help="take orbits (and default b) from this spec file")
+                   help="take orbits (and default b) from this spec file; with no -b "
+                        "the test always passes, as each beta orbit keeps to equal pairs "
+                        "(q,p) and b_i = floor(p/q) of its pair solves it")
     p.add_argument("-b", type=_int_option, default=None, help="target obstruction class")
     p.add_argument("--orbits", help="comma-separated orbit numbers")
     p.add_argument("--orbits-extra", dest="orbits_extra",

@@ -22,7 +22,8 @@ f(g)*f(s) over G x S extends to all pairs by induction on word length.
 Text format: the order on the first line, then one table row per line as
 space separated indices.  Constructor strings build standard groups:
 ``cyclic:n`` and ``product:spec1,spec2`` (specs nest to any depth; the
-reader keeps its open products on a stack, not in recursion).
+reader keeps its open products on a stack, not in recursion), of order
+at most ``MAX_CONSTRUCTOR_ORDER``.
 """
 
 from __future__ import annotations
@@ -128,13 +129,22 @@ def direct_product(a: FiniteGroup, b: FiniteGroup) -> FiniteGroup:
     """Componentwise product; (i, j) lives at index i*|b| + j.
 
     Row (i, j) is row j of b shifted into block x, for each x of row i of
-    a in turn, the blocks joined.
+    a in turn, the blocks joined.  Block x is the indices x*|b| to
+    x*|b| + |b| - 1, and row j of b shifted into it is one itemgetter
+    call on it, so every row is built by C-level copies and all cells
+    share the ints of the blocks.
     """
     nb = b.order
-    shifted = [[tuple(x * nb + y for y in b_row) for x in a.elements()] for b_row in b.table]
-    return _built(FiniteGroup, tuple(tuple(chain.from_iterable(map(blocks.__getitem__, a_row)))
-                                     for a_row in a.table for blocks in shifted))
+    blocks = [tuple(range(x * nb, x * nb + nb)) for x in a.elements()]
+    # with |b| = 1 the one row of b is (0,), and itemgetter(0) gives no tuple
+    shifted = [blocks] if nb == 1 else [list(map(itemgetter(*b_row), blocks)) for b_row in b.table]
+    return _built(FiniteGroup, tuple(tuple(chain.from_iterable(map(row.__getitem__, a_row)))
+                                     for a_row in a.table for row in shifted))
 
+
+# the largest order of a cyclic:/product: group: a table of 2048^2 cells
+# takes about 40 MB and a twentieth of a second to build
+MAX_CONSTRUCTOR_ORDER = 2048
 
 # a table entry or order, or any command-line integer: an optional '-' and ASCII digits
 _INTEGER = re.compile(r"-?[0-9]+")
@@ -171,9 +181,31 @@ def parse_group_text(text: str) -> FiniteGroup:
 def group_from_constructor(spec: str) -> FiniteGroup:
     """Build a group from ``cyclic:n`` / ``product:spec1,spec2`` text.
 
-    n is ASCII digits.  A loop over the open products, so nesting depth
-    costs no recursion; each entry is [the token where the product
-    starts, its first operand once read].
+    n is ASCII digits.  A group of order over ``MAX_CONSTRUCTOR_ORDER``
+    is refused: the text is read twice, first for the orders alone, so
+    every error is raised before any table is built.
+    """
+    _read_constructor(spec, _bounded_order, lambda a, b: _bounded_order(a * b))
+    return _read_constructor(spec, cyclic_group, direct_product)
+
+
+def _bounded_order(order: int) -> int:
+    """The order of a group the constructor text may build, in the pass
+    that reads the orders alone."""
+    if order > MAX_CONSTRUCTOR_ORDER:
+        raise ValueError(f"group order {order} is over the limit of {MAX_CONSTRUCTOR_ORDER}")
+    if order < 1:
+        cyclic_group(order)   # raises the error building would, at the same token
+    return order
+
+
+def _read_constructor(spec: str, cyclic, product):
+    """The constructor text with ``cyclic:n`` read as cyclic(n) and
+    ``product:a,b`` as product(a, b).
+
+    A loop over the open products, so nesting depth costs no recursion;
+    each entry is [the token where the product starts, its first operand
+    once read].
     """
     tokens = _CONSTRUCTOR_TOKEN.findall(spec.strip()) + [""]  # "" marks the end
     open_products: list[list] = []
@@ -192,10 +224,10 @@ def group_from_constructor(spec: str) -> FiniteGroup:
             order = int(token[len("cyclic:"):])
         except ValueError:   # more digits than the interpreter converts
             raise ValueError("cyclic: order has too many digits") from None
-        group = cyclic_group(order)
+        group = cyclic(order)
         k += 1
         while open_products and open_products[-1][1] is not None:
-            group = direct_product(open_products.pop()[1], group)
+            group = product(open_products.pop()[1], group)
         if not open_products:
             break
         if tokens[k] != ",":

@@ -12,10 +12,12 @@ from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
 
 import pytest
+from hypothesis import given, settings
 
 import oracles
 import specbuild
 from specbuild import ZERO
+from strategies import valid_specs
 from seifert import (
     AbelianGroupStructure,
     ExtendedProductActionSpec,
@@ -40,6 +42,7 @@ from seifert import (
     pi1_orientable,
     project_action,
     analyze_structure,
+    beta_orbit_numbers,
     smith_normal_form,
     total_sum,
     validate_action_spec,
@@ -626,6 +629,55 @@ def test_criterion_10_obstruction_witnesses():
         else:
             assert witness is None
     _pass(10, "obstruction witnesses solve exactly when the gcd divides")
+
+
+def _obstruction_identity(spec):
+    """b = sum over beta orbits O of floor(p_O/q_O)*|O|, so the orbit
+    numbers of every valid spec solve its own obstruction class."""
+    pairs = spec.symbol.pairs
+    orbits = {frozenset(perm[i] for perm in spec.beta) for i in range(len(pairs))}
+    parts = []
+    for orbit in orbits:
+        # law (e): an orbit keeps to equal pairs
+        (pair,) = {pairs[i] for i in orbit}
+        parts.append(pair.p // pair.q * len(orbit))
+    b = obstruction_class(spec.symbol)
+    assert sum(parts) == b
+    assert obstruction_witness(b, beta_orbit_numbers(spec)) is not None
+
+
+@settings(max_examples=300, deadline=None)
+@given(valid_specs())
+def test_obstruction_identity_on_generated_specs(spec):
+    assert validate_action_spec(spec)
+    _obstruction_identity(spec)
+
+
+def test_obstruction_identity_on_built_specs_and_lifts():
+    # every valid spec specbuild writes, and the lift of every valid
+    # descriptor these tests build: the specbuild ones, the random ones,
+    # and the mutants of them that still pass the folded laws
+    specs = [getattr(specbuild, name)() for name in dir(specbuild)
+             if name.endswith("_spec") and name not in ("trivial_spec", "faithful_rotation_spec")]
+    specs += [specbuild.faithful_rotation_spec(m) for m in (1, 2, 12)]
+    specs += [specbuild.trivial_spec("(2,n2|(3,-4),(1,5),(3,-4))", direct_product(
+        cyclic_group(2), cyclic_group(2))),
+              specbuild.coboundary_action("(0,o1|(2,3),(1,2),(2,3))", cyclic_group(2), (1, -1),
+                                          ((0, 1, 2), (2, 1, 0)), Fraction(1, 3),
+                                          (Fraction(1, 4), ZERO, Fraction(1, 2)))]
+    rng = random.Random(13013)
+    descriptors = [specbuild.z2_lens_descriptor(), specbuild.z2z3_descriptor()]
+    descriptors += [_random_descriptor(rng) for _ in range(200)]
+    descriptors += [d for d in (_mutate_descriptor(rng, rng.choice(descriptors))
+                                for _ in range(2000)) if validate_descriptor(d)]
+    specs += [lift_action(d) for d in descriptors]
+    assert len(specs) > 250
+    seen = set()
+    for spec in specs:
+        assert validate_action_spec(spec)
+        _obstruction_identity(spec)
+        seen.add((obstruction_class(spec.symbol) != 0, max(beta_orbit_numbers(spec), default=0) > 1))
+    assert seen == {(False, False), (False, True), (True, False), (True, True)}
 
 
 def _image_group(spec) -> tuple[tuple, tuple]:

@@ -505,6 +505,27 @@ def test_tau_agrees_with_naive_scan():
     assert verdicts == {None, "half-rotation", "sigma-equivariance", "meridian-antisymmetry"}
 
 
+def test_projection_keeps_the_constructor_view():
+    # project_action builds the descriptor from the fronts of the spec's
+    # integer view, at the spec's N; that must be the view the checked
+    # constructor's descriptor computes from its Fractions
+    rng = random.Random(60623)
+    specs = [specbuild.z2_swap_spec(), specbuild.z2z3_block_spec(),
+             specbuild.mixed_crossing_spec(), lift_action(specbuild.z2z3_descriptor())]
+    while len(specs) < 400:
+        spec = _random_cyclic_action(rng)
+        if spec is not None and check_tau_commuting(spec):
+            specs.append(spec)
+    epsilons = set()
+    for spec in specs:
+        d = project_action(spec)
+        assert "_int_view" in d.__dict__
+        fresh = ProjectedActionDescriptor(d.base, d.group, d.epsilon, d.beta_bar, d.theta2_bar)
+        assert fresh == d and fresh._int_view == d._int_view
+        epsilons.add(-1 in d.epsilon)
+    assert epsilons == {True, False}
+
+
 # -- descriptors, project, lift --------------------------------------------
 
 def test_descriptor_structure_enforced():
@@ -602,6 +623,36 @@ def test_descriptor_is_lifted_once(built_specs):
     assert lift_action(descriptor) is lifted
     assert len(built_specs) == 1 and built_specs[0] is lifted
     assert lifted == specbuild.z2_swap_spec()
+
+
+def test_read_projected_and_lifted_records_are_not_rescaled(monkeypatch):
+    # documents, projections and lifts are built with their integer view:
+    # only a record built by its checked constructor scales its Fractions
+    calls = []
+    scaled = seifert.actions._scaled
+
+    def counted(*args):
+        calls.append(args)
+        return scaled(*args)
+    monkeypatch.setattr(seifert.actions, "_scaled", counted)
+    commuting = [specbuild.z2_swap_spec(), specbuild.z2z3_block_spec(),
+                 lift_action(specbuild.z2z3_descriptor())]
+    texts = [format_action_spec(spec)
+             for spec in commuting + [specbuild.z2_z32_spec(), specbuild.d16_spec()]]
+    calls.clear()
+    for k, text in enumerate(texts):
+        read = parse_action_spec_text(text)
+        analyze_structure(read)
+        beta_orbit_numbers(read)
+        if k < len(commuting):
+            assert check_tau_commuting(read)
+            assert validate_descriptor(project_action(read))
+            descriptor = parse_descriptor_text(format_descriptor(project_action(read)))
+            assert validate_descriptor(descriptor)
+            assert validate_action_spec(lift_action(descriptor))
+    assert calls == []
+    assert validate_action_spec(specbuild.z2_swap_spec())
+    assert len(calls) == 1
 
 
 def test_lifted_spec_keeps_the_descriptor_scan(scans):
@@ -772,14 +823,14 @@ def test_document_rotation_texts_reduce_alike():
 
 @pytest.fixture
 def parsed_texts(monkeypatch):
-    """Every value the document reader hands to parse_fraction_text."""
+    """Every value the document reader reads as a fraction, in order."""
     seen = []
-    parse = seifert.actions.parse_fraction_text
+    parse = seifert.actions._fraction_terms
 
     def counted(text):
         seen.append(text)
         return parse(text)
-    monkeypatch.setattr(seifert.actions, "parse_fraction_text", counted)
+    monkeypatch.setattr(seifert.actions, "_fraction_terms", counted)
     return seen
 
 

@@ -497,6 +497,19 @@ def test_deep_nesting_exits_two(capsys, tmp_path):
     assert err.startswith("error: malformed document:")
 
 
+@pytest.mark.parametrize("group, order", [
+    ("cyclic:2049", 2049), ("product:cyclic:2,cyclic:1025", 2050),
+    ("product:cyclic:2048,product:cyclic:2048,cyclic:2048", 4194304),
+])
+def test_constructor_order_over_the_limit_exits_two(capsys, tmp_path, group, order):
+    doc = json.loads(format_action_spec(specbuild.trivial_spec("(0,o1|(2,1))",
+                                                               specbuild.cyclic_group(1))))
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(dict(doc, group=group)), encoding="utf-8")
+    assert run(capsys, "validate-action", str(path)) == (
+        2, "", f"error: group order {order} is over the limit of 2048\n")
+
+
 def test_document_with_a_byte_order_mark_is_malformed(capsys, tmp_path):
     path = tmp_path / "bom.json"
     path.write_text("\ufeff" + format_action_spec(specbuild.z4_swap_spec()), encoding="utf-8")

@@ -6,6 +6,7 @@ import re
 import pytest
 
 import oracles
+import seifert.groups
 import specbuild
 
 from seifert import (
@@ -412,3 +413,54 @@ def test_constructor_groups_are_their_definitions_unchecked(monkeypatch):
             product = direct_product(cyclic_group(a), cyclic_group(b))
             assert product.table == product_definition(cyclic_definition(a), cyclic_definition(b))
     assert not checks
+
+
+def _product_by_formula(a, b) -> FiniteGroup:
+    """direct_product's table as the per-cell formula builds it, checked."""
+    nb = b.order
+    shifted = [[tuple(x * nb + y for y in b_row) for x in a.elements()] for b_row in b.table]
+    return FiniteGroup(tuple(tuple(v for x in a_row for v in blocks[x])
+                             for a_row in a.table for blocks in shifted))
+
+
+def test_direct_product_equals_the_cell_formula():
+    # row copies of shared blocks give the table of the per-cell formula,
+    # for Z1 on either side and for products nested on either side
+    z1, z2, z3 = cyclic_group(1), cyclic_group(2), cyclic_group(3)
+    klein, z2z3 = direct_product(z2, z2), direct_product(z2, z3)
+    factors = [z1, z2, z3, klein, z2z3, direct_product(z1, z3), direct_product(z2z3, z1),
+               direct_product(klein, z2z3), direct_product(z3, direct_product(z1, klein)),
+               specbuild.dihedral_group(3)]
+    for a in factors:
+        for b in factors:
+            assert direct_product(a, b) == _product_by_formula(a, b)
+    deep = group_from_constructor("product:product:cyclic:1,cyclic:4,product:cyclic:2,cyclic:1")
+    assert deep == _product_by_formula(direct_product(z1, cyclic_group(4)), direct_product(z2, z1))
+
+
+def test_constructor_order_limit(monkeypatch):
+    # an order over the limit is refused before any table is built, and
+    # the limit itself is reached
+    limit = seifert.groups.MAX_CONSTRUCTOR_ORDER
+    assert limit >= 720
+    built = []
+    for name in ("cyclic_group", "direct_product"):
+        def counted(*args, build=getattr(seifert.groups, name)):
+            built.append(args)
+            return build(*args)
+        monkeypatch.setattr(seifert.groups, name, counted)
+    for text, order in [(f"cyclic:{limit + 1}", limit + 1), ("cyclic:99999999999", 99999999999),
+                        (f"product:cyclic:2,cyclic:{limit // 2 + 1}", limit + 2),
+                        (f"product:cyclic:{limit},cyclic:2", 2 * limit),
+                        ("product:cyclic:64,product:cyclic:2,cyclic:32", 4096),
+                        (f"product:cyclic:{limit + 1},cyclic:x", limit + 1)]:
+        message = f"group order {order} is over the limit of {limit}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            group_from_constructor(text)
+        assert built == []
+    assert group_from_constructor(f"product:cyclic:2,cyclic:{limit // 2}").order == limit
+    # errors the limit does not name keep their messages
+    with pytest.raises(ValueError, match="^cyclic group order must be >= 1$"):
+        group_from_constructor("product:cyclic:0,x")
+    with pytest.raises(ValueError, match="unknown group constructor"):
+        group_from_constructor(f"product:cyclic:{limit},x")

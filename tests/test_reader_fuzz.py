@@ -10,7 +10,9 @@ readers, not to this test.
 
 import io
 import json
+import os
 import re
+import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from math import prod
 
@@ -18,9 +20,11 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import assume, given, settings
 
+import specbuild
 from seifert import (ExtendedProductActionSpec, FiniteGroup, ProjectedActionDescriptor,
-                     group_from_constructor, parse_action_spec_text, parse_descriptor_text,
-                     parse_fraction_text, parse_group_text, parse_symbol)
+                     format_action_spec, format_descriptor, group_from_constructor,
+                     parse_action_spec_text, parse_descriptor_text, parse_fraction_text,
+                     parse_group_text, parse_symbol)
 from seifert.cli import main
 
 FUZZ = settings(max_examples=200, deadline=None)
@@ -120,29 +124,10 @@ GROUPS = st.sampled_from(["cyclic:1", "cyclic:2", "cyclic:3", "product:cyclic:2,
                                                  [3, 2, 1, 0]]}])
 
 
-@st.composite
-def documents(draw):
-    """(type, document text): well-shaped tables, then up to two edits of
-    a table or of one of its rows: an int entry replaced by the bool or
-    float equal to it, an entry replaced by junk, or the list shortened or
-    lengthened."""
-    cls = draw(st.sampled_from(list(DOCUMENTS)))
-    _, symbols, fields = DOCUMENTS[cls]
-    symbol = draw(st.sampled_from(symbols))
-    group = draw(GROUPS)
-    order = group["order"] if isinstance(group, dict) else group_from_constructor(group).order
-    n = len(parse_symbol(symbol).pairs)
-    doc = {"symbol": symbol, "group": group}
-    for name, kind in fields:
-        if kind == "sign":
-            doc[name] = draw(st.lists(st.sampled_from([1, -1]), min_size=order, max_size=order))
-        elif kind == "permutation":
-            doc[name] = [list(draw(st.permutations(range(1, n + 1)))) for _ in range(order)]
-        elif kind == "rotation":
-            doc[name] = draw(st.lists(ROTATION_TEXTS, min_size=order, max_size=order))
-        else:
-            doc[name] = [draw(st.lists(ROTATION_TEXTS, min_size=order, max_size=order))
-                         for _ in range(n)]
+def edit_tables(draw, doc: dict, fields):
+    """Up to two edits of a table of doc or of one of its rows: an int
+    entry replaced by the bool or float equal to it, an entry replaced by
+    junk, or the list shortened or lengthened."""
     for _ in range(draw(st.sampled_from([0, 1, 1, 2]))):
         # the tables and their rows that are still lists
         lists = [t for name, _ in fields for t in [doc[name], *doc[name]] if isinstance(t, list)]
@@ -161,15 +146,58 @@ def documents(draw):
                 target[draw(st.integers(0, len(target) - 1))] = draw(JUNK)
         else:
             target.append(draw(st.one_of(JUNK, ROTATION_TEXTS)))
+
+
+@st.composite
+def documents(draw):
+    """(type, document text): well-shaped tables, then :func:`edit_tables`."""
+    cls = draw(st.sampled_from(list(DOCUMENTS)))
+    _, symbols, fields = DOCUMENTS[cls]
+    symbol = draw(st.sampled_from(symbols))
+    group = draw(GROUPS)
+    order = group["order"] if isinstance(group, dict) else group_from_constructor(group).order
+    n = len(parse_symbol(symbol).pairs)
+    doc = {"symbol": symbol, "group": group}
+    for name, kind in fields:
+        if kind == "sign":
+            doc[name] = draw(st.lists(st.sampled_from([1, -1]), min_size=order, max_size=order))
+        elif kind == "permutation":
+            doc[name] = [list(draw(st.permutations(range(1, n + 1)))) for _ in range(order)]
+        elif kind == "rotation":
+            doc[name] = draw(st.lists(ROTATION_TEXTS, min_size=order, max_size=order))
+        else:
+            doc[name] = [draw(st.lists(ROTATION_TEXTS, min_size=order, max_size=order))
+                         for _ in range(n)]
+    edit_tables(draw, doc, fields)
+    return cls, json.dumps(doc)
+
+
+# documents of valid actions and descriptors, as the writer writes them
+VALID = ([(ExtendedProductActionSpec, format_action_spec(spec)) for spec in (
+             specbuild.z2_swap_spec(), specbuild.z4_swap_spec(), specbuild.z2z3_block_spec(),
+             specbuild.z3_rotation_spec(), specbuild.mixed_crossing_spec(),
+             specbuild.reflection_spec(), specbuild.d16_spec())]
+         + [(ProjectedActionDescriptor, format_descriptor(d)) for d in (
+             specbuild.z2_lens_descriptor(), specbuild.z2z3_descriptor())])
+
+
+@st.composite
+def edited_valid_documents(draw):
+    """(type, document text): a valid document, then :func:`edit_tables`."""
+    cls, text = draw(st.sampled_from(VALID))
+    doc = json.loads(text)
+    edit_tables(draw, doc, DOCUMENTS[cls][2])
     return cls, json.dumps(doc)
 
 
 @FUZZ
-@given(documents())
+@given(st.one_of(documents(), edited_valid_documents()))
 def test_read_documents_pass_the_checked_constructor(case):
     # the reader checks everything the constructor checks and does not run
     # the constructor's check: whatever it accepts must rebuild through the
-    # checked constructor, group included, to an equal object
+    # checked constructor, group included, to an equal object; the integer
+    # view the reader builds it with must be the one the rebuilt object
+    # computes from its Fractions
     cls, text = case
     try:
         read = DOCUMENTS[cls][0](text)
@@ -177,7 +205,30 @@ def test_read_documents_pass_the_checked_constructor(case):
         return
     values = [getattr(read, name) for name in cls._fields]
     values[1] = FiniteGroup(values[1].table)
-    assert cls(*values) == read
+    fresh = cls(*values)
+    assert fresh == read
+    assert "_int_view" in read.__dict__ and "_int_view" not in fresh.__dict__
+    assert fresh._int_view == read._int_view
+
+
+# every command that reads a document, with the arguments it needs
+DOCUMENT_COMMANDS = (("validate-action",), ("induced-torus", "-i", "1", "-g", "1"),
+                     ("check-tau",), ("project",), ("lift",), ("obstruction",), ("orbits",),
+                     ("analyze-group",))
+
+
+@FUZZ
+@given(st.one_of(documents(), edited_valid_documents()))
+def test_document_commands_end_in_an_exit_code(case):
+    # every document the strategies write ends each command in exit code
+    # 0, 1 or 2 and never raises
+    _, text = case
+    with tempfile.TemporaryDirectory() as root:
+        path = os.path.join(root, "doc.json")
+        with open(path, "w", encoding="utf-8") as file:
+            file.write(text)
+        for command, *options in DOCUMENT_COMMANDS:
+            assert exit_code(command, path, *options) in (0, 1, 2)
 
 
 @FUZZ
