@@ -60,7 +60,12 @@ pair reduced mod 1, and reads every table row into integers mod N by
 one lookup per entry; the builder makes Fraction(v, N) once per
 distinct integer v; and the writer prints the checked Fractions as
 they are, with no copy, joining whole rows into the layout of
-``json.dumps(..., indent=2)``.
+``json.dumps(..., indent=2)``.  A group named by a constructor text is
+built once per process for every document that names it (see
+:func:`~seifert.groups.group_from_constructor`), and the writer writes
+it back by that text, so a projection or lift of a document over a
+named group names it too; an inline or file table is checked at every
+read and written inline.
 
 The covering-translation machinery works on symbols whose pair list is
 doubled in blocks, pairs i and i+n equal for i < n: exactly the
@@ -726,13 +731,15 @@ def _group_from_field(value, base_dir: Path | None) -> FiniteGroup:
     if isinstance(value, str):
         return group_from_constructor(value)
     if isinstance(value, dict):
-        if "file" in value:
+        # exactly one form: a key of the other, or any other key, is not dropped unread
+        if value.keys() == {"file"}:
             path = Path(_string(value["file"], "group file"))
             if base_dir is not None and not path.is_absolute():
                 path = base_dir / path
             return parse_group_text(_read(path, "group file ")[0])
-        if "order" not in value or "table" not in value:
-            raise ValueError("group object needs 'order' and 'table' (or 'file')")
+        if value.keys() != {"order", "table"}:
+            raise ValueError(f"group object needs 'order' and 'table' or 'file' alone, "
+                             f"got keys {list(value)}")
         order = value["order"]
         table = value["table"]
         # JSON true/false and decimals are not integers here (type, not isinstance)
@@ -909,17 +916,23 @@ def _json_list(texts, indent: str, quote: str = "") -> str:
 
 
 def _format_document(symbol: SeifertSymbol, data) -> str:
-    """The document of a spec or descriptor over symbol (group written inline).
+    """The document of a spec or descriptor over symbol.
 
-    The text of ``json.dumps(document, indent=2) + "\n"``: key order, then
-    the tables, the boundary-indexed rotation rows (the transpose of
-    theta2) and the 1-based permutation rows.  Symbols, ints and fractions
-    print with no character JSON escapes.
+    The text of ``json.dumps(document, indent=2) + "\n"``: key order, the
+    group by the constructor text it was built from or else as an inline
+    table, then the tables, the boundary-indexed rotation rows (the
+    transpose of theta2) and the 1-based permutation rows.  Symbols,
+    constructor texts, ints and fractions print with no character JSON
+    escapes.
     """
     group = data.group
-    rows = _json_list((_json_list(map(str, row), "      ") for row in group.table), "    ")
-    fields = [f'"symbol": "{symbol}"',
-              f'"group": {{\n    "order": {group.order},\n    "table": {rows}\n  }}']
+    # a text that builds a group holds only letters, digits, ':' and ','
+    if group._constructor is not None:
+        group_text = f'"{group._constructor}"'
+    else:
+        rows = _json_list((_json_list(map(str, row), "      ") for row in group.table), "    ")
+        group_text = f'{{\n    "order": {group.order},\n    "table": {rows}\n  }}'
+    fields = [f'"symbol": "{symbol}"', f'"group": {group_text}']
     one_based = [str(j + 1) for j in range(len(symbol.pairs))]
     for name, kind in data._tables.items():
         table = getattr(data, name)
@@ -938,7 +951,8 @@ def _format_document(symbol: SeifertSymbol, data) -> str:
 
 
 def format_action_spec(spec: ExtendedProductActionSpec) -> str:
-    """Serialize back to the document format (group written inline)."""
+    """Serialize back to the document format; a group built from a
+    constructor text is written as that text, any other as its table."""
     return _format_document(spec.symbol, spec)
 
 

@@ -1,10 +1,13 @@
 """Action-spec validation, fillings, the covering translation, lift/project,
 and the document format."""
 
+import importlib.util
 import json
 import random
 import re
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -21,6 +24,7 @@ from seifert import (
     format_action_spec,
     format_descriptor,
     gluing_matrix,
+    group_from_constructor,
     induced_solid_torus_action,
     lift_action,
     load_action_spec,
@@ -39,6 +43,7 @@ import specbuild
 from specbuild import ZERO, replace
 
 F = Fraction
+BENCH_INPUTS = Path(__file__).resolve().parents[1] / "perfbench" / "inputs.py"
 
 
 # -- structural validation -------------------------------------------------
@@ -851,9 +856,11 @@ def test_document_reads_share_no_state(parsed_texts):
     first = parse_action_spec_text(SWAP_DOC)
     second = parse_action_spec_text(SWAP_DOC)
     assert first == second
-    # each read parses its own texts and builds its own values
+    # each read parses its own texts and builds its own values; only the
+    # group, named in the document and immutable, is one object for both
     assert parsed_texts == ["0", "1/2"] * 2
     assert first.theta1[1] is not second.theta1[1]
+    assert first.group is second.group
 
 
 def test_document_diagnostics():
@@ -906,6 +913,11 @@ def test_group_field_variants(tmp_path):
             base_dir=tmp_path)
     with pytest.raises(ValueError, match="'order' and 'table'"):
         parse_action_spec_text(SWAP_DOC.replace('"cyclic:2"', '{"order": 2}'))
+    # a file group is written inline, as a table given inline is
+    assert format_action_spec(load_action_spec(doc)) == format_action_spec(
+        specbuild.z2_swap_spec())
+    assert format_action_spec(parse_action_spec_text(inline)) == format_action_spec(
+        specbuild.z2_swap_spec())
     with pytest.raises(ValueError, match="constructor string or an object"):
         parse_action_spec_text(SWAP_DOC.replace('"cyclic:2"', "7"))
 
@@ -989,9 +1001,30 @@ def document(data) -> dict:
         tables = {"epsilon": list(data.epsilon),
                   "beta_bar": [[v + 1 for v in row] for row in data.beta_bar],
                   "theta2_bar": by_index(data.theta2_bar)}
-    return {"symbol": str(symbol),
-            "group": {"order": data.group.order, "table": [list(row) for row in data.group.table]},
-            **tables}
+    group = data.group._constructor or {"order": data.group.order,
+                                        "table": [list(row) for row in data.group.table]}
+    return {"symbol": str(symbol), "group": group, **tables}
+
+
+def specbuild_records() -> list:
+    """Every spec and descriptor a specbuild builder makes with no argument."""
+    return [build() for build in vars(specbuild).values()
+            if getattr(build, "__module__", None) == "specbuild" and callable(build)
+            and not build.__code__.co_argcount and build.__name__ != "F"]
+
+
+def constructor_text(group: FiniteGroup) -> str | None:
+    """A ``cyclic:`` or two-factor ``product:`` text that builds group's table."""
+    m = group.order
+    texts = [f"cyclic:{m}"] + [f"product:cyclic:{a},cyclic:{m // a}"
+                               for a in range(2, m) if m % a == 0]
+    return next((t for t in texts if group_from_constructor(t).table == group.table), None)
+
+
+def named_version(data):
+    """data over its group built from a constructor text, or None if it has none."""
+    text = constructor_text(data.group)
+    return text and replace(data, group=group_from_constructor(text))
 
 
 def test_writer_is_the_json_layout():
@@ -1006,10 +1039,12 @@ def test_writer_is_the_json_layout():
              ProjectedActionDescriptor(parse_symbol("(1,n2|)"), cyclic_group(1), (1,), ((),), ((),)),
              ProjectedActionDescriptor(parse_symbol("(1,n2|)"), cyclic_group(2), (1, -1),
                                        ((), ()), ((), ()))]
-    cases += [build() for build in vars(specbuild).values()
-              if getattr(build, "__module__", None) == "specbuild" and callable(build)
-              and not build.__code__.co_argcount and build.__name__ != "F"]
+    cases += specbuild_records()
     assert sum(isinstance(c, ProjectedActionDescriptor) for c in cases) >= 4 and len(cases) >= 18
+    # and with the group named by its constructor text
+    named = [named_version(data) for data in cases]
+    cases += [data for data in named if data is not None]
+    assert sum(isinstance(c, ProjectedActionDescriptor) for c in cases) >= 8 and len(cases) >= 34
     for data in cases:
         write = format_action_spec if isinstance(data, ExtendedProductActionSpec) else format_descriptor
         assert write(data) == json.dumps(document(data), indent=2) + "\n"
@@ -1027,3 +1062,72 @@ def test_format_goldens():
         "symbol": "(1,n2|(2,1))", "group": Z2_GROUP,
         "epsilon": [1, -1], "beta_bar": [[1], [1]], "theta2_bar": [["0", "0"]],
     }, indent=2) + "\n"
+
+
+def assert_named_round_trip(data):
+    """data, over a named group, is written by name and reads back equal,
+    over the kept group, and is written again to the same bytes."""
+    spec = isinstance(data, ExtendedProductActionSpec)
+    write, read = ((format_action_spec, parse_action_spec_text) if spec
+                   else (format_descriptor, parse_descriptor_text))
+    text = write(data)
+    assert json.loads(text)["group"] == data.group._constructor
+    back = read(text)
+    assert back == data and back.group is group_from_constructor(data.group._constructor)
+    assert write(back) == text
+
+
+def test_named_documents_read_back_equal():
+    # the specbuild records over their groups named, their projections and
+    # lifts, which keep the name
+    records = [named_version(data) for data in specbuild_records()]
+    records = [data for data in records if data is not None]
+    assert sum(isinstance(r, ProjectedActionDescriptor) for r in records) >= 2
+    assert len(records) >= 11
+    projections = 0
+    for data in records:
+        assert_named_round_trip(data)
+        if isinstance(data, ProjectedActionDescriptor):
+            assert_named_round_trip(lift_action(data))
+        else:
+            try:
+                projected = project_action(data)
+            except ValueError:   # not doubled in blocks, or does not commute
+                continue
+            if validate_descriptor(projected):
+                assert_named_round_trip(projected)
+                projections += 1
+    assert projections >= 2
+
+
+def test_pipeline_documents_over_named_groups_read_back_equal(monkeypatch):
+    # the benchmark's valid documents, as it writes them: every one that
+    # names its group, and the projections and lifts of the commuting ones
+    spec = importlib.util.spec_from_file_location("perfbench_inputs", BENCH_INPUTS)
+    inputs = importlib.util.module_from_spec(spec)
+    # its dataclasses look their module up by name
+    monkeypatch.setitem(sys.modules, spec.name, inputs)
+    spec.loader.exec_module(inputs)
+    named = 0
+    for seed in (401, 402):
+        for _, route, act in inputs.pipeline_actions(seed):
+            doc = inputs.action_document(act)
+            if not isinstance(doc["group"], str):
+                continue
+            named += 1
+            read = parse_action_spec_text(json.dumps(doc))
+            assert_named_round_trip(read)
+            if route == "covering-translation":
+                projected = project_action(read)
+                assert_named_round_trip(projected)
+                assert_named_round_trip(lift_action(projected))
+    assert named >= 10
+
+
+def test_padded_constructor_text_is_written_stripped():
+    for text in ("  cyclic:3", "cyclic:3\n", "\n product:cyclic:1,cyclic:3 \n"):
+        doc = json.loads(format_action_spec(specbuild.z3_rotation_spec()))
+        doc["group"] = text
+        written = format_action_spec(parse_action_spec_text(json.dumps(doc)))
+        assert json.loads(written)["group"] == text.strip()
+        assert parse_action_spec_text(written).group.table == cyclic_group(3).table

@@ -13,6 +13,7 @@ import pytest
 from seifert import ExtendedProductActionSpec
 from seifert import format_action_spec, format_descriptor, parse_symbol
 import seifert.cli
+import seifert.groups
 from seifert.cli import main
 import specbuild
 from specbuild import ZERO
@@ -635,3 +636,41 @@ def test_repeat_runs_are_identical(capsys, docs):
     first = run(capsys, "project", docs["swap"])
     second = run(capsys, "project", docs["swap"])
     assert first == second
+
+
+@pytest.mark.parametrize("group, keys", [
+    ({"file": "z2.txt", "order": 3, "table": [[0, 1, 2], [1, 2, 0], [2, 0, 1]]},
+     ["file", "order", "table"]),
+    ({"file": "z2.txt", "order": 2}, ["file", "order"]),
+    ({"order": 2, "table": [[0, 1], [1, 0]], "name": "z2"}, ["order", "table", "name"]),
+    ({"table": [[0, 1], [1, 0]]}, ["table"]),
+    ({}, []),
+], ids=["file-and-table", "file-and-order", "table-and-stray", "table-alone", "empty"])
+def test_group_object_mixing_forms_exits_two(capsys, tmp_path, group, keys):
+    # the first two once read the file and dropped the rest unread, and the
+    # third passed with its stray key ignored
+    (tmp_path / "z2.txt").write_text("2\n0 1\n1 0\n", encoding="utf-8")
+    doc = json.loads(format_action_spec(specbuild.z2_swap_spec()))
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(dict(doc, group={"file": "z2.txt"})), encoding="utf-8")
+    assert run(capsys, "validate-action", str(path)) == (0, "valid\n", "")
+    path.write_text(json.dumps(dict(doc, group=group)), encoding="utf-8")
+    assert run(capsys, "validate-action", str(path)) == (
+        2, "", f"error: group object needs 'order' and 'table' or 'file' alone, got keys {keys}\n")
+
+
+def test_reads_of_one_named_document_build_its_group_once(capsys, tmp_path, monkeypatch):
+    built = []
+    product = seifert.groups.direct_product
+
+    def counted(a, b):
+        built.append((a.order, b.order))
+        return product(a, b)
+    monkeypatch.setattr(seifert.groups, "direct_product", counted)
+    seifert.groups._constructed.cache_clear()
+    doc = json.loads(format_action_spec(specbuild.z2z3_block_spec()))
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(dict(doc, group="product:cyclic:2,cyclic:3")), encoding="utf-8")
+    for _ in range(12):
+        assert run(capsys, "validate-action", str(path)) == (0, "valid\n", "")
+    assert built == [(2, 3)]

@@ -42,6 +42,10 @@ def test_table_validation():
     # rows and columns are checked index by index: column 1 fails before row 2
     with pytest.raises(ValueError, match="^column 1 is not a permutation$"):
         FiniteGroup(((0, 1, 2, 3), (1, 2, 3, 0), (2, 1, 1, 0), (3, 0, 0, 1)))
+    # every row a permutation and index 0 the identity, but column 2
+    # repeats: the sweep has no column pass, and the message is the walk's
+    with pytest.raises(ValueError, match="^column 2 is not a permutation$"):
+        FiniteGroup(((0, 1, 2, 3), (1, 0, 3, 2), (2, 3, 0, 1), (3, 2, 0, 1)))
     # the smallest non-associative Latin square with identity
     with pytest.raises(ValueError, match=r"^associativity fails at \(1,1,2\)$"):
         FiniteGroup((
@@ -464,3 +468,34 @@ def test_constructor_order_limit(monkeypatch):
         group_from_constructor("product:cyclic:0,x")
     with pytest.raises(ValueError, match="unknown group constructor"):
         group_from_constructor(f"product:cyclic:{limit},x")
+
+
+def test_constructor_memo_keeps_the_last_group():
+    # the same stripped text gives the same object, which keeps the text;
+    # another text in between evicts it, and it is rebuilt equal
+    seifert.groups._constructed.cache_clear()
+    z4 = group_from_constructor("cyclic:4")
+    assert group_from_constructor("cyclic:4") is z4
+    assert group_from_constructor(" cyclic:4\n") is z4 and z4._constructor == "cyclic:4"
+    klein = group_from_constructor("product:cyclic:2,cyclic:2")
+    again = group_from_constructor("cyclic:4")
+    assert again == z4 and hash(again) == hash(z4) and again is not z4
+    assert klein._constructor == "product:cyclic:2,cyclic:2"
+    assert seifert.groups._constructed.cache_info().currsize == 1
+    # equality stays by table: a checked or unnamed group equals a named one
+    assert FiniteGroup(z4.table) == z4 and FiniteGroup(z4.table)._constructor is None
+    assert cyclic_group(4)._constructor is None
+
+
+def test_refused_constructor_texts_raise_every_time():
+    # a text that raises is never stored and leaves the kept group in place
+    limit = seifert.groups.MAX_CONSTRUCTOR_ORDER
+    z3 = group_from_constructor("cyclic:3")
+    for text, message in [(f"cyclic:{limit + 1}", f"group order {limit + 1} is over the limit"),
+                          ("product:cyclic:2", "product: expects two operands"),
+                          ("cyclic:x", "cyclic: expects an integer"),
+                          ("cyclic:0", "cyclic group order must be >= 1")]:
+        for _ in range(3):
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
+                group_from_constructor(text)
+        assert group_from_constructor("cyclic:3") is z3

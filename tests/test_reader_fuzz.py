@@ -124,11 +124,22 @@ GROUPS = st.sampled_from(["cyclic:1", "cyclic:2", "cyclic:3", "product:cyclic:2,
                                                  [3, 2, 1, 0]]}])
 
 
+# group objects that mix the two forms, or carry a key of neither
+MIXED_GROUPS = st.sampled_from([{"order": 2, "table": [[0, 1], [1, 0]], "name": "z2"},
+                                {"file": "z2.txt", "order": 2, "table": [[0, 1], [1, 0]]},
+                                {"file": "z2.txt", "table": [[0, 1], [1, 0]]},
+                                {"table": [[0, 1], [1, 0]]}, {}])
+
+
 def edit_tables(draw, doc: dict, fields):
     """Up to two edits of a table of doc or of one of its rows: an int
     entry replaced by the bool or float equal to it, an entry replaced by
-    junk, or the list shortened or lengthened."""
+    junk, or the list shortened or lengthened; or the group replaced by an
+    object that mixes its forms."""
     for _ in range(draw(st.sampled_from([0, 1, 1, 2]))):
+        if draw(st.integers(0, 9)) == 0:
+            doc["group"] = draw(MIXED_GROUPS)
+            continue
         # the tables and their rows that are still lists
         lists = [t for name, _ in fields for t in [doc[name], *doc[name]] if isinstance(t, list)]
         ints = [(t, k) for t in lists for k, v in enumerate(t) if type(v) is int]
@@ -203,6 +214,8 @@ def test_read_documents_pass_the_checked_constructor(case):
         read = DOCUMENTS[cls][0](text)
     except ValueError:
         return
+    group = json.loads(text)["group"]
+    assert isinstance(group, str) or group.keys() in ({"file"}, {"order", "table"})
     values = [getattr(read, name) for name in cls._fields]
     values[1] = FiniteGroup(values[1].table)
     fresh = cls(*values)
