@@ -8,16 +8,10 @@ associativity by Light's test over a generating set S found by greedy
 closure, (x*s)*y == x*(s*y) for all x, y and every s in S, in
 O(m^2 |S|).  The elements s passing it are closed under products, and
 every element is a product of generators, so it decides associativity
-exactly.  The check is one sweep over the whole table: one type set for
-the rows and one for all entries, one set compare per row (its entries
-are exactly 0..m-1), the identity row and column as two tuple compares,
-and for Light's test one list compare per generator s, the rows x*s
-against each row x read at the entries of row s.  It has no column
-pass: an associative table with a two-sided identity whose rows are
-permutations is a group, so its columns are permutations too.  Only a
-table that fails the sweep is walked again, entries, then the identity,
-row and column of each index, then Light's test row by row, to name its
-first bad entry, row, column or (x, s, y).
+exactly.  Each step works on whole rows: one type set and one range
+check per row, and for Light's test one tuple compare per (x, s), row
+x*s against row x read at the entries of row s.  Only a row that fails
+is walked entry by entry, to name its first bad entry or (x, s, y).
 (Holt, Eick and O'Brien, *Handbook of Computational Group Theory*,
 2005.)  :func:`cyclic_group` and
 :func:`direct_product` build groups by construction (Z/n, and the
@@ -55,34 +49,6 @@ class FiniteGroup(Record):
     _constructor = None
 
     def __post_init__(self):
-        # one sweep over the whole table; only a table that fails it is
-        # walked in the order of _name_fault, for the message
-        table = self.table
-        m = len(table) if type(table) is tuple else 0
-        identity = tuple(range(m))
-        entries = set(identity)
-        if not (m and set(map(type, table)) == {tuple} and set(map(len, table)) == {m}
-                # type, not isinstance: True and 1.0 are not table entries
-                and set(map(type, chain.from_iterable(table))) == {int}
-                and table[0] == identity and tuple(map(itemgetter(0), table)) == identity
-                and all(set(row) == entries for row in table) and self._associative()):
-            self._name_fault()
-
-    def _associative(self) -> bool:
-        """Light's test, one list compare per generator s: column s read
-        through the table, rows x*s, against each row x read at row s."""
-        table = self.table
-        # m > 1 when there are generators, so itemgetter returns a tuple
-        return all(list(map(table.__getitem__, map(itemgetter(s), table)))
-                   == list(map(itemgetter(*table[s]), table)) for s in self.generators)
-
-    def _name_fault(self):
-        """Raise for the first fault of a table that failed the sweep.
-
-        The sweep checks what this walk checks, less the column pass, so
-        the walk raises; it checks the columns before Light's test, so a
-        table whose only fault a column shows keeps that message.
-        """
         table = self.table
         if type(table) is not tuple:
             raise ValueError(f"multiplication table must be a tuple, got {type(table).__name__}")
@@ -95,6 +61,7 @@ class FiniteGroup(Record):
                 raise ValueError(f"table row must be a tuple, got {type(row).__name__}")
             if len(row) != m:
                 raise ValueError("multiplication table must be square")
+            # type, not isinstance: True and 1.0 are not table entries
             if set(map(type, row)) != {int} or not entries.issuperset(row):
                 v = next(v for v in row if type(v) is not int or v not in entries)
                 raise ValueError(f"table entry {v!r} is not an integer in [0, {m})")
@@ -105,6 +72,7 @@ class FiniteGroup(Record):
                 raise ValueError(f"row {i} is not a permutation")
             if len(set(column)) != m:
                 raise ValueError(f"column {i} is not a permutation")
+        # m > 1 when there are generators, so itemgetter returns a tuple
         for s in self.generators:
             times_s = itemgetter(*table[s])
             for x, row in enumerate(table):

@@ -42,8 +42,7 @@ def test_table_validation():
     # rows and columns are checked index by index: column 1 fails before row 2
     with pytest.raises(ValueError, match="^column 1 is not a permutation$"):
         FiniteGroup(((0, 1, 2, 3), (1, 2, 3, 0), (2, 1, 1, 0), (3, 0, 0, 1)))
-    # every row a permutation and index 0 the identity, but column 2
-    # repeats: the sweep has no column pass, and the message is the walk's
+    # every row a permutation and index 0 the identity, but column 2 repeats
     with pytest.raises(ValueError, match="^column 2 is not a permutation$"):
         FiniteGroup(((0, 1, 2, 3), (1, 0, 3, 2), (2, 3, 0, 1), (3, 2, 0, 1)))
     # the smallest non-associative Latin square with identity
