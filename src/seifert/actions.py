@@ -31,18 +31,19 @@ which forces the cocycle laws checked by :func:`validate_action_spec`
 
 plus triviality of the identity element's datum.  Rotation numbers are
 exact fractions in [0, 1), the type of every public field, document
-and report.  The checks read them as integers mod N, N the lcm of a
-spec's rotation denominators: each spec keeps that integer view of its
-data, and the law scan, the covering-translation test and the
+and report.  The checks read them as integers mod N, N a multiple of
+a spec's rotation denominators: each spec keeps that integer view of
+its data, and the law scan, the covering-translation test and the
 structure report of :mod:`seifert.structure` all read it.  A
-descriptor's view is the one of its lift, built from its own tables,
-and it is law-scanned on that integer lift, at the folded indices for
-law (d).  A record the package derives (a read document, a projection,
-a lift) is built from its integer view by one builder, ``_from_view``,
+descriptor's view is the one of its lift, built from its own tables at
+any N (its ``_view`` alone doubles an odd N where epsilon is -1), and
+it is law-scanned on that integer lift, at the folded indices for law
+(d).  A record the package derives (a read document, a projection, a
+lift) is built from its integer view by one builder, ``_from_view``,
 and keeps that view from birth; a record a caller constructs computes
-it from its Fractions on first use.  :func:`lift_action` builds the
-Fraction spec once, when first called, and the spec keeps the
-descriptor's view and the passing report.  v -> v*N is exact and keeps
+it from its Fractions, N their lcm, on first use.  :func:`lift_action`
+builds the Fraction spec once, when first called, and the spec keeps
+the descriptor's view and the passing report.  v -> v*N is exact and keeps
 the order of [0, 1), so every verdict and witness is the one the
 fractions give.  Laws (a) to (d) are decided over G x S, S the group's
 generating set, and law (e) over S alone; the witness of a failure is
@@ -87,7 +88,7 @@ from operator import add, itemgetter, ne
 from pathlib import Path
 
 from ._record import Record, _built
-from .groups import FiniteGroup, group_from_constructor, parse_group_text
+from .groups import FiniteGroup, _picker, group_from_constructor, parse_group_text
 from .symbols import (Orientability, SeifertPair, SeifertSymbol, orientable_double_cover,
                       parse_symbol)
 
@@ -131,17 +132,17 @@ class ExtendedProductActionSpec(Record):
         return _scan_laws(self.group, self._int_view, self.symbol.pairs, _SPEC_LAWS)
 
 
-def _scaled(rows, *moduli) -> tuple[int, list[tuple[int, ...]]]:
-    """(N, the rotation rows times N), N the lcm of their denominators and moduli."""
+def _scaled(rows) -> tuple[int, list[tuple[int, ...]]]:
+    """(N, the rotation rows times N), N the lcm of their denominators."""
     denominators = {v.denominator for row in rows for v in row}
-    mod = lcm(*denominators, *moduli)
+    mod = lcm(*denominators)
     scale = {d: mod // d for d in denominators}
     return mod, [tuple(v.numerator * scale[v.denominator] for v in row) for row in rows]
 
 
 def _from_view(cls, symbol, group, mod: int, *tables):
     """The record of cls whose tables, in field order, are ``tables`` with
-    each rotation entry an integer v read as v/N.
+    each rotation entry an integer v read as v/N, for any N >= 1.
 
     The one home for building a record from an integer view: the read
     document, the projection and the lift.  Each distinct v becomes one
@@ -238,20 +239,6 @@ _SPEC_LAWS = {
     "theta2": ("theta2", "theta2({i},{gh}) = {value}, law gives {want}"),
     "pairs": ("pairs", "beta({g}) moves pair {i} onto a different (q,p)"),
 }
-
-
-def _picker(indices: tuple[int, ...]):
-    """The map row -> tuple(row[j] for j in indices) as one call.
-
-    ``itemgetter`` gives it for two or more indices; for one it returns
-    a bare item, and it takes no empty index list.
-    """
-    if len(indices) > 1:
-        return itemgetter(*indices)
-    if indices:
-        j, = indices
-        return lambda row: (row[j],)
-    return lambda row: ()
 
 
 def _beta_law(b, mod):
@@ -421,7 +408,8 @@ def induced_solid_torus_action(spec: ExtendedProductActionSpec,
     _require_valid(spec)
     n = len(spec.symbol.pairs)
     if not 0 <= boundary_index < n:
-        raise ValueError(f"boundary index must be in 0..{n - 1}")
+        raise ValueError(f"boundary index must be in 0..{n - 1}" if n
+                         else f"symbol {spec.symbol} has no boundary pairs")
     if not 0 <= element < spec.group.order:
         raise ValueError(f"group element must be in 0..{spec.group.order - 1}")
     target = spec.beta[element][boundary_index]
@@ -568,8 +556,11 @@ class ProjectedActionDescriptor(Record):
     @staticmethod
     def _view(mod, epsilon, beta_bar, fronts) -> tuple[int, tuple[tuple, ...]]:
         """The integer view of the lift (see :func:`lift_action`), from the
-        tables in field order, theta2_bar as integers mod N; N is even
-        when some epsilon is -1."""
+        tables in field order, theta2_bar as integers mod N, any N; the
+        lift turns the fiber by 1/2 where epsilon is -1, so there an odd
+        N is doubled, here and nowhere else."""
+        if mod % 2 and -1 in epsilon:
+            mod, fronts = 2 * mod, [tuple(2 * v for v in front) for front in fronts]
         n, data = len(beta_bar[0]), []
         for sign, perm, front in zip(epsilon, beta_bar, fronts):
             kept, crossed = perm, tuple(j + n for j in perm)
@@ -579,7 +570,7 @@ class ProjectedActionDescriptor(Record):
 
     @cached_property
     def _int_view(self) -> tuple[int, tuple[tuple, ...]]:
-        mod, fronts = _scaled(self.theta2_bar, _half_turns(self.epsilon))
+        mod, fronts = _scaled(self.theta2_bar)
         return self._view(mod, self.epsilon, self.beta_bar, fronts)
 
     @cached_property
@@ -598,12 +589,6 @@ class ProjectedActionDescriptor(Record):
                           self.group, mod, turns, alpha, beta, rows)
         spec.__dict__.update(_int_view=self._int_view, _law_report=_PASS)
         return spec
-
-
-def _half_turns(epsilon) -> int:
-    """2 if some element lifts with the half fiber turn, else 1: a factor of
-    the N of a descriptor's integer view."""
-    return 2 if -1 in epsilon else 1
 
 
 def _check_n2_base(base: SeifertSymbol):
@@ -662,9 +647,7 @@ def project_action(spec: ExtendedProductActionSpec) -> ProjectedActionDescriptor
     epsilon = tuple(1 if t == 0 else -1 for t in spec.theta1)
     beta_bar = tuple(tuple(j % n for j in perm[:n]) for perm in spec.beta)
     # shape holds: a beta_bar row is a permutation, as beta(i) = beta(j) mod n,
-    # i != j < n, would give beta(j) = beta(i + n) by sigma-equivariance.
-    # N is the spec's: theta1 is 1/2 exactly where epsilon is -1, and the
-    # back half of each theta2 row negates the front, which has its denominators
+    # i != j < n, would give beta(j) = beta(i + n) by sigma-equivariance
     return _from_view(ProjectedActionDescriptor, base, spec.group, mod, epsilon, beta_bar,
                       tuple(row[:n] for _, _, _, row in data))
 
@@ -762,16 +745,15 @@ def _field(doc: dict, name: str):
     return doc[name]
 
 
-def _read_tables(doc: dict, kinds: dict, order: int, n: int, modulus=None) -> tuple[int, list]:
+def _read_tables(doc: dict, kinds: dict, order: int, n: int) -> tuple[int, list]:
     """(N, the element tables of a document in field order, indexed by
     element, each rotation entry an integer v mod N standing for v/N).
 
-    N is the lcm of the rotations' reduced denominators and of
-    ``modulus(signs)``, signs the sign table.  A document repeats its few
-    rotation values many times, so each distinct rotation text is read
-    once per call, to a pair (v, d) reduced mod 1, and a table row is
-    then one lookup per entry.  Only strings are read once: ``True``,
-    ``1`` and ``1.0`` hash alike, so any other entry meets
+    N is the lcm of the rotations' reduced denominators.  A document
+    repeats its few rotation values many times, so each distinct rotation
+    text is read once per call, to a pair (v, d) reduced mod 1, and a
+    table row is then one lookup per entry.  Only strings are read once:
+    ``True``, ``1`` and ``1.0`` hash alike, so any other entry meets
     :func:`parse_fraction_text`'s reading itself, and an error is the
     first one a reading entry by entry meets.
     """
@@ -786,7 +768,7 @@ def _read_tables(doc: dict, kinds: dict, order: int, n: int, modulus=None) -> tu
                 common = gcd(num, den)
                 terms[text] = (num // common % (den // common), den // common)
 
-    tables, signs = [], None
+    tables = []
     # the 1-based indices of a permutation row; zero_based[v] is v - 1
     indices, zero_based = set(range(1, n + 1)), tuple(range(-1, n))
     for name, kind in kinds.items():
@@ -802,8 +784,7 @@ def _read_tables(doc: dict, kinds: dict, order: int, n: int, modulus=None) -> tu
             if not (set(map(type, raw)) <= {int} and set(raw) <= {1, -1}):
                 v = next(v for v in raw if type(v) is not int or v not in (1, -1))
                 raise ValueError(f"{name} entries must be 1 or -1, got {v!r}")
-            signs = tuple(raw)
-            tables.append(signs)
+            tables.append(tuple(raw))
         elif kind == "permutation":
             # one set compare per row; only a failing row is walked
             for g, row in enumerate(raw):
@@ -828,7 +809,7 @@ def _read_tables(doc: dict, kinds: dict, order: int, n: int, modulus=None) -> tu
             columns = list(zip(*raw)) if n else [()] * order
             read(list(chain.from_iterable(columns)))
             tables.append(columns)
-    mod = lcm(*{den for _, den in terms.values()}, modulus(signs) if modulus else 1)
+    mod = lcm(*{den for _, den in terms.values()})
     value = {text: num * (mod // den) for text, (num, den) in terms.items()}.__getitem__
     for k, kind in enumerate(kinds.values()):
         if kind == "rotation":
@@ -872,8 +853,7 @@ def _parse_document(text: str, base_dir: Path | None, cls):
     symbol = parse_symbol(_string(_field(doc, "symbol"), "symbol"))
     group = _group_from_field(_field(doc, "group"), base_dir)
     # _read_tables checks all that _check_tables does
-    modulus = _half_turns if cls is ProjectedActionDescriptor else None
-    mod, tables = _read_tables(doc, cls._tables, group.order, len(symbol.pairs), modulus)
+    mod, tables = _read_tables(doc, cls._tables, group.order, len(symbol.pairs))
     return _from_view(cls, symbol, group, mod, *tables)
 
 

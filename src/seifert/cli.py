@@ -111,7 +111,11 @@ def _emit(text: str, output: str | None):
     if output is None:
         print(text, end="")   # as every command prints: nothing when stdout is None
     else:
-        Path(output).write_text(text, encoding="utf-8")
+        path = Path(output)
+        try:
+            path.write_text(text, encoding="utf-8")
+        except (OSError, ValueError) as exc:   # a path with a NUL byte is a ValueError
+            raise ValueError(f"cannot write {path}: {exc}") from None
 
 
 def _validated_spec(args):
@@ -196,7 +200,8 @@ def _cmd_induced_torus(args) -> int:
     spec = _validated_spec(args)
     n = len(spec.symbol.pairs)
     if not 1 <= args.index <= n:
-        raise ValueError(f"boundary index must be in 1..{n}")
+        raise ValueError(f"boundary index must be in 1..{n}" if n
+                         else f"symbol {spec.symbol} has no boundary pairs")
     i = args.index - 1
     data = induced_solid_torus_action(spec, i, args.element)
     fields = {"longitude": data.longitude, "meridian": data.meridian, "sign": data.sign}

@@ -40,6 +40,20 @@ from operator import itemgetter
 from ._record import Record, _built
 
 
+def _picker(indices: tuple[int, ...]):
+    """The map row -> tuple(row[j] for j in indices) as one call.
+
+    ``itemgetter`` gives it for two or more indices; for one it returns
+    a bare item, and it takes no empty index list.
+    """
+    if len(indices) > 1:
+        return itemgetter(*indices)
+    if indices:
+        j, = indices
+        return lambda row: (row[j],)
+    return lambda row: ()
+
+
 class FiniteGroup(Record):
     table: tuple[tuple[int, ...], ...]
 
@@ -72,9 +86,8 @@ class FiniteGroup(Record):
                 raise ValueError(f"row {i} is not a permutation")
             if len(set(column)) != m:
                 raise ValueError(f"column {i} is not a permutation")
-        # m > 1 when there are generators, so itemgetter returns a tuple
         for s in self.generators:
-            times_s = itemgetter(*table[s])
+            times_s = _picker(table[s])
             for x, row in enumerate(table):
                 if table[row[s]] != times_s(row):
                     y = next(y for y, sy in enumerate(table[s]) if table[row[s]][y] != row[sy])
@@ -139,14 +152,13 @@ def direct_product(a: FiniteGroup, b: FiniteGroup) -> FiniteGroup:
 
     Row (i, j) is row j of b shifted into block x, for each x of row i of
     a in turn, the blocks joined.  Block x is the indices x*|b| to
-    x*|b| + |b| - 1, and row j of b shifted into it is one itemgetter
+    x*|b| + |b| - 1, and row j of b shifted into it is one ``_picker``
     call on it, so every row is built by C-level copies and all cells
     share the ints of the blocks.
     """
     nb = b.order
     blocks = [tuple(range(x * nb, x * nb + nb)) for x in a.elements()]
-    # with |b| = 1 the one row of b is (0,), and itemgetter(0) gives no tuple
-    shifted = [blocks] if nb == 1 else [list(map(itemgetter(*b_row), blocks)) for b_row in b.table]
+    shifted = [list(map(_picker(b_row), blocks)) for b_row in b.table]
     return _built(FiniteGroup, tuple(tuple(chain.from_iterable(map(row.__getitem__, a_row)))
                                      for a_row in a.table for row in shifted))
 

@@ -2,7 +2,7 @@
 
 The acting group is examined through its exact data: per element the
 datum (alpha, theta1, beta row, theta2 row), read in the spec's integer
-view, rotations as integers mod N with N the lcm of their denominators;
+view, rotations as integers mod N, a multiple of their denominators;
 the reports themselves carry no rotations.  g -> datum(g) is a
 homomorphism by the cocycle laws, and its image, the set of distinct
 data, is a finite group inside the product the route names.  A report

@@ -48,6 +48,7 @@ from seifert import (
     validate_action_spec,
     validate_descriptor,
 )
+from seifert.actions import _from_view
 from seifert.cli import main
 
 
@@ -582,15 +583,32 @@ def test_criterion_09_lift_project_round_trip():
 
 def test_descriptor_integer_view_is_the_lift_view():
     # a descriptor scans the integer view it builds from its own tables;
-    # it must be the view its Fraction lift computes from the Fractions
+    # it must be the view its Fraction lift computes from the Fractions.
+    # Rebuilt by _from_view from its integer tables at the lcm N of its
+    # denominators and at 3N, odd N with an epsilon of -1 among them, it
+    # must scan and lift as the descriptor its checked constructor built
     rng = random.Random(24593)
-    descriptors = [specbuild.z2_lens_descriptor(), specbuild.z2z3_descriptor()]
+    descriptors = [specbuild.z2_lens_descriptor(), specbuild.z2z3_descriptor(),
+                   ProjectedActionDescriptor(parse_symbol("(1,n2|(3,1))"), cyclic_group(2),
+                                             (1, -1), ((0,), (0,)), ((ZERO,), (ZERO,)))]
     descriptors += [_random_descriptor(rng) for _ in range(200)]
     for descriptor in descriptors:
         lifted = lift_action(descriptor)
         fresh = ExtendedProductActionSpec(lifted.symbol, lifted.group, lifted.theta1,
                                           lifted.alpha, lifted.beta, lifted.theta2)
         assert descriptor._int_view == fresh._int_view
+        mod = math.lcm(*(v.denominator for row in descriptor.theta2_bar for v in row))
+        for n in (mod, 3 * mod):
+            fronts = tuple(tuple(v.numerator * n // v.denominator for v in row)
+                           for row in descriptor.theta2_bar)
+            rebuilt = _from_view(ProjectedActionDescriptor, descriptor.base, descriptor.group,
+                                 n, descriptor.epsilon, descriptor.beta_bar, fronts)
+            assert rebuilt == descriptor
+            assert validate_descriptor(rebuilt)
+            spec = lift_action(rebuilt)
+            assert spec == lifted
+            assert spec.theta1 == tuple(Fraction(1, 2) if e == -1 else ZERO
+                                        for e in descriptor.epsilon)
 
 
 def test_projection_and_lift_build_what_the_constructors_accept():

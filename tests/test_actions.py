@@ -342,12 +342,14 @@ def test_induced_rotation_rejects_invalid_spec():
 
 def test_induced_rotation_rejects_out_of_range_indices():
     # negative indices once read the last entry, indices past the end
-    # raised IndexError
+    # raised IndexError; with no pairs the range once read 0..-1
     spec = specbuild.z4_swap_spec()
-    for i, g, message in ((-1, 1, "boundary index must be in 0..1"),
-                          (2, 1, "boundary index must be in 0..1"),
-                          (0, -1, "group element must be in 0..3"),
-                          (0, 4, "group element must be in 0..3")):
+    bare = specbuild.trivial_spec("(0,o1|)", cyclic_group(2))
+    for spec, i, g, message in ((spec, -1, 1, "boundary index must be in 0..1"),
+                                (spec, 2, 1, "boundary index must be in 0..1"),
+                                (spec, 0, -1, "group element must be in 0..3"),
+                                (spec, 0, 4, "group element must be in 0..3"),
+                                (bare, 0, 0, r"^symbol \(0,o1\|\) has no boundary pairs$")):
         with pytest.raises(ValueError, match=message):
             induced_solid_torus_action(spec, i, g)
 

@@ -164,15 +164,21 @@ def test_validate_action(capsys, docs):
         1, "", "valid check failed: law theta1, witness 1,1: theta1(2) = 1/2, law gives 2/3\n")
 
 
-def test_induced_torus(capsys, docs):
+def test_induced_torus(capsys, docs, tmp_path):
     assert run(capsys, "induced-torus", docs["z4"], "-i", "1", "-g", "1") == (
         0, "longitude=3/4\nmeridian=1/4\nsign=1\n", "")
     assert run(capsys, "induced-torus", docs["z4"], "-i", "1", "-g", "1",
                "--det") == (
         0, "longitude=3/4\nmeridian=1/4\nsign=1\ngluing=0,1;-1,3\n", "")
-    code, out, err = run(capsys, "induced-torus", docs["z4"], "-i", "3", "-g", "0")
-    assert code == 2
-    assert "boundary index must be in 1..2" in err
+    # with no pairs the range once read 1..0
+    bare = tmp_path / "bare.json"
+    bare_spec = specbuild.trivial_spec("(0,o1|)", specbuild.cyclic_group(2))
+    bare.write_text(format_action_spec(bare_spec), encoding="utf-8")
+    for doc, message in ((docs["z4"], "boundary index must be in 1..2"),
+                         (str(bare), "error: symbol (0,o1|) has no boundary pairs\n")):
+        code, out, err = run(capsys, "induced-torus", doc, "-i", "3", "-g", "0")
+        assert code == 2
+        assert message in err
     code, out, err = run(capsys, "induced-torus", docs["z4"], "-i", "1", "-g", "9")
     assert code == 2
     assert "group element must be in 0..3" in err
@@ -601,15 +607,18 @@ def test_files_that_are_not_utf8_are_named(capsys, tmp_path):
     assert err.startswith(f"error: cannot read group file {table}: 'utf-8' codec can't decode")
 
 
-def test_paths_with_a_nul_byte_are_named(capsys, tmp_path):
-    # reading such a path raises ValueError, not OSError; it once printed
-    # the bare "embedded null byte"
+def test_paths_with_a_nul_byte_are_named(capsys, docs, tmp_path):
+    # reading or writing such a path raises ValueError, not OSError; each
+    # once printed the bare "embedded null byte"
     doc = json.loads(format_action_spec(specbuild.z2_swap_spec()))
     doc["group"] = {"file": "\u0000x"}
     path = tmp_path / "nul.json"
     path.write_text(json.dumps(doc), encoding="utf-8")
     assert run(capsys, "validate-action", str(path)) == (
         2, "", f"error: cannot read group file {tmp_path / chr(0)}x: embedded null byte\n")
+    target = f"{tmp_path}/x{chr(0)}y"
+    assert run(capsys, "lift", docs["lens"], "-o", target) == (
+        2, "", f"error: cannot write {target}: embedded null byte\n")
 
 
 SWAP_TEXT = format_action_spec(specbuild.z2_swap_spec())
