@@ -30,20 +30,20 @@ which forces the cocycle laws checked by :func:`validate_action_spec`
     (e)  beta(g) may send i to j only if pair i equals pair j
 
 plus triviality of the identity element's datum.  Rotation numbers are
-exact fractions in [0, 1), the type of every public field, document
-and report.  The checks read them as integers mod N, N a multiple of
-a spec's rotation denominators: each spec keeps that integer view of
-its data, and the law scan, the covering-translation test and the
-structure report of :mod:`seifert.structure` all read it.  A
-descriptor's view is the one of its lift, built from its own tables at
-any N (its ``_view`` alone doubles an odd N where epsilon is -1), and
-it is law-scanned on that integer lift, at the folded indices for law
-(d).  A record the package derives (a read document, a projection, a
-lift) is built from its integer view by one builder, ``_from_view``,
-and keeps that view from birth; a record a caller constructs computes
-it from its Fractions, N their lcm, on first use.  :func:`lift_action`
-builds the Fraction spec once, when first called, and the spec keeps
-the descriptor's view and the passing report.  v -> v*N is exact and keeps
+exact fractions in [0, 1), the type of every public field, document and
+report.  The checks read them as integers mod N, N a multiple of a
+spec's rotation denominators: each spec keeps that integer view of its
+data, and the law scan, the covering-translation test and the structure
+report of :mod:`seifert.structure` all read it.  A descriptor's view is
+the one of its lift, built from its own tables at any N (its ``_view``
+alone doubles an odd N where epsilon is -1).  A record is law-scanned at
+its own pairs' indices, a descriptor at its base's: the first n of its
+lift's 2n.  A record the package derives (a read document, a projection,
+a lift) is built from its integer view by one builder, ``_from_view``,
+and keeps that view from birth; a record a caller constructs computes it
+from its Fractions, N their lcm, on first use.  :func:`lift_action`
+builds the Fraction spec once, when first called, and the spec keeps the
+descriptor's view and the passing report.  v -> v*N is exact and keeps
 the order of [0, 1), so every verdict and witness is the one the
 fractions give.  Laws (a) to (d) are decided over G x S, S the group's
 generating set, and law (e) over S alone; the witness of a failure is
@@ -51,8 +51,8 @@ the first one a scan of all pairs names, in a fixed order, so it does
 not depend on S.  Each law is decided a generator at a time: the datum
 of s gives one composer (for beta and theta2 an itemgetter over
 beta(s)), and each element's datum takes one call of it.  A spec or
-descriptor is law-scanned once: the report is kept on the frozen
-object, and every function that needs valid data reads it.
+descriptor is law-scanned once: the report is kept on the frozen object,
+and every function that needs valid data reads it.
 
 A document has few distinct rotation values and repeats them across
 its tables, so the boundary handles each distinct value once: the
@@ -124,20 +124,39 @@ class ExtendedProductActionSpec(Record):
 
     @cached_property
     def _int_view(self) -> tuple[int, tuple[tuple, ...]]:
-        mod, (theta1, *theta2) = _scaled((self.theta1, *self.theta2))
-        return self._view(mod, theta1, self.alpha, self.beta, theta2)
+        return self._view(*_scaled(self))
 
     @cached_property
     def _law_report(self) -> ValidationReport:
         return _scan_laws(self.group, self._int_view, self.symbol.pairs, _SPEC_LAWS)
 
 
-def _scaled(rows) -> tuple[int, list[tuple[int, ...]]]:
-    """(N, the rotation rows times N), N the lcm of their denominators."""
-    denominators = {v.denominator for row in rows for v in row}
+def _rotations(kinds, tables, f) -> list:
+    """The element tables, in field order with these kinds, with f
+    applied to every rotation entry; the other tables as they are."""
+    return [tuple(map(f, table)) if kind == "rotation"
+            else tuple(tuple(map(f, row)) for row in table) if kind == "rotation rows"
+            else table for kind, table in zip(kinds, tables)]
+
+
+def _scaled(record) -> tuple:
+    """(N, the record's tables in field order, each rotation v as the
+    integer v*N), N the lcm of the rotations' denominators."""
+    kinds, tables = record._tables.values(), [getattr(record, name) for name in record._tables]
+    denominators = set()
+    _rotations(kinds, tables, lambda v: denominators.add(v.denominator))
     mod = lcm(*denominators)
-    scale = {d: mod // d for d in denominators}
-    return mod, [tuple(v.numerator * scale[v.denominator] for v in row) for row in rows]
+    return (mod, *_rotations(kinds, tables, lambda v: v.numerator * (mod // v.denominator)))
+
+
+class _Fractions(dict):
+    """v -> Fraction(v, N), each made at the first lookup of its v."""
+
+    def __init__(self, mod: int):
+        self.mod = mod
+
+    def __missing__(self, v):
+        return self.setdefault(v, Fraction(v, self.mod))
 
 
 def _from_view(cls, symbol, group, mod: int, *tables):
@@ -150,17 +169,7 @@ def _from_view(cls, symbol, group, mod: int, *tables):
     caller has established its shape, with 0 <= v < N) and keeps the
     integer view of these tables, so :func:`_scaled` never runs for it.
     """
-    kinds = cls._tables.values()
-    distinct = set()
-    for kind, table in zip(kinds, tables):
-        if kind == "rotation":
-            distinct.update(table)
-        elif kind == "rotation rows":
-            distinct.update(*table)
-    rotation = {v: Fraction(v, mod) for v in distinct}.__getitem__
-    fields = [tuple(map(rotation, table)) if kind == "rotation"
-              else tuple(tuple(map(rotation, row)) for row in table) if kind == "rotation rows"
-              else table for kind, table in zip(kinds, tables)]
+    fields = _rotations(cls._tables.values(), tables, _Fractions(mod).__getitem__)
     record = _built(cls, symbol, group, *fields)
     record.__dict__["_int_view"] = cls._view(mod, *tables)
     return record
@@ -266,13 +275,12 @@ _COMPONENT_LAWS = (
 def _scan_laws(group: FiniteGroup, view: tuple, pairs: tuple, laws: dict) -> ValidationReport:
     """Identity, then laws (a) to (d) over G x S, then (e) over S.
 
-    Reads an integer view (N, data) and the pairs its beta rows permute.
+    Reads an integer view (N, data) at the indices of the record's own
+    ``pairs``, for a descriptor its base's: the first n of its lift's 2n.
     Stops at the first failure; ``laws`` names it and words its message.
     The witness is the first one a scan of all (g, h), each law before
     the next, would name, so reports do not depend on S.  A rotation in
-    a message is Fraction(v, N).  On a descriptor's lift (``laws`` is
-    ``_DESCRIPTOR_LAWS``) law (d) is read at the folded indices i < n
-    only: there it holds at i + n exactly where it holds at i.
+    a message is Fraction(v, N).
     """
     def fail(law, witness, **values):
         name, message = laws[law]
@@ -280,15 +288,14 @@ def _scan_laws(group: FiniteGroup, view: tuple, pairs: tuple, laws: dict) -> Val
 
     n = len(pairs)
     mod, data = view
-    if data[0] != (1, 0, tuple(range(n)), (0,) * n):
+    # every law reads beta and theta2 rows cut to the n indices.  A lift's
+    # beta rows commute with the index swap and its theta2 rows are
+    # antisymmetric, as are the rows its composers give: a law holds at all
+    # 2n indices exactly where it holds at the first n, same first witness
+    fronts = [(a, t, p[:n], r[:n]) for a, t, p, r in data]
+    if fronts[0] != (1, 0, tuple(range(n)), (0,) * n):
         return fail("identity", (0,))
     table, generators = group.table, group.generators
-    # law (d) on a lift: the data whose theta2 rows are compared and whose
-    # composers are built cut to the folded half, so that a composer gives
-    # the theta2 row of gh at the folded indices
-    fronts = data
-    if laws is _DESCRIPTOR_LAWS:
-        fronts = [(a, t, p[:n // 2], r[:n // 2]) for a, t, p, r in data]
 
     # Each law reads only its own component and those of earlier laws,
     # and the sub-data (alpha), (alpha, theta1), (beta) and (alpha, beta,
@@ -301,13 +308,12 @@ def _scan_laws(group: FiniteGroup, view: tuple, pairs: tuple, laws: dict) -> Val
     # generator at a time: one composer per s, and the component k of
     # every g*s against it applied to every g.
     for k, (law, composer) in enumerate(_COMPONENT_LAWS):
-        compared = fronts if law == "theta2" else data
-        component = [datum[k] for datum in compared]
+        component = [front[k] for front in fronts]
         if not any(any(map(ne, map(component.__getitem__, map(itemgetter(s), table)),
-                           map(composer(compared[s], mod), data)))
+                           map(composer(fronts[s], mod), data)))
                    for s in generators):
             continue
-        composers = [composer(b, mod) for b in compared]
+        composers = [composer(b, mod) for b in fronts]
         g, h = next((g, h) for g, a in enumerate(data)
                     for h, compose in enumerate(composers) if component[table[g][h]] != compose(a))
         gh = table[g][h]
@@ -324,11 +330,12 @@ def _scan_laws(group: FiniteGroup, view: tuple, pairs: tuple, laws: dict) -> Val
     # element outside the subgroup the earlier ones generate, so the least
     # element that moves a pair is a generator: scanning the generators
     # names the (g, i) witness a scan of all of G would name
+    doubled = pairs + pairs   # a lift's index j >= n carries pair j - n
     for g in generators:
-        perm = data[g][2]
+        perm = fronts[g][2]
         # one tuple compare per generator; only a failing row is walked
-        if tuple(map(pairs.__getitem__, perm)) != pairs:
-            i = next(i for i in range(n) if pairs[perm[i]] != pairs[i])
+        if tuple(map(doubled.__getitem__, perm)) != pairs:
+            i = next(i for i in range(n) if doubled[perm[i]] != pairs[i])
             return fail("pairs", (g, i), g=g, i=i)
     return _PASS
 
@@ -570,13 +577,11 @@ class ProjectedActionDescriptor(Record):
 
     @cached_property
     def _int_view(self) -> tuple[int, tuple[tuple, ...]]:
-        mod, fronts = _scaled(self.theta2_bar)
-        return self._view(mod, self.epsilon, self.beta_bar, fronts)
+        return self._view(*_scaled(self))
 
     @cached_property
     def _law_report(self) -> ValidationReport:
-        return _scan_laws(self.group, self._int_view, orientable_double_cover(self.base).pairs,
-                          _DESCRIPTOR_LAWS)
+        return _scan_laws(self.group, self._int_view, self.base.pairs, _DESCRIPTOR_LAWS)
 
     @cached_property
     def _lifted(self) -> ExtendedProductActionSpec:
@@ -598,9 +603,7 @@ def _check_n2_base(base: SeifertSymbol):
 
 # The spec laws, read on the descriptor's integer lift, named by its fields.
 # There alpha is identically +1, the theta1 law is the epsilon law, and
-# for i < n the theta2 law is the folded theta2_bar law (for i >= n its
-# negation), so the first witness always names a folded index and the
-# scan reads that law at i < n only.
+# the theta2 law at i < n is the folded theta2_bar law.
 _DESCRIPTOR_LAWS = {
     "identity": _SPEC_LAWS["identity"],
     "theta1": ("epsilon", "epsilon({gh}) != epsilon({g})*epsilon({h})"),
@@ -811,12 +814,7 @@ def _read_tables(doc: dict, kinds: dict, order: int, n: int) -> tuple[int, list]
             tables.append(columns)
     mod = lcm(*{den for _, den in terms.values()})
     value = {text: num * (mod // den) for text, (num, den) in terms.items()}.__getitem__
-    for k, kind in enumerate(kinds.values()):
-        if kind == "rotation":
-            tables[k] = tuple(map(value, tables[k]))
-        elif kind == "rotation rows":
-            tables[k] = tuple(tuple(map(value, column)) for column in tables[k])
-    return mod, tables
+    return mod, _rotations(kinds.values(), tables, value)
 
 
 class _GivenTwice(ValueError):

@@ -376,9 +376,8 @@ def main(argv=None) -> int:
     parser = _build_parser(argv[0] if argv and argv[0] in _COMMANDS else None)
     try:
         args = parser.parse_args(argv)
-    except SystemExit as exc:
-        code = exc.code
-        return code if isinstance(code, int) else 2
+    except SystemExit as exc:   # argparse exits with 0 or 2 alone
+        return exc.code
     try:
         return args.handler(args)
     except _Rejected:

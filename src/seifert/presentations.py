@@ -105,13 +105,22 @@ def _handle_names(handles: int) -> list[str]:
     return names
 
 
+# the largest genus read off: a presentation has up to 2 * genus + n + 1
+# generators, and first_homology of (10000,o1|) takes a tenth of a second
+# and 32 MB, linear in the genus
+MAX_GENUS = 10000
+
+
 def _fibered_pi1(symbol: SeifertSymbol, handles: int, crosscaps: list[str]) -> Presentation:
     """Generators a1, b1, ..., the crosscap generators, c1..cn, t.
 
     The fiber t commutes with the handle and c generators, x conjugates
     it to its inverse, y commutes with it, each pair imposes
-    ``cj^qj t^pj`` and the base surface imposes its boundary word.
+    ``cj^qj t^pj`` and the base surface imposes its boundary word.  A
+    genus over ``MAX_GENUS`` is refused before any name is built.
     """
+    if symbol.genus > MAX_GENUS:
+        raise ValueError(f"genus {symbol.genus} is over the limit of {MAX_GENUS}")
     n = len(symbol.pairs)
     names = _handle_names(handles) + crosscaps + _named(n, "c") + ["t"]
     x = 2 * handles

@@ -662,6 +662,28 @@ def test_read_projected_and_lifted_records_are_not_rescaled(monkeypatch):
     assert len(calls) == 1
 
 
+def test_equal_rotations_of_a_built_record_are_one_fraction():
+    # a read document, a projection and a lift hold one Fraction object
+    # per distinct rotation value, shared by every entry equal to it
+    def entries(record):
+        rows = (record.theta2_bar if isinstance(record, ProjectedActionDescriptor)
+                else (record.theta1, *record.theta2))
+        return [v for row in rows for v in row]
+    descriptor = ProjectedActionDescriptor(
+        parse_symbol("(1,n2|(3,1),(3,1))"), cyclic_group(3), (1, 1, 1),
+        ((0, 1),) * 3, tuple((F(g, 3), F(g, 3)) for g in range(3)))
+    lifted = lift_action(descriptor)
+    read = parse_action_spec_text(format_action_spec(lifted))
+    projected = project_action(read)
+    records = [lifted, read, projected, parse_descriptor_text(format_descriptor(projected))]
+    records += [parse_action_spec_text(format_action_spec(spec))
+                for spec in (specbuild.z2_z32_spec(), specbuild.d16_spec())]
+    for record in records:
+        values = entries(record)
+        assert len(set(values)) < len(values)
+        assert len({id(v) for v in values}) == len(set(values))
+
+
 def test_lifted_spec_keeps_the_descriptor_scan(scans):
     # the lift's integer view is the descriptor's, already scanned
     descriptor = specbuild.z2z3_descriptor()

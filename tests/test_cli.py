@@ -421,6 +421,10 @@ def test_value_errors_exit_two(capsys):
     code, out, err = run(capsys, "normalize", "(0,o1")
     assert code == 2
     assert "syntax error at position" in err
+    # a genus past the limit would ask for memory linear in it
+    for command in ("pi1", "orbifold-pi1", "h1"):
+        assert run(capsys, command, "(100000000,o1|)") == (
+            2, "", "error: genus 100000000 is over the limit of 10000\n")
 
 
 LONG = "1" * 4301   # past the interpreter's limit for int()

@@ -11,6 +11,7 @@ from seifert import (
     SeifertPair,
     SeifertSymbol,
     abelianize,
+    first_homology,
     orbifold_pi1,
     orientable_double_cover,
     parse_symbol,
@@ -18,7 +19,7 @@ from seifert import (
     pi1_nonorientable,
     pi1_orientable,
 )
-from seifert.presentations import Presentation, _exponent_sums, word
+from seifert.presentations import MAX_GENUS, Presentation, _exponent_sums, word
 from strategies import seifert_symbols
 
 
@@ -115,6 +116,14 @@ def test_pi1_rejects_wrong_class():
         pi1_nonorientable(parse_symbol("(0,o1|)"))
     with pytest.raises(ValueError, match="class o1"):
         pi1_orientable(parse_symbol("(1,n2|)"))
+    # a genus over the limit, of either class, through every reader of it
+    over = MAX_GENUS + 1
+    for text in (f"({over},o1|)", f"({over},n2|(2,1))"):
+        for build in (pi1, orbifold_pi1, first_homology):
+            with pytest.raises(ValueError,
+                               match=f"^genus {over} is over the limit of {MAX_GENUS}$"):
+                build(parse_symbol(text))
+    assert len(pi1(parse_symbol(f"({MAX_GENUS},o1|)")).generators) == 2 * MAX_GENUS + 1
 
 
 def test_orbifold_groups():
