@@ -17,7 +17,10 @@ constructors (:func:`~seifert.groups.cyclic_group` and
 projection and lift of actions (all three through
 ``seifert.actions._from_view``), and the presentations read off a symbol
 (:func:`~seifert.presentations.pi1` and
-:func:`~seifert.presentations.orbifold_pi1`).
+:func:`~seifert.presentations.orbifold_pi1`).  An action record holds its
+integer view from birth whichever way it is built: ``_from_view`` stores
+it with the fields, and the checked constructor's ``__post_init__`` once
+every check has passed.
 
 >>> class Point(Record):
 ...     x: int

@@ -14,7 +14,8 @@ and a projected descriptor has the sign ``epsilon``, the permutation
 ``beta_bar`` and the rotation row ``theta2_bar``.  Each type lists its
 tables by kind once, in field order (``_tables``); one shape check, one
 document reader and one writer serve both.  The reader checks
-everything the shape check does, so what it reads is not checked again.
+everything the checked constructor does, so what it reads is not checked
+again, and refuses a field its record does not name.
 Every file it reads, a document or the group table file one names, is
 read through ``_read``: a file that cannot be read or is not UTF-8 is
 bad input, and the message names the file.
@@ -38,10 +39,11 @@ report of :mod:`seifert.structure` all read it.  A descriptor's view is
 the one of its lift, built from its own tables at any N (its ``_view``
 alone doubles an odd N where epsilon is -1).  A record is law-scanned at
 its own pairs' indices, a descriptor at its base's: the first n of its
-lift's 2n.  A record the package derives (a read document, a projection,
-a lift) is built from its integer view by one builder, ``_from_view``,
-and keeps that view from birth; a record a caller constructs computes it
-from its Fractions, N their lcm, on first use.  :func:`lift_action`
+lift's 2n.  Every record holds that view from birth: a record the package
+derives (a read document, a projection, a lift) is built from it by one
+builder, ``_from_view``, and the shape check of a record a caller
+constructs stores it, N the lcm of its Fractions' denominators, once
+every check has passed.  :func:`lift_action`
 builds the Fraction spec once, when first called, and the spec keeps the
 descriptor's view and the passing report.  v -> v*N is exact and keeps
 the order of [0, 1), so every verdict and witness is the one the
@@ -113,18 +115,14 @@ class ExtendedProductActionSpec(Record):
                "theta2": "rotation rows"}
 
     def __post_init__(self):
-        _check_records(self.symbol, "symbol", self.group)
-        _check_tables(self, len(self.symbol.pairs), "symbol")
+        _check_records(self)
+        _check_tables(self)
 
     @staticmethod
     def _view(mod, theta1, alpha, beta, theta2) -> tuple[int, tuple[tuple, ...]]:
         """(N, per-element datum (alpha, theta1*N, beta row, theta2*N row)),
         from the tables in field order, rotations as integers mod N."""
         return mod, tuple(zip(alpha, theta1, beta, theta2))
-
-    @cached_property
-    def _int_view(self) -> tuple[int, tuple[tuple, ...]]:
-        return self._view(*_scaled(self))
 
     @cached_property
     def _law_report(self) -> ValidationReport:
@@ -137,16 +135,6 @@ def _rotations(kinds, tables, f) -> list:
     return [tuple(map(f, table)) if kind == "rotation"
             else tuple(tuple(map(f, row)) for row in table) if kind == "rotation rows"
             else table for kind, table in zip(kinds, tables)]
-
-
-def _scaled(record) -> tuple:
-    """(N, the record's tables in field order, each rotation v as the
-    integer v*N), N the lcm of the rotations' denominators."""
-    kinds, tables = record._tables.values(), [getattr(record, name) for name in record._tables]
-    denominators = set()
-    _rotations(kinds, tables, lambda v: denominators.add(v.denominator))
-    mod = lcm(*denominators)
-    return (mod, *_rotations(kinds, tables, lambda v: v.numerator * (mod // v.denominator)))
 
 
 class _Fractions(dict):
@@ -166,8 +154,8 @@ def _from_view(cls, symbol, group, mod: int, *tables):
     The one home for building a record from an integer view: the read
     document, the projection and the lift.  Each distinct v becomes one
     ``Fraction(v, N)``, the record is built through ``_built`` (the
-    caller has established its shape, with 0 <= v < N) and keeps the
-    integer view of these tables, so :func:`_scaled` never runs for it.
+    caller has established its shape, with 0 <= v < N) and holds the
+    integer view of these tables, as a checked record holds its own.
     """
     fields = _rotations(cls._tables.values(), tables, _Fractions(mod).__getitem__)
     record = _built(cls, symbol, group, *fields)
@@ -175,16 +163,20 @@ def _from_view(cls, symbol, group, mod: int, *tables):
     return record
 
 
-def _check_records(symbol, symbol_field: str, group):
-    """The symbol and group fields are those records, before any of their fields is read."""
+def _check_records(data):
+    """The symbol and group fields of a spec or descriptor (its first two)
+    are those records, before any of their fields is read."""
+    symbol_field, symbol, group = data._fields[0], data._values[0], data.group
     if type(symbol) is not SeifertSymbol:
         raise ValueError(f"{symbol_field} must be a SeifertSymbol, got {type(symbol).__name__}")
     if type(group) is not FiniteGroup:
         raise ValueError(f"group must be a FiniteGroup, got {type(group).__name__}")
 
 
-def _check_tables(data, n: int, symbol_field: str):
-    """Shape check of the element tables of a spec or descriptor.
+def _check_tables(data):
+    """Shape check of the element tables of a spec or descriptor, which
+    then stores their integer view in it, N the lcm of their rotations'
+    denominators.
 
     ``type(data)._tables`` names them, in field order, with their kinds;
     all lengths are checked before any value.  Tables and their rows
@@ -193,17 +185,17 @@ def _check_tables(data, n: int, symbol_field: str):
     ``True`` and ``1.0`` compare equal to 1 but would be written as
     documents that cannot be read back.
     """
-    order = data.group.order
-    indices = list(range(n))
-    for name, kind in data._tables.items():
-        table = getattr(data, name)
+    symbol_field, n, order = data._fields[0], len(data._values[0].pairs), data.group.order
+    indices, denominators = list(range(n)), set()
+    kinds, tables = data._tables, [getattr(data, name) for name in data._tables]
+    for (name, kind), table in zip(kinds.items(), tables):
         if type(table) is not tuple:
             raise ValueError(f"{name} must be a tuple, got {type(table).__name__}")
         if len(table) != order:
             unit = "entries" if kind in ("rotation", "sign") else "rows"
             raise ValueError(f"{name} has {len(table)} {unit}, group order is {order}")
-    for name, kind in data._tables.items():
-        for entry in getattr(data, name):
+    for (name, kind), table in zip(kinds.items(), tables):
+        for entry in table:
             if kind in ("permutation", "rotation rows") and type(entry) is not tuple:
                 raise ValueError(f"{name} row must be a tuple, got {type(entry).__name__}")
             if kind == "sign":
@@ -222,6 +214,10 @@ def _check_tables(data, n: int, symbol_field: str):
                     if not isinstance(v, Fraction) or not 0 <= v.numerator < v.denominator:
                         raise ValueError(f"{name}: rotation numbers must be fractions "
                                          f"in [0,1), got {v!r}")
+                    denominators.add(v.denominator)
+    mod = lcm(*denominators)
+    tables = _rotations(kinds.values(), tables, lambda v: v.numerator * (mod // v.denominator))
+    data.__dict__["_int_view"] = data._view(mod, *tables)
 
 
 class ValidationReport(Record):
@@ -556,9 +552,9 @@ class ProjectedActionDescriptor(Record):
     _tables = {"epsilon": "sign", "beta_bar": "permutation", "theta2_bar": "rotation rows"}
 
     def __post_init__(self):
-        _check_records(self.base, "base", self.group)
+        _check_records(self)
         _check_n2_base(self.base)
-        _check_tables(self, len(self.base.pairs), "base")
+        _check_tables(self)
 
     @staticmethod
     def _view(mod, epsilon, beta_bar, fronts) -> tuple[int, tuple[tuple, ...]]:
@@ -574,10 +570,6 @@ class ProjectedActionDescriptor(Record):
             turn, row = (0, kept + crossed) if sign == 1 else (mod // 2, crossed + kept)
             data.append((1, turn, row, front + tuple(-v % mod for v in front)))
         return mod, tuple(data)
-
-    @cached_property
-    def _int_view(self) -> tuple[int, tuple[tuple, ...]]:
-        return self._view(*_scaled(self))
 
     @cached_property
     def _law_report(self) -> ValidationReport:
@@ -831,15 +823,11 @@ def _object(pairs: list) -> dict:
     return obj
 
 
-# one decoder for every document: json.loads with a hook builds a new one per call
-_DECODER = json.JSONDecoder(object_pairs_hook=_object)
-
-
 def _parse_document(text: str, base_dir: Path | None, cls):
+    """The record of cls a document holds, checked as its constructor
+    checks it; a field cls does not name is refused last."""
     try:
-        if text.startswith("\ufeff"):   # json.loads's check, which the decoder leaves out
-            raise json.JSONDecodeError("Unexpected UTF-8 BOM (decode using utf-8-sig)", text, 0)
-        doc = _DECODER.decode(text)
+        doc = json.loads(text, object_pairs_hook=_object)
     except (json.JSONDecodeError, RecursionError) as exc:
         raise ValueError(f"malformed document: {exc}") from None
     except _GivenTwice:
@@ -850,8 +838,14 @@ def _parse_document(text: str, base_dir: Path | None, cls):
         raise ValueError("document must be a JSON object with named fields")
     symbol = parse_symbol(_string(_field(doc, "symbol"), "symbol"))
     group = _group_from_field(_field(doc, "group"), base_dir)
-    # _read_tables checks all that _check_tables does
+    # _read_tables checks all that _check_tables does; a descriptor's
+    # constructor also checks its base
     mod, tables = _read_tables(doc, cls._tables, group.order, len(symbol.pairs))
+    if cls is ProjectedActionDescriptor:
+        _check_n2_base(symbol)
+    extra = [name for name in doc if name not in ("symbol", "group", *cls._tables)]
+    if extra:
+        raise ValueError(f"unknown field{'s' * (len(extra) > 1)} {', '.join(map(repr, extra))}")
     return _from_view(cls, symbol, group, mod, *tables)
 
 
@@ -862,9 +856,7 @@ def parse_action_spec_text(text: str, base_dir: Path | None = None) -> ExtendedP
 
 def parse_descriptor_text(text: str, base_dir: Path | None = None) -> ProjectedActionDescriptor:
     """Parse a projected-descriptor document (JSON object)."""
-    descriptor = _parse_document(text, base_dir, ProjectedActionDescriptor)
-    _check_n2_base(descriptor.base)
-    return descriptor
+    return _parse_document(text, base_dir, ProjectedActionDescriptor)
 
 
 def _read(path, what: str = "") -> tuple[str, Path]:

@@ -3,6 +3,7 @@ and the document format."""
 
 import importlib.util
 import json
+import math
 import random
 import re
 import sys
@@ -515,7 +516,7 @@ def test_tau_agrees_with_naive_scan():
 def test_projection_keeps_the_constructor_view():
     # project_action builds the descriptor from the fronts of the spec's
     # integer view, at the spec's N; that must be the view the checked
-    # constructor's descriptor computes from its Fractions
+    # constructor stores in the descriptor from its Fractions
     rng = random.Random(60623)
     specs = [specbuild.z2_swap_spec(), specbuild.z2z3_block_spec(),
              specbuild.mixed_crossing_spec(), lift_action(specbuild.z2z3_descriptor())]
@@ -531,6 +532,52 @@ def test_projection_keeps_the_constructor_view():
         assert fresh == d and fresh._int_view == d._int_view
         epsilons.add(-1 in d.epsilon)
     assert epsilons == {True, False}
+
+
+def _random_descriptor(rng) -> ProjectedActionDescriptor:
+    """A descriptor of random shape over Z_m, laws unchecked; its rotation
+    denominators are odd, so its lift doubles N wherever some epsilon is -1."""
+    m, n = rng.randint(1, 5), rng.randint(0, 3)
+    base = parse_symbol("(1,n2|" + ",".join(["(3,1)"] * n) + ")")
+    return ProjectedActionDescriptor(
+        base, cyclic_group(m), tuple(rng.choice((1, -1)) for _ in range(m)),
+        tuple(tuple(rng.sample(range(n), n)) for _ in range(m)),
+        tuple(tuple(F(rng.randrange(d), d) for _ in range(n))
+              for d in (rng.choice((1, 3, 5, 9, 15)) for _ in range(m))))
+
+
+def test_constructed_records_hold_their_integer_view_from_birth():
+    # the checked constructor stores the integer view _from_view builds a
+    # record with from the same integer tables, N the lcm of the rotations'
+    # denominators, doubled for a descriptor's lift with an odd N and some
+    # epsilon -1
+    rng = random.Random(60631)
+    records = [getattr(specbuild, name)() for name in dir(specbuild)
+               if name.endswith(("_spec", "_descriptor"))
+               and name not in ("trivial_spec", "faithful_rotation_spec")]
+    records.append(ProjectedActionDescriptor(
+        parse_symbol("(1,n2|(3,1))"), cyclic_group(2), (1, -1), ((0,), (0,)),
+        ((ZERO,), (F(1, 3),))))
+    while len(records) < 300:
+        spec = _random_cyclic_action(rng)
+        records += [spec] if spec is not None else []
+        records.append(_random_descriptor(rng))
+    doubled = set()
+    for record in records:
+        assert "_int_view" in record.__dict__
+        kinds, tables = record._tables.values(), [getattr(record, name) for name in record._tables]
+        rotations = [v for kind, table in zip(kinds, tables) if kind == "rotation" for v in table]
+        rotations += [v for kind, table in zip(kinds, tables) if kind == "rotation rows"
+                      for row in table for v in row]
+        mod = math.lcm(*(v.denominator for v in rotations))
+        scaled = [tuple(int(v * mod) for v in table) if kind == "rotation"
+                  else tuple(tuple(int(v * mod) for v in row) for row in table)
+                  if kind == "rotation rows" else table for kind, table in zip(kinds, tables)]
+        built = seifert.actions._from_view(type(record), record._values[0], record.group,
+                                           mod, *scaled)
+        assert built == record and record.__dict__["_int_view"] == built._int_view
+        doubled.add(record._int_view[0] == 2 * mod)
+    assert doubled == {True, False}
 
 
 # -- descriptors, project, lift --------------------------------------------
@@ -634,14 +681,14 @@ def test_descriptor_is_lifted_once(built_specs):
 
 def test_read_projected_and_lifted_records_are_not_rescaled(monkeypatch):
     # documents, projections and lifts are built with their integer view:
-    # only a record built by its checked constructor scales its Fractions
+    # only a record built by its checked constructor scales its Fractions,
+    # in its shape check
     calls = []
-    scaled = seifert.actions._scaled
-
-    def counted(*args):
-        calls.append(args)
-        return scaled(*args)
-    monkeypatch.setattr(seifert.actions, "_scaled", counted)
+    for cls in (ExtendedProductActionSpec, ProjectedActionDescriptor):
+        def counted(record, check=cls.__post_init__):
+            calls.append(record)
+            return check(record)
+        monkeypatch.setattr(cls, "__post_init__", counted)
     commuting = [specbuild.z2_swap_spec(), specbuild.z2z3_block_spec(),
                  lift_action(specbuild.z2z3_descriptor())]
     texts = [format_action_spec(spec)

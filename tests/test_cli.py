@@ -642,6 +642,28 @@ def test_a_field_given_twice_exits_two(capsys, tmp_path, command, text, name):
     assert run(capsys, command, str(path)) == (2, "", f"error: field {name!r} is given twice\n")
 
 
+SWAP_DOC = json.loads(SWAP_TEXT)
+LENS_DOC = json.loads(format_descriptor(specbuild.z2_lens_descriptor()))
+
+
+@pytest.mark.parametrize("command, doc, message", [
+    ("validate-action", dict(SWAP_DOC, epsilon=[1, 7], bogus=None),
+     "unknown fields 'epsilon', 'bogus'"),
+    ("validate-action", {"bogus": None, **SWAP_DOC}, "unknown field 'bogus'"),
+    ("lift", dict(LENS_DOC, theta1=["0", "0"]), "unknown field 'theta1'"),
+    # every other fault is reported first
+    ("validate-action", dict(SWAP_DOC, alpha=[1, 2], bogus=None),
+     "alpha entries must be 1 or -1, got 2"),
+    ("lift", dict(LENS_DOC, symbol="(0,o1|(2,1))", bogus=None),
+     "descriptor base symbol must be class n2"),
+], ids=["spec", "spec-stray-first", "descriptor", "spec-fault-first", "descriptor-fault-first"])
+def test_a_field_the_record_does_not_name_exits_two(capsys, tmp_path, command, doc, message):
+    # these documents once passed with the stray fields dropped unread
+    path = tmp_path / "stray.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert run(capsys, command, str(path)) == (2, "", f"error: {message}\n")
+
+
 def test_repeat_runs_are_identical(capsys, docs):
     first = run(capsys, "analyze-group", docs["blocks"])
     second = run(capsys, "analyze-group", docs["blocks"])
