@@ -2,8 +2,8 @@
 
 Symbols and their normalization, fiber preserving equivalence, the
 orientable-base double cover and its quotient, fundamental group and
-orbifold group presentations, first homology through integer Smith
-normal form, and finite group actions in extended product form with
+orbifold group presentations, first homology in closed form, integer
+Smith normal form, and finite group actions in extended product form with
 their validation, obstruction, covering-translation and lift/project
 machinery.  Everything runs on plain integers and fractions; no result
 is ever rounded.

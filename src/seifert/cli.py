@@ -32,7 +32,7 @@ from pathlib import Path
 from .groups import _INTEGER   # the one integer grammar, loaded with the package root
 # the symbol layer only: the action layer (json, fractions, group tables)
 # is imported inside the handlers that use it
-from .homology import first_homology, smith_normal_form
+from .homology import _decimal, first_homology, smith_normal_form
 from .presentations import orbifold_pi1, pi1
 from .symbols import (base_quotient, equivalent, normalize,
                       obstruction_class, orientable_double_cover, parse_symbol,
@@ -40,7 +40,7 @@ from .symbols import (base_quotient, equivalent, normalize,
 
 
 def _join(values) -> str:
-    return ",".join(str(v) for v in values)
+    return ",".join(map(_decimal, values))
 
 
 def _say(args, fields: dict, plain=None):
@@ -48,15 +48,16 @@ def _say(args, fields: dict, plain=None):
 
     With no ``plain`` text the lines are printed either way.  Booleans
     print as true/false, and a list value prints one line per item.
+    Integers print in full, however many digits they have.
     """
     if not args.porcelain and plain is not None:
-        print(plain)
+        print(_decimal(plain))
         return
     for key, value in fields.items():
         for item in value if isinstance(value, list) else [value]:
             if isinstance(item, bool):
                 item = "true" if item else "false"
-            print(f"{key}={item}")
+            print(f"{key}={_decimal(item)}")
 
 
 class _Rejected(Exception):

@@ -1,39 +1,66 @@
-"""Integer Smith normal form and first homology of a symbol.
+"""Integer Smith normal form, and first homology of a symbol in closed form.
 
-All arithmetic is exact over Python ints.  The relation matrices of
-symbols are sparse: a pair's row touches its own generator and the fiber,
-and the commutator rows of the abelianization vanish.  So the Smith form
-is a sparse elimination, :func:`_eliminate`.  Rows are ``{column: entry}``
-dicts and each column keeps the set of rows that use it.
-:func:`first_homology` hands it the relators' exponent sums in that form
-directly, never writing the matrix out; :func:`smith_normal_form` checks
-a dense matrix and converts its rows.  The pivot is the entry of least
-absolute value, ties going to the least fill-in (Markowitz 1957), which
-keeps both the entries and the number of nonzeros small, and then to the
-first entry in row order.  The search compares |v| alone and works out
-the fill-in only for an entry whose |v| ties or beats the best so far; it
-stops early only at |v| = 1 with no fill-in.  The rule is kept as it is
-because the pivot order fixes every intermediate coefficient, and two
-cheaper-looking searches measured, per-row cached keys and a restart
-searching only the pivot's row or column (which chose other pivots), cost
-more than the rescans they save.  Row operations clear the pivot's column
-and column operations its row; a row update touches a column's row set
-only where an entry appears or vanishes.  Both keep the least absolute
-remainder, at most |p|/2, where the floor remainder can reach |p| - 1
-(a tie, |r| = |p|/2, keeps the floor one).  So the pivot after a
-remainder is at most half the last, the Euclid variant with the fewest
-steps (Knuth, TAOCP vol. 2, 4.5.3; Havas and Majewski 1997 for
-matrices).  After a nonzero remainder the search starts again, over only
-the rows the step changed (all rows when that is most of them): those
-the row operations updated, and after column operations the pivot's row
-as well.  The pivot was the least |v| of all entries, every other row is
-unchanged, and a remainder of at most half the pivot exists, so each
-entry tying for the new least |v| lies in a searched row, and the search
-returns the pivot a full one would, fill-in read from the live column
-counts.  After a diagonal entry the search visits every row.  What is
-left is a diagonal, and one closing pass over its entries other than 1
-(a 1 divides every entry) replaces each pair (a, b) by (gcd, lcm), an
-equivalent diagonal, until the entries form a divisor chain.
+All arithmetic is exact over Python ints.  First homology is read off
+the pairs (H. Seifert, "Topologie dreidimensionaler gefaserter Räume",
+Acta Math. 60, 1933; P. Orlik, *Seifert Manifolds*, LNM 291, 1972).  Let
+D_1, D_2, ... be the invariant factors of diag(q_1, ..., q_n), largest
+first, with D_k = 1 past the last one over 1, and E the sum of the p/q.
+For class o1 of genus g, H1 = Z^(2g) + C + Z/D_3 + ... + Z/D_n, with
+C = Z when E = 0 and C = Z/|D_1 D_2 E| otherwise.  For class n2 with k
+crosscaps, H1 = Z^(k-1) + Z/(2^(2-m) D_1) + Z/(2^m D_2) + Z/D_3 + ... +
+Z/D_n, with m = 0 when D_1 E is odd and m = 1 otherwise.  The 1s drop
+out and the rest is a divisor chain.  Why: localize the relation matrix
+of :func:`~seifert.presentations.pi1` at a prime l.  A pair with l not
+dividing q writes its generator as a multiple of the fiber; of the pairs
+with l | q, all but the two of largest valuation split off Z/l^v(q); what
+is left is a 2x2 block of the surface relator (and, for n2, of 2t = 0)
+whose entries carry l^v(D_1) E.
+
+D_1 E is the integer sum of p (D_1 / q), added up over a tree of lcms
+(:func:`_scaled_sum`), so no fraction is formed.  The D_k come from a
+coprime base of the q: pairwise coprime b > 1, every q a product of their
+powers.  D_k is the product of b^e over the base, e the k-th largest
+exponent of b over the q, so no q is ever factored; a q may have
+thousands of digits.  The base is built by halving the distinct q
+(:func:`_coprime_base`), as in D. J. Bernstein, "Factoring into coprimes
+in essentially linear time" (J. Algorithms 54, 2005), though with a
+simpler merge (:func:`_merge`): the bases of the two halves meet only
+where they share a factor, remainder trees find where, and the merge
+halves the elements that meet until few are left, which gcds refine
+(:func:`_refine`) as they refine a block of at most ``_BLOCK`` q.  Each
+base element carries the multiset of its exponents through the same
+merges, so no q is scanned against the base afterwards.
+
+The Smith normal form of a matrix, :func:`smith_normal_form`, is a
+sparse elimination, :func:`_eliminate`.  Rows are ``{column: entry}``
+dicts and each column keeps the set of rows that use it.  The pivot is
+the entry of least absolute value, ties going to the least fill-in
+(Markowitz 1957), which keeps both the entries and the number of
+nonzeros small, and then to the first entry in row order.  The search
+compares |v| alone and works out the fill-in only for an entry whose |v|
+ties or beats the best so far; it stops early only at |v| = 1 with no
+fill-in.  The rule is kept as it is because the pivot order fixes every
+intermediate coefficient, and two cheaper-looking searches measured,
+per-row cached keys and a restart searching only the pivot's row or
+column (which chose other pivots), cost more than the rescans they save.
+Row operations clear the pivot's column and column operations its row; a
+row update touches a column's row set only where an entry appears or
+vanishes.  Both keep the least absolute remainder, at most |p|/2, where
+the floor remainder can reach |p| - 1 (a tie, |r| = |p|/2, keeps the
+floor one).  So the pivot after a remainder is at most half the last,
+the Euclid variant with the fewest steps (Knuth, TAOCP vol. 2, 4.5.3;
+Havas and Majewski 1997 for matrices).  After a nonzero remainder the
+search starts again, over only the rows the step changed (all rows when
+that is most of them): those the row operations updated, and after
+column operations the pivot's row as well.  The pivot was the least |v|
+of all entries, every other row is unchanged, and a remainder of at most
+half the pivot exists, so each entry tying for the new least |v| lies in
+a searched row, and the search returns the pivot a full one would,
+fill-in read from the live column counts.  After a diagonal entry the
+search visits every row.  What is left is a diagonal, and one closing
+pass over its entries other than 1 (a 1 divides every entry) replaces
+each pair (a, b) by (gcd, lcm), an equivalent diagonal, until the
+entries form a divisor chain.
 
 >>> smith_normal_form([[2, 0], [0, 3]])
 [1, 6]
@@ -43,10 +70,11 @@ equivalent diagonal, until the entries form a divisor chain.
 
 from __future__ import annotations
 
+import sys
 from math import gcd
 
-from ._record import Record
-from .presentations import _exponent_sums, pi1
+from ._record import Record, _built
+from .presentations import _check_genus
 from .symbols import Orientability, SeifertSymbol
 
 
@@ -170,6 +198,25 @@ def _eliminate(sparse: list[dict[int, int]], n: int) -> list[int]:
     return [1] * (len(diag) - len(rest)) + rest + [0] * (size - len(diag))
 
 
+def _decimal(value) -> str:
+    """``str(value)`` past CPython's limit on the digits of an int.
+
+    From Python 3.11 (and 3.10.7) ``str`` refuses an int of more than 4300
+    digits by default, a guard for ``int()`` on long input.  A result can
+    be that long though its input is not, so output lifts the limit for
+    the one call; every reader keeps it.
+    """
+    lift = getattr(sys, "set_int_max_str_digits", None)
+    if lift is None:   # an older interpreter has no limit
+        return str(value)
+    limit = sys.get_int_max_str_digits()
+    lift(0)
+    try:
+        return str(value)
+    finally:
+        lift(limit)
+
+
 class AbelianGroupStructure(Record):
     """Finitely generated abelian group: free rank plus torsion chain."""
 
@@ -191,19 +238,215 @@ class AbelianGroupStructure(Record):
             parts.append("Z")
         elif self.free_rank > 1:
             parts.append(f"Z^{self.free_rank}")
-        parts.extend(f"Z/{d}" for d in self.torsion)
+        parts.extend(f"Z/{_decimal(d)}" for d in self.torsion)
         return " x ".join(parts) if parts else "trivial"
 
 
-def first_homology(symbol: SeifertSymbol) -> AbelianGroupStructure:
-    """H1 of the fibered space: abelianized fundamental group.
+def _product_tree(xs: list[int]) -> list[list[int]]:
+    """Levels of the product tree over the nonempty ``xs``, leaves first.
 
-    >>> str(first_homology(SeifertSymbol(0, Orientability.O1, ())))
-    'Z'
+    Each level multiplies adjacent pairs of the one below, an odd last
+    entry moving up as it is, so entry i of level k is the product of
+    leaves i * 2**k up to (i + 1) * 2**k; the last level is [product].
     """
-    pres = pi1(symbol)
-    invariants = _eliminate(_exponent_sums(pres), len(pres.generators))
-    rank = sum(1 for d in invariants if d)
-    free = len(pres.generators) - rank
-    torsion = tuple(d for d in invariants if d > 1)
-    return AbelianGroupStructure(free, torsion)
+    levels = [xs]
+    while len(xs) > 1:
+        xs = [xs[i] * xs[i + 1] for i in range(0, len(xs) - 1, 2)] + xs[len(xs) - len(xs) % 2:]
+        levels.append(xs)
+    return levels
+
+
+def _product(xs: list[int]) -> int:
+    return _product_tree(xs)[-1][0]
+
+
+def _sharing(xs: list[int], p: int) -> list[int]:
+    """The ``xs`` that have a factor in common with p.
+
+    A remainder tree: p is reduced modulo each node of the product tree
+    over the xs, root first, so the gcd at a leaf x takes p mod x.
+    """
+    rests = [p]
+    for level in reversed(_product_tree(xs)):
+        rests = [rests[i // 2] % v for i, v in enumerate(level)]
+    return [x for x, r in zip(xs, rests) if gcd(x, r) > 1]
+
+
+def _refine(elements: list[int]) -> dict[int, dict[int, int]]:
+    """A coprime base of the ``elements`` (ints over 1): each b mapped
+    to ``{i: e}``, elements[i] being the product of b**e over the base.
+
+    Factor refinement (E. Bach, J. Driscoll and J. Shallit, "Factor
+    refinement", J. Algorithms 15, 1993), one element at a time: a value
+    y that meets a base element c, g = gcd(c, y) > 1, replaces c by c/g,
+    g and y/g, g taking the exponents of both, and each goes in again.
+    """
+    base: dict[int, dict[int, int]] = {}
+    for i, x in enumerate(elements):
+        todo = [(x, {i: 1})]
+        while todo:
+            y, ey = todo.pop()
+            for c in base:
+                g = gcd(c, y)
+                if g > 1:
+                    break
+            else:
+                base[y] = ey
+                continue
+            ec = base.pop(c)
+            both = dict(ec)
+            for j, e in ey.items():
+                both[j] = both.get(j, 0) + e
+            todo += [(v, e) for v, e in ((c // g, ec), (g, both), (y // g, ey)) if v > 1]
+    return base
+
+
+def _refined(items: list[tuple[int, dict[int, int]]]) -> dict[int, dict[int, int]]:
+    """The coprime base of the values of ``items``, pairs of a value and
+    the multiset ``{e: count}`` of its exponents over the q, each base
+    element with the multiset of its own.
+
+    A q has its exponents in one value alone (a q of a block is its own
+    value, exponent 1) or in the pairwise coprime values of its side of a
+    merge, so a base element b divides at most one value v of each q.
+    Where v has exponent e and b**f is the power of b in v, b has e * f.
+    """
+    base = {}
+    for b, parts in _refine([v for v, _ in items]).items():
+        exponents: dict[int, int] = {}
+        for i, f in parts.items():
+            for e, count in items[i][1].items():
+                exponents[e * f] = exponents.get(e * f, 0) + count
+        base[b] = exponents
+    return base
+
+
+# refinement takes alone a block of at most this many distinct q, and a
+# merge of families whose sizes multiply to at most _DIRECT
+_BLOCK = 16
+_DIRECT = 64
+
+
+def _coprime_base(count: dict[int, int]) -> dict[int, dict[int, int]]:
+    """A coprime base of the q over 1 that ``count`` maps to their
+    multiplicities: each b mapped to ``{e: how many q have exponent e}``.
+
+    Halves the q and merges the bases of the halves.  Remainder trees
+    pick out the elements of each base that share a factor with the
+    other; the rest passes through, and :func:`_merge` takes the others.
+    """
+    qs = list(count)
+    if len(qs) <= _BLOCK:
+        return _refined([(q, {1: count[q]}) for q in qs])
+    half = len(qs) // 2
+    left = _coprime_base({q: count[q] for q in qs[:half]})
+    right = _coprime_base({q: count[q] for q in qs[half:]})
+    near_left = set(_sharing(list(left), _product(list(right))))
+    if not near_left:
+        return left | right
+    near_right = set(_sharing(list(right), _product(list(near_left))))
+    base = {b: e for b, e in left.items() if b not in near_left}
+    base.update((b, e) for b, e in right.items() if b not in near_right)
+    base.update(_merge({b: left[b] for b in near_left}, {b: right[b] for b in near_right}))
+    return base
+
+
+def _merge(xs: dict[int, dict[int, int]], ys: dict[int, dict[int, int]]
+           ) -> dict[int, dict[int, int]]:
+    """The coprime base of two families, each pairwise coprime and each
+    element with its exponent multiset, in which every element shares a
+    factor with some element of the other family.
+
+    Halves the larger family, say xs = x1 + x2, and merges x1 with the ys
+    that meet it first.  The base elements that divide the product of x1
+    are coprime to x2 and to the other ys, so they are final; the others,
+    each the part of one y coprime to x1, join the other ys, and those of
+    them that meet x2 merge with it.  Each element of x2 meets one of
+    them, as its common factor with a y outlives x1, so both merges keep
+    the condition.  So a y goes only into the halves that it meets, and
+    a chain or a star of meeting elements takes a number of steps about
+    proportional to its size, not to its square.
+    """
+    if len(xs) < len(ys):
+        xs, ys = ys, xs
+    if len(xs) * len(ys) <= _DIRECT:
+        return _refined([*xs.items(), *ys.items()])
+    keys = list(xs)
+    x1, x2 = keys[:len(keys) // 2], keys[len(keys) // 2:]
+    p1 = _product(x1)
+    y1 = set(_sharing(list(ys), p1))
+    base = _merge({x: xs[x] for x in x1}, {y: ys[y] for y in y1})
+    final = set(_sharing(list(base), p1))
+    rest = {b: base.pop(b) for b in list(base) if b not in final}
+    rest.update((y, e) for y, e in ys.items() if y not in y1)
+    near = set(_sharing(list(rest), _product(x2)))
+    base.update((b, e) for b, e in rest.items() if b not in near)
+    base.update(_merge({x: xs[x] for x in x2}, {b: rest[b] for b in near}))
+    return base
+
+
+def _invariant_factors(count: dict[int, int]) -> list[int]:
+    """The invariant factors over 1 of diag(q), largest first, each q over
+    1 taken as often as ``count`` says.
+
+    D_k is the product over the coprime base of b**e, e the k-th largest
+    exponent of b over the q.
+    """
+    chains: list[list[int]] = []
+    for b, exponents in _coprime_base(count).items():
+        powers = [p for e in sorted(exponents, reverse=True) for p in [b ** e] * exponents[e]]
+        chains += [[] for _ in range(len(powers) - len(chains))]
+        for chain, p in zip(chains, powers):
+            chain.append(p)
+    return [_product(chain) for chain in chains]
+
+
+def _scaled_sum(total: dict[int, int]) -> int:
+    """D_1 E: the sum of p (L / q), over ``total`` mapping each q to the
+    sum of its p, with L the lcm of the q.
+
+    A tree of pairs (lcm, sum scaled to it): (l, a) and (m, b) make
+    (l (m/g), a (m/g) + b (l/g)), g = gcd(l, m).
+    """
+    nodes = list(total.items())
+    while len(nodes) > 1:
+        merged = []
+        for (l, a), (m, b) in zip(nodes[::2], nodes[1::2]):
+            g = gcd(l, m)
+            merged.append((l * (m // g), a * (m // g) + b * (l // g)))
+        nodes = merged + nodes[len(nodes) - len(nodes) % 2:]
+    return nodes[0][1] if nodes else 0
+
+
+def first_homology(symbol: SeifertSymbol) -> AbelianGroupStructure:
+    """H1 of the fibered space, in closed form from its pairs.
+
+    A genus over ``presentations.MAX_GENUS`` is refused, as ``pi1`` does.
+
+    >>> from seifert import parse_symbol
+    >>> str(first_homology(parse_symbol("(0,o1|)")))
+    'Z'
+    >>> str(first_homology(parse_symbol("(1,n2|(2,1))")))
+    'Z/8'
+    >>> str(first_homology(parse_symbol("(0,o1|(2,1),(2,1),(2,1),(3,1))")))
+    'Z/2 x Z/22'
+    """
+    _check_genus(symbol)
+    count: dict[int, int] = {}
+    total: dict[int, int] = {}
+    for pr in symbol.pairs:
+        count[pr.q] = count.get(pr.q, 0) + 1
+        total[pr.q] = total.get(pr.q, 0) + pr.p
+    count.pop(1, None)
+    d = _invariant_factors(count)
+    d1, d2 = (d + [1, 1])[:2]
+    scaled = _scaled_sum(total)
+    torsion = d[:1:-1]   # D_n, ..., D_3
+    if symbol.orientability is Orientability.O1:
+        free = 2 * symbol.genus + (scaled == 0)   # C = Z when E = 0
+        torsion.append(abs(d2 * scaled))          # else C = Z/|D_1 D_2 E|
+    else:
+        m = 1 - scaled % 2   # 0 when D_1 E is odd
+        free = symbol.genus - 1
+        torsion += [d2 << m, d1 << (2 - m)]
+    return _built(AbelianGroupStructure, free, tuple(t for t in torsion if t > 1))

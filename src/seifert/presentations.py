@@ -13,10 +13,11 @@ reduced at the syllable level; :func:`word` builds one from raw
 syllables.  The templates write distinct names and reduced words by
 construction, so :func:`pi1` and :func:`orbifold_pi1` build their
 presentations without the checks a ``Presentation(...)`` call runs.
-Text export writes each relator in ``c1^2*t`` form.  Abelianization
-counts each relator's exponent sums once, in :func:`_exponent_sums`:
-:func:`abelianize` writes them as dense rows, and
-:func:`~seifert.homology.first_homology` reads them sparse.
+Text export writes each relator in ``c1^2*t`` form, and
+:func:`abelianize` writes the exponent sums as a dense matrix.
+:func:`~seifert.homology.first_homology` reads H1 off the pairs in
+closed form; these presentations, abelianized and put in Smith normal
+form, are its oracle in the tests.
 """
 
 from __future__ import annotations
@@ -106,9 +107,16 @@ def _handle_names(handles: int) -> list[str]:
 
 
 # the largest genus read off: a presentation has up to 2 * genus + n + 1
-# generators, and first_homology of (10000,o1|) takes a tenth of a second
-# and 32 MB, linear in the genus
+# generators, and pi1 of (10000,o1|) takes about 50 ms and 15 MB, linear
+# in the genus.  first_homology does not build a presentation but refuses
+# the same genera, so that h1 and pi1 take the same symbols
 MAX_GENUS = 10000
+
+
+def _check_genus(symbol: SeifertSymbol):
+    """Refuse a genus over ``MAX_GENUS``."""
+    if symbol.genus > MAX_GENUS:
+        raise ValueError(f"genus {symbol.genus} is over the limit of {MAX_GENUS}")
 
 
 def _fibered_pi1(symbol: SeifertSymbol, handles: int, crosscaps: list[str]) -> Presentation:
@@ -119,8 +127,7 @@ def _fibered_pi1(symbol: SeifertSymbol, handles: int, crosscaps: list[str]) -> P
     ``cj^qj t^pj`` and the base surface imposes its boundary word.  A
     genus over ``MAX_GENUS`` is refused before any name is built.
     """
-    if symbol.genus > MAX_GENUS:
-        raise ValueError(f"genus {symbol.genus} is over the limit of {MAX_GENUS}")
+    _check_genus(symbol)
     n = len(symbol.pairs)
     names = _handle_names(handles) + crosscaps + _named(n, "c") + ["t"]
     x = 2 * handles
@@ -186,26 +193,12 @@ def orbifold_pi1(symbol: SeifertSymbol) -> Presentation:
                      [word(*(s for s in rel if s[0] != t)) for rel in pres.relators])
 
 
-def _exponent_sums(presentation: Presentation) -> list[dict[int, int]]:
-    """One ``{generator: exponent sum}`` dict per relator, zero sums left
-    out and generators ascending, as a dense row lists them; a commutator
-    gives ``{}``."""
-    out = []
-    for rel in presentation.relators:
-        sums: dict[int, int] = {}
-        for gen, exp in rel:
-            sums[gen] = sums.get(gen, 0) + exp
-        out.append({gen: sums[gen] for gen in sorted(sums) if sums[gen]})
-    return out
-
-
 def abelianize(presentation: Presentation) -> list[list[int]]:
     """Exponent-sum matrix, one row per relator, one column per generator."""
-    cols = len(presentation.generators)
     rows = []
-    for sums in _exponent_sums(presentation):
-        row = [0] * cols
-        for gen, total in sums.items():
-            row[gen] = total
+    for rel in presentation.relators:
+        row = [0] * len(presentation.generators)
+        for gen, exp in rel:
+            row[gen] += exp
         rows.append(row)
     return rows

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
 
@@ -127,6 +128,26 @@ def test_snf_output(capsys):
         assert run(capsys, "snf", bad) == (
             2, "", f"error: bad matrix row {row!r}; use comma-separated integers, rows split by ';'\n")
 
+
+# two coprime orders of 3001 digits, whose H1 order, sum and Smith form
+# have more digits than the interpreter's limit for str() of an int
+Q1, Q2 = 10 ** 3000 + 1, 10 ** 3000 + 3
+LONG_PAIRS = f"(0,o1|({Q1},1),({Q2},1),(1,1))"
+ORDER = str(Decimal(Q1 * Q2 + Q1 + Q2))   # Decimal prints past the limit
+PRODUCT = str(Decimal(Q1 * Q2))
+
+
+@pytest.mark.parametrize("argv, plain, porcelain", [
+    (["h1", LONG_PAIRS], f"Z/{ORDER}", f"free_rank=0\ntorsion={ORDER}"),
+    (["sum", LONG_PAIRS], f"{ORDER}/{PRODUCT}", f"sum={ORDER}/{PRODUCT}"),
+    (["snf", f"{Q1},0;0,{Q2}"], f"1,{PRODUCT}", f"invariants=1,{PRODUCT}"),
+], ids=["h1", "sum", "snf"])
+def test_results_past_the_digit_limit(capsys, argv, plain, porcelain):
+    limit = sys.get_int_max_str_digits()
+    assert run(capsys, *argv) == (0, plain + "\n", "")
+    assert run(capsys, *argv, "--porcelain") == (0, porcelain + "\n", "")
+    # lifted for the printing alone: the readers keep the limit
+    assert sys.get_int_max_str_digits() == limit
 
 @pytest.mark.parametrize("argv", [
     ["-1,2;3,4"],

@@ -107,7 +107,7 @@ def test_lazy_root_unknown_name_is_an_attribute_error():
 @pytest.mark.parametrize("command, span", [
     (["snf", "2,0;0,3"], "homology.smith_normal_form"),
     (["validate-action", "{spec}"], "cli.main"),
-    # h1 hands its sums to the private elimination, which is not wrapped
+    # h1 works through private helpers, which are not wrapped
     (["h1", "(1,n2|(2,1))"], "homology.first_homology"),
 ])
 def test_tracer_installs_on_a_cold_cli(tmp_path, specfile, command, span):

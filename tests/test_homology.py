@@ -11,6 +11,7 @@ from hypothesis import given
 import hypothesis.strategies as st
 
 import seifert.homology
+import seifert.presentations
 from seifert import (
     AbelianGroupStructure,
     Orientability,
@@ -327,3 +328,112 @@ def test_h1_equals_the_dense_route():
 @given(seifert_symbols(max_pairs=4))
 def test_h1_stable_under_normalization(s):
     assert first_homology(s) == first_homology(normalize(s).expand())
+
+
+# -- the closed form against the elimination -------------------------------
+
+def random_symbol(rng, cls, pairs, max_q, genus):
+    """Pairs (q, p) with q in 1..max_q and p coprime to q in [-3q, 3q]."""
+    chosen = []
+    for _ in range(pairs):
+        q = rng.randint(1, max_q)
+        p = rng.randint(-3 * q, 3 * q)
+        while gcd(p, q) != 1:
+            p = rng.randint(-3 * q, 3 * q)
+        chosen.append(SeifertPair(q, p))
+    return SeifertSymbol(genus, cls, tuple(chosen))
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_closed_form_equals_the_elimination_on_random_symbols(seed):
+    rng = random.Random(seed)
+    for _ in range(300):
+        cls = rng.choice((Orientability.O1, Orientability.N2))
+        genus = rng.randint(0 if cls is Orientability.O1 else 1, 3)
+        symbol = random_symbol(rng, cls, rng.randint(0, 7), rng.choice((6, 30, 200)), genus)
+        assert first_homology(symbol) == dense_h1(symbol), symbol
+
+
+def test_closed_form_equals_the_elimination_on_large_orders():
+    rng = random.Random(12)
+    for _ in range(12):
+        for cls, lowest in ((Orientability.O1, 0), (Orientability.N2, 1)):
+            genus = rng.randint(lowest, 3)
+            symbol = random_symbol(rng, cls, rng.randint(10, 40), 10 ** 12, genus)
+            assert first_homology(symbol) == dense_h1(symbol), symbol
+
+
+@pytest.mark.parametrize("text, rank, torsion", [
+    ("(0,o1|)", 1, ()),                          # no pairs
+    ("(2,n2|)", 1, (2, 2)),                      # no pairs: E = 0, m = 1
+    ("(1,o1|(1,3),(1,-1))", 2, (2,)),            # q = 1 only: C = Z/|E|
+    ("(0,o1|(1,1))", 0, ()),                     # q = 1 only, |E| = 1: the sphere
+    ("(1,n2|(1,2))", 0, (2, 2)),                 # q = 1 only, E even: m = 1
+    ("(1,n2|(1,1))", 0, (4,)),                   # q = 1 only, E odd: m = 0
+    ("(0,o1|(3,1),(3,-1))", 1, ()),              # E = 0 for o1: C = Z
+    ("(1,o1|(3,1),(3,-1),(5,2))", 2, (18,)),     # D_1 = 15, D_2 = 3, D_1 E = 6
+    ("(1,o1|(3,1),(3,-1),(3,1))", 2, (3, 3)),    # D_3 = 3 before |D_1 D_2 E| = 3
+    ("(1,n2|(3,1),(3,-1))", 0, (6, 6)),          # E = 0 for n2: m = 1
+    ("(1,n2|(2,1),(2,1))", 0, (4, 4)),           # D_1 E = 2 even: m = 1
+    ("(1,n2|(2,1))", 0, (8,)),                   # one pair, D_1 E = 1 odd: m = 0
+    ("(0,o1|(7,3))", 0, (3,)),                   # one pair: Z/|p|
+    ("(0,o1|(2,1),(2,1),(2,1),(3,1))", 0, (2, 22)),
+])
+def test_closed_form_edge_cases(text, rank, torsion):
+    symbol = parse_symbol(text)
+    h = first_homology(symbol)
+    assert (h.free_rank, h.torsion) == (rank, torsion)
+    assert h == dense_h1(symbol)
+
+
+def test_h1_builds_no_presentation():
+    expected = dense_h1(ladder(60))
+    with mock.patch.object(seifert.presentations, "_fibered_pi1", side_effect=AssertionError), \
+            mock.patch.object(seifert.homology, "_eliminate", side_effect=AssertionError):
+        assert first_homology(ladder(60)) == expected
+
+
+def coprime_base_cases():
+    rng = random.Random(16)
+    yield list(range(2, 300))                                          # the ladder's q
+    yield [2] * 50 + [4] * 3                                           # equal q
+    yield [rng.randint(2, 10 ** 4) for _ in range(200)]
+    yield [rng.randint(2, 10 ** 12) for _ in range(60)]
+    # powers and products of a few primes: long chains of meeting elements
+    yield [rng.choice((2, 3, 5, 7)) ** rng.randint(1, 4) * rng.choice((11, 13, 1))
+           for _ in range(80)]
+    yield [6, 10, 15, 35, 77, 143]
+    # a star: the product of 81 primes meets each of those in the other half
+    primes = [p for p in range(2, 420) if all(p % d for d in range(2, p))]
+    yield primes + [prod(primes)]
+    # a chain: p_i r_i in one half meets r_i p_(i+1) in the other
+    p, r = primes[:41], primes[41:]
+    yield [p[i] * r[i] for i in range(40)] + [r[i] * p[i + 1] ** 2 for i in range(40)]
+
+
+@pytest.mark.parametrize("qs", coprime_base_cases())
+def test_coprime_base(qs):
+    count = {}
+    for q in qs:
+        count[q] = count.get(q, 0) + 1
+    base = seifert.homology._coprime_base(count)
+    elements = sorted(base)
+    assert all(gcd(a, b) == 1 for i, a in enumerate(elements) for b in elements[i + 1:])
+    assert min(elements) > 1
+    # every q is the product of the base's powers that its exponents give,
+    # and each base element's exponent multiset is the one read off the q
+    exponents = {b: {} for b in elements}
+    for q in count:
+        rest = q
+        for b in elements:
+            e = 0
+            while rest % b == 0:
+                rest //= b
+                e += 1
+            if e:
+                exponents[b][e] = exponents[b].get(e, 0) + count[q]
+        assert rest == 1, q
+    assert exponents == base
+    invariants = seifert.homology._invariant_factors(count)
+    diagonal = [[q if i == j else 0 for j in range(len(qs))] for i, q in enumerate(qs)]
+    assert invariants[::-1] == [d for d in smith_normal_form(diagonal) if d > 1]
