@@ -8,7 +8,8 @@ Python's own ``TypeError``.  It stores the fields in the instance
 their tuple, then calls ``self.__post_init__()``, looked up at each
 construction.  Records compare and hash by that tuple, only against
 records of the same class, refuse assignment and deletion, and print
-as ``Name(field=value, ...)``.  :func:`_built` stores fields the same
+as ``Name(field=value, ...)``, an int field in full however many digits
+it has (:func:`_decimal`).  :func:`_built` stores fields the same
 way but skips ``__post_init__``, for values the package has already
 checked or built correct by construction.  Every record the package
 derives from checked records is built through it: the group
@@ -30,6 +31,8 @@ Point(x=1, y=2)
 >>> Point(1, 2) == Point(x=1, y=2) and Point(1, 2) != (1, 2)
 True
 """
+
+import sys
 
 _setattr = object.__setattr__
 
@@ -66,8 +69,32 @@ class Record:
         return hash(self._values)
 
     def __repr__(self):
-        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self._fields, self._values))
-        return f"{type(self).__qualname__}({fields})"
+        return _decimal(self, _text)
+
+
+def _text(record) -> str:
+    fields = ", ".join(f"{name}={value!r}" for name, value in zip(record._fields, record._values))
+    return f"{type(record).__qualname__}({fields})"
+
+
+def _decimal(value, text=str) -> str:
+    """``text(value)``, ``str`` by default, past CPython's limit on the
+    digits of an int.
+
+    From Python 3.11 (and 3.10.7) ``str`` and ``repr`` refuse an int of
+    more than 4300 digits by default, a guard for ``int()`` on long input.
+    A result can be that long though its input is not, so output and a
+    record's repr lift the limit for the one call; every reader keeps it.
+    """
+    lift = getattr(sys, "set_int_max_str_digits", None)
+    if lift is None:   # an older interpreter has no limit
+        return text(value)
+    limit = sys.get_int_max_str_digits()
+    lift(0)
+    try:
+        return text(value)
+    finally:
+        lift(limit)
 
 
 def _built(cls, *values):

@@ -32,7 +32,8 @@ from pathlib import Path
 from .groups import _INTEGER   # the one integer grammar, loaded with the package root
 # the symbol layer only: the action layer (json, fractions, group tables)
 # is imported inside the handlers that use it
-from .homology import _decimal, first_homology, smith_normal_form
+from ._record import _decimal
+from .homology import first_homology, smith_normal_form
 from .presentations import orbifold_pi1, pi1
 from .symbols import (base_quotient, equivalent, normalize,
                       obstruction_class, orientable_double_cover, parse_symbol,

@@ -17,19 +17,27 @@ is left is a 2x2 block of the surface relator (and, for n2, of 2t = 0)
 whose entries carry l^v(D_1) E.
 
 D_1 E is the integer sum of p (D_1 / q), added up over a tree of lcms
-(:func:`_scaled_sum`), so no fraction is formed.  The D_k come from a
-coprime base of the q: pairwise coprime b > 1, every q a product of their
-powers.  D_k is the product of b^e over the base, e the k-th largest
-exponent of b over the q, so no q is ever factored; a q may have
-thousands of digits.  The base is built by halving the distinct q
-(:func:`_coprime_base`), as in D. J. Bernstein, "Factoring into coprimes
-in essentially linear time" (J. Algorithms 54, 2005), though with a
-simpler merge (:func:`_merge`): the bases of the two halves meet only
-where they share a factor, remainder trees find where, and the merge
-halves the elements that meet until few are left, which gcds refine
-(:func:`_refine`) as they refine a block of at most ``_BLOCK`` q.  Each
-base element carries the multiset of its exponents through the same
-merges, so no q is scanned against the base afterwards.
+(:func:`~seifert.symbols._scaled_sum`, which ``total_sum`` uses too), so
+no fraction is formed.  The D_k come from a coprime base of the q:
+pairwise coprime b > 1, every q a product of their powers.  D_k is the
+product of b^e over the base, e the k-th largest exponent of b over the
+q, so no q is ever factored; a q may have thousands of digits.  The base
+is built by halving the distinct q (:func:`_coprime_base`), as in D. J.
+Bernstein, "Factoring into coprimes in essentially linear time"
+(J. Algorithms 54, 2005), though with a simpler merge (:func:`_merge`):
+the bases of the two halves meet only where they share a factor,
+remainder trees find where, and the merge halves the elements that meet
+until few are left.  Those, and a block of at most ``_BLOCK`` q, go to
+the leaf, factor refinement by gcds (:func:`_refine`), in which each
+value crosses the base once: a base element that divides it is divided
+out in place, all its powers at once, and one that meets it otherwise
+is refined with the part of the value made of its primes alone, the
+rest of the value going on.  Nothing goes in again, and the leaf divides
+only by elements of the base.  With this leaf, ``_BLOCK`` = 64 and
+``_DIRECT`` = 1024 measured fastest of the sizes tried
+(``BENCH_h1_leaf.json``), so every symbol of up to 64 distinct q is one
+leaf.  Each base element carries the multiset of its exponents through
+the same merges, so no q is scanned against the base afterwards.
 
 The Smith normal form of a matrix, :func:`smith_normal_form`, is a
 sparse elimination, :func:`_eliminate`.  Rows are ``{column: entry}``
@@ -70,12 +78,11 @@ entries form a divisor chain.
 
 from __future__ import annotations
 
-import sys
-from math import gcd
+from math import gcd, prod
 
-from ._record import Record, _built
+from ._record import Record, _built, _decimal
 from .presentations import _check_genus
-from .symbols import Orientability, SeifertSymbol
+from .symbols import Orientability, SeifertSymbol, _scaled_sum
 
 
 def _pivot(rows, cols, among):
@@ -198,25 +205,6 @@ def _eliminate(sparse: list[dict[int, int]], n: int) -> list[int]:
     return [1] * (len(diag) - len(rest)) + rest + [0] * (size - len(diag))
 
 
-def _decimal(value) -> str:
-    """``str(value)`` past CPython's limit on the digits of an int.
-
-    From Python 3.11 (and 3.10.7) ``str`` refuses an int of more than 4300
-    digits by default, a guard for ``int()`` on long input.  A result can
-    be that long though its input is not, so output lifts the limit for
-    the one call; every reader keeps it.
-    """
-    lift = getattr(sys, "set_int_max_str_digits", None)
-    if lift is None:   # an older interpreter has no limit
-        return str(value)
-    limit = sys.get_int_max_str_digits()
-    lift(0)
-    try:
-        return str(value)
-    finally:
-        lift(limit)
-
-
 class AbelianGroupStructure(Record):
     """Finitely generated abelian group: free rank plus torsion chain."""
 
@@ -272,32 +260,65 @@ def _sharing(xs: list[int], p: int) -> list[int]:
     return [x for x, r in zip(xs, rests) if gcd(x, r) > 1]
 
 
-def _refine(elements: list[int]) -> dict[int, dict[int, int]]:
-    """A coprime base of the ``elements`` (ints over 1): each b mapped
-    to ``{i: e}``, elements[i] being the product of b**e over the base.
+def _plus(ec: dict[int, int], ey: dict[int, int], k: int = 1) -> dict[int, int]:
+    """The exponent map ec + k ey, a new dict."""
+    total = dict(ec)
+    for j, e in ey.items():
+        total[j] = total.get(j, 0) + k * e
+    return total
+
+
+def _refine(items: list[tuple[int, dict[int, int]]]) -> dict[int, dict[int, int]]:
+    """A coprime base of the values of ``items``, pairs of an int y over 1
+    and its exponent map ``{key: e}``: each b mapped to its own map, so
+    that for every key the product of y**e over the items equals the
+    product of b**e over the base.
 
     Factor refinement (E. Bach, J. Driscoll and J. Shallit, "Factor
-    refinement", J. Algorithms 15, 1993), one element at a time: a value
-    y that meets a base element c, g = gcd(c, y) > 1, replaces c by c/g,
-    g and y/g, g taking the exponents of both, and each goes in again.
+    refinement", J. Algorithms 15, 1993), one item at a time, each
+    crossing the base once.  A base element c that divides y is divided
+    out of it as often as it goes, k times, and takes k times y's map.
+    Where c still meets what is left, g = gcd(c, y) > 1, the part y_c of
+    y made of c's primes leaves y, and c gives way to the refinement of
+    g, c/g and y_c/g alone, g with the maps of both.  Those pieces are
+    made of c's primes, so the rest of the base and the rest of y are
+    coprime to them; nothing goes in again.
     """
     base: dict[int, dict[int, int]] = {}
-    for i, x in enumerate(elements):
-        todo = [(x, {i: 1})]
-        while todo:
-            y, ey = todo.pop()
-            for c in base:
-                g = gcd(c, y)
-                if g > 1:
-                    break
-            else:
-                base[y] = ey
+    for y, ey in items:
+        met = []
+        for c in base:
+            g = gcd(c, y)
+            if g == 1:
                 continue
+            if g == c:
+                k = 0
+                while not y % c:   # c**k, by powers c, c**2, c**4, ...
+                    p, j = c, 1
+                    while not y % p:
+                        y //= p
+                        k += j
+                        p, j = p * p, 2 * j
+                base[c] = _plus(base[c], ey, k)
+                g = gcd(c, y)
+            if g > 1:
+                part = 1
+                while g > 1:   # y_c, whose primes are c's: the exponent doubles
+                    part *= g
+                    y //= g
+                    g = gcd(y, part)
+                met.append((c, part))
+            if y == 1:
+                break
+        for c, part in met:
             ec = base.pop(c)
-            both = dict(ec)
-            for j, e in ey.items():
-                both[j] = both.get(j, 0) + e
-            todo += [(v, e) for v, e in ((c // g, ec), (g, both), (y // g, ey)) if v > 1]
+            g = gcd(c, part)
+            # g goes in first, so that the others divide out its powers:
+            # c = 2**9 and y_c = 2 take one step, not eight
+            pieces = ((g, _plus(ec, ey)), (c // g, ec), (part // g, ey))
+            base.update(_refine([(v, e) for v, e in pieces if v > 1]))
+        if y > 1:
+            base[y] = ey
     return base
 
 
@@ -312,7 +333,7 @@ def _refined(items: list[tuple[int, dict[int, int]]]) -> dict[int, dict[int, int
     Where v has exponent e and b**f is the power of b in v, b has e * f.
     """
     base = {}
-    for b, parts in _refine([v for v, _ in items]).items():
+    for b, parts in _refine([(v, {i: 1}) for i, (v, _) in enumerate(items)]).items():
         exponents: dict[int, int] = {}
         for i, f in parts.items():
             for e, count in items[i][1].items():
@@ -322,9 +343,10 @@ def _refined(items: list[tuple[int, dict[int, int]]]) -> dict[int, dict[int, int
 
 
 # refinement takes alone a block of at most this many distinct q, and a
-# merge of families whose sizes multiply to at most _DIRECT
-_BLOCK = 16
-_DIRECT = 64
+# merge of families whose sizes multiply to at most _DIRECT; measured
+# against 16/64, 32/256, 128/1024 and 128/4096 (BENCH_h1_leaf.json)
+_BLOCK = 64
+_DIRECT = 1024
 
 
 def _coprime_base(count: dict[int, int]) -> dict[int, dict[int, int]]:
@@ -398,24 +420,8 @@ def _invariant_factors(count: dict[int, int]) -> list[int]:
         chains += [[] for _ in range(len(powers) - len(chains))]
         for chain, p in zip(chains, powers):
             chain.append(p)
-    return [_product(chain) for chain in chains]
-
-
-def _scaled_sum(total: dict[int, int]) -> int:
-    """D_1 E: the sum of p (L / q), over ``total`` mapping each q to the
-    sum of its p, with L the lcm of the q.
-
-    A tree of pairs (lcm, sum scaled to it): (l, a) and (m, b) make
-    (l (m/g), a (m/g) + b (l/g)), g = gcd(l, m).
-    """
-    nodes = list(total.items())
-    while len(nodes) > 1:
-        merged = []
-        for (l, a), (m, b) in zip(nodes[::2], nodes[1::2]):
-            g = gcd(l, m)
-            merged.append((l * (m // g), a * (m // g) + b * (l // g)))
-        nodes = merged + nodes[len(nodes) - len(nodes) % 2:]
-    return nodes[0][1] if nodes else 0
+    # a tree gains nothing on one or two entries
+    return [prod(chain) if len(chain) < 3 else _product(chain) for chain in chains]
 
 
 def first_homology(symbol: SeifertSymbol) -> AbelianGroupStructure:
@@ -433,14 +439,12 @@ def first_homology(symbol: SeifertSymbol) -> AbelianGroupStructure:
     """
     _check_genus(symbol)
     count: dict[int, int] = {}
-    total: dict[int, int] = {}
     for pr in symbol.pairs:
         count[pr.q] = count.get(pr.q, 0) + 1
-        total[pr.q] = total.get(pr.q, 0) + pr.p
     count.pop(1, None)
     d = _invariant_factors(count)
     d1, d2 = (d + [1, 1])[:2]
-    scaled = _scaled_sum(total)
+    scaled = _scaled_sum(symbol.pairs)[1]
     torsion = d[:1:-1]   # D_n, ..., D_3
     if symbol.orientability is Orientability.O1:
         free = 2 * symbol.genus + (scaled == 0)   # C = Z when E = 0

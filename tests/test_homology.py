@@ -271,6 +271,22 @@ def test_ladder_h1_without_coefficient_swell():
                 assert smith_normal_form([[row[j] for j in cols] for row in rows]) == diagonal
 
 
+@needs_alarm
+def test_h1_of_many_or_long_orders_stays_fast():
+    # about 1.4 s on a 2-vCPU Xeon; the elimination took over a minute on
+    # the first, and a leaf that rescans its base after every split and
+    # takes all the q at once took 13 s
+    rng = random.Random(4000)
+    long_orders = SeifertSymbol(0, Orientability.O1, tuple(
+        SeifertPair(rng.randrange(10 ** 3999, 10 ** 4000), 1) for _ in range(50)))
+    symbols = [ladder(16000), long_orders]
+    with time_budget(10):
+        groups = [first_homology(symbol) for symbol in symbols]
+    for symbol, h in zip(symbols, groups):
+        assert h.free_rank == 2 * symbol.genus
+        assert prod(h.torsion) == total_sum(symbol) * prod(p.q for p in symbol.pairs)
+
+
 # -- homology of symbols ---------------------------------------------------
 
 def test_structure_formatting():
@@ -409,6 +425,23 @@ def coprime_base_cases():
     # a chain: p_i r_i in one half meets r_i p_(i+1) in the other
     p, r = primes[:41], primes[41:]
     yield [p[i] * r[i] for i in range(40)] + [r[i] * p[i + 1] ** 2 for i in range(40)]
+    # meetings inside the leaf: c divides y and what is left of y still
+    # shares a prime with c, or c and y only share some primes
+    yield [12, 18]
+    yield [4, 6, 9]
+    yield [2, 8 * 3, 27]
+    yield [6, 12]
+    yield [12, 6 ** 3 * 2]
+    # y a power of a base element times a new prime, the power found by
+    # doubling: one division per power would take 2000 steps here
+    yield [6, 6 ** 5 * 7]
+    yield [35, 35 ** 3 * 11, 11 ** 2]
+    yield [2, 2 ** 2000 * 3]
+    # 63, 64 and 65 distinct q: one leaf, and the first size that halves;
+    # largest first, so that the leaf meets more than it divides
+    yield list(range(64, 1, -1))
+    yield list(range(65, 1, -1))
+    yield list(range(66, 1, -1))
 
 
 @pytest.mark.parametrize("qs", coprime_base_cases())
@@ -437,3 +470,13 @@ def test_coprime_base(qs):
     invariants = seifert.homology._invariant_factors(count)
     diagonal = [[q if i == j else 0 for j in range(len(qs))] for i, q in enumerate(qs)]
     assert invariants[::-1] == [d for d in smith_normal_form(diagonal) if d > 1]
+
+
+@given(st.lists(st.integers(2, 60) | st.integers(2, 10 ** 6), min_size=1, max_size=80))
+def test_invariant_factors_are_the_smith_form_of_the_diagonal(qs):
+    count = {}
+    for q in qs:
+        count[q] = count.get(q, 0) + 1
+    diagonal = [[q if i == j else 0 for j in range(len(qs))] for i, q in enumerate(qs)]
+    expected = [d for d in smith_normal_form(diagonal) if d > 1]
+    assert seifert.homology._invariant_factors(count)[::-1] == expected

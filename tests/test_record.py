@@ -152,3 +152,16 @@ def test_cli_import_loads_no_dataclass_machinery():
     result = subprocess.run([sys.executable, "-S", "-c", code], env=env,
                             capture_output=True, text=True, check=True)
     assert result.stdout == "[]\n"
+
+
+def test_repr_past_the_digit_limit():
+    # a field of more than 4300 digits, in a tuple and in a nested record
+    big = 10 ** 5000 + 1
+    limit = sys.get_int_max_str_digits()
+    text = "1" + "0" * 4999 + "1"
+    assert repr(AbelianGroupStructure(0, (big,))) == f"AbelianGroupStructure(free_rank=0, torsion=({text},))"
+    assert repr(SeifertSymbol(0, O1, (SeifertPair(big, 1),))) == (
+        f"SeifertSymbol(genus=0, orientability=<Orientability.O1: 'o1'>, "
+        f"pairs=(SeifertPair(q={text}, p=1),))")
+    # lifted for the repr alone
+    assert sys.get_int_max_str_digits() == limit

@@ -1,8 +1,10 @@
 """Symbol parsing, normalization, equivalence, and the double cover."""
 
+import random
 import re
 from collections import Counter
 from fractions import Fraction
+from math import gcd, lcm
 
 import pytest
 from hypothesis import assume, given
@@ -22,6 +24,7 @@ from seifert import (
     parse_symbol,
     total_sum,
 )
+from seifert.symbols import _scaled_sum
 from budget import needs_alarm, time_budget
 from strategies import seifert_pairs, seifert_symbols
 
@@ -168,6 +171,26 @@ def test_normalized_symbol_constructor():
 ])
 def test_total_sum_values(text, value):
     assert total_sum(parse_symbol(text)) == value
+
+
+def test_total_sum_is_the_fraction_sum():
+    # the lcm tree against adding the pairs' fractions one at a time, on
+    # symbols with no pairs, with q = 1 only, with equal q and with long q
+    rng = random.Random(2005)
+    for k in range(400):
+        bound = (1, 2, 12, 10 ** 6, 10 ** 40)[k % 5]
+        pairs = []
+        for _ in range(rng.randint(0, 30)):
+            q = rng.randint(1, bound)
+            p = rng.randint(-3 * q, 3 * q)
+            while gcd(p, q) != 1:
+                p = rng.randint(-3 * q, 3 * q)
+            pairs.append(SeifertPair(q, p))
+        symbol = SeifertSymbol(rng.randint(0, 2), Orientability.O1, tuple(pairs))
+        expected = sum((Fraction(pr.p, pr.q) for pr in pairs), Fraction(0))
+        assert total_sum(symbol) == expected
+        order, scaled = _scaled_sum(pairs)
+        assert order == lcm(*(pr.q for pr in pairs)) and Fraction(scaled, order) == expected
 
 
 # -- normalization ---------------------------------------------------------
