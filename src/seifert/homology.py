@@ -37,7 +37,11 @@ only by elements of the base.  With this leaf, ``_BLOCK`` = 64 and
 ``_DIRECT`` = 1024 measured fastest of the sizes tried
 (``BENCH_h1_leaf.json``), so every symbol of up to 64 distinct q is one
 leaf.  Each base element carries the multiset of its exponents through
-the same merges, so no q is scanned against the base afterwards.
+the same merges, so no q is scanned against the base afterwards.  The
+chain of D_k gets, from each b, the power of rank k: an exponent that c
+of the q share fills c indices in a row, after the larger exponents.  A
+chain of fewer than ``_TREE`` = 16 powers is multiplied in turn, a
+longer one by a product tree, so that long products stay balanced.
 
 The Smith normal form of a matrix, :func:`smith_normal_form`, is a
 sparse elimination, :func:`_eliminate`.  Rows are ``{column: entry}``
@@ -407,6 +411,10 @@ def _merge(xs: dict[int, dict[int, int]], ys: dict[int, dict[int, int]]
     return base
 
 
+# a chain of fewer powers than this is multiplied in turn (math.prod)
+_TREE = 16
+
+
 def _invariant_factors(count: dict[int, int]) -> list[int]:
     """The invariant factors over 1 of diag(q), largest first, each q over
     1 taken as often as ``count`` says.
@@ -416,12 +424,16 @@ def _invariant_factors(count: dict[int, int]) -> list[int]:
     """
     chains: list[list[int]] = []
     for b, exponents in _coprime_base(count).items():
-        powers = [p for e in sorted(exponents, reverse=True) for p in [b ** e] * exponents[e]]
-        chains += [[] for _ in range(len(powers) - len(chains))]
-        for chain, p in zip(chains, powers):
-            chain.append(p)
-    # a tree gains nothing on one or two entries
-    return [prod(chain) if len(chain) < 3 else _product(chain) for chain in chains]
+        k = 0
+        for e in sorted(exponents, reverse=True):
+            end = k + exponents[e]
+            if end > len(chains):
+                chains += [[] for _ in range(end - len(chains))]
+            p = b ** e
+            for chain in chains[k:end]:
+                chain.append(p)
+            k = end
+    return [prod(chain) if len(chain) < _TREE else _product(chain) for chain in chains]
 
 
 def first_homology(symbol: SeifertSymbol) -> AbelianGroupStructure:

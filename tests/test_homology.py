@@ -480,3 +480,23 @@ def test_invariant_factors_are_the_smith_form_of_the_diagonal(qs):
     diagonal = [[q if i == j else 0 for j in range(len(qs))] for i, q in enumerate(qs)]
     expected = [d for d in smith_normal_form(diagonal) if d > 1]
     assert seifert.homology._invariant_factors(count)[::-1] == expected
+
+
+def test_long_chains_multiply_through_the_tree():
+    # the 16 odd primes below 59 twice each, and 2 to the powers 17, 16,
+    # ..., 1, 1: D_1 and D_2 multiply 17 powers each, past the cut-off
+    # below which a chain is multiplied in turn, and D_3 ... D_18 one power
+    # of 2 each, in the order of the exponents
+    odd = [p for p in range(3, 60) if all(p % d for d in range(2, p))]
+    qs = odd * 2 + [2 ** k for k in range(17, 0, -1)] + [2]
+    homology = seifert.homology
+    assert homology._TREE == 16
+    with mock.patch.object(homology, "_product", wraps=homology._product) as tree, \
+            mock.patch.object(homology, "prod", wraps=prod) as in_turn:
+        factors = homology._invariant_factors({q: qs.count(q) for q in qs})
+    assert [len(chain) for (chain,), _ in tree.call_args_list] == [17, 17]
+    assert in_turn.call_count == 16
+    assert factors == ([2 ** 17 * prod(odd), 2 ** 16 * prod(odd)]
+                       + [2 ** k for k in range(15, 0, -1)] + [2])
+    symbol = SeifertSymbol(0, Orientability.O1, tuple(SeifertPair(q, 1) for q in qs))
+    assert first_homology(symbol) == dense_h1(symbol)

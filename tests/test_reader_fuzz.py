@@ -2,10 +2,12 @@
 
 Text is joined from pieces of each grammar, stray characters and digits
 of other scripts.  A reader either returns or raises ValueError, and the
-command line ends every input with exit code 0, 1 or 2.  Sizes stay
-small on purpose: ``cyclic:N`` builds an N^2 table and a symbol's genus
-sets the generator count of pi1, so the limits on those belong to the
-readers, not to this test.
+command line ends every input with exit code 0, 1 or 2.  The symbol
+reader's grammar match gives what its token walk gives, the symbol or
+the error, message and position included.  Sizes stay small on purpose:
+``cyclic:N`` builds an N^2 table and a symbol's genus sets the generator
+count of pi1, so the limits on those belong to the readers, not to this
+test.
 """
 
 import io
@@ -14,6 +16,7 @@ import os
 import re
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
+from copy import copy
 from math import prod
 
 import hypothesis.strategies as st
@@ -22,10 +25,11 @@ from hypothesis import assume, given, settings
 
 import specbuild
 from seifert import (ExtendedProductActionSpec, FiniteGroup, ProjectedActionDescriptor,
-                     format_action_spec, format_descriptor, group_from_constructor,
-                     parse_action_spec_text, parse_descriptor_text, parse_fraction_text,
-                     parse_group_text, parse_symbol)
+                     SeifertSymbol, SymbolSyntaxError, format_action_spec, format_descriptor,
+                     group_from_constructor, parse_action_spec_text, parse_descriptor_text,
+                     parse_fraction_text, parse_group_text, parse_symbol)
 from seifert.cli import main
+from seifert.symbols import _walk
 
 FUZZ = settings(max_examples=200, deadline=None)
 
@@ -64,6 +68,42 @@ def exit_code(*argv):
 @given(SYMBOLS)
 def test_symbol_reader(text):
     reads_or_rejects(parse_symbol, text)
+
+
+def symbol_outcome(reader, text):
+    """What reader makes of text: the symbol, or the error's message and position."""
+    try:
+        return reader(text)
+    except SymbolSyntaxError as exc:
+        return str(exc), exc.position
+
+
+HUGE = "1" * 4301   # one digit past the interpreter's limit for int()
+
+
+@pytest.mark.parametrize("text, valid", [
+    ("(0,o1|)", True),
+    (" (\t0 ,\to1\t| ( 2 ,\t1 ) , (3,-4)\t) ", True),
+    ("\t(1,n2|(2,1))\n", True),
+    ("(\u0663,o1|)", False), ("(0,o1|(\u0663,1))", False), ("(0,o1|(2,\u00b2))", False),
+    ("(1\u0663,o1|)", False), ("(0,o1|(-\u00b2,1))", False),
+    (f"({HUGE},o1|)", False), (f"(0,o1|({HUGE},1))", False), (f"(0,o1|(2,{HUGE}))", False),
+    (f"(0,o1|(3,1), ( -{HUGE},1))", False),
+    ("(0,o1|(2,1),)", False), ("(0,o1|(0,1))", False), ("(0,o1|(2,4))", False),
+    ("(0,o1|(3,1),(4,-6))", False), ("(-1,o1|)", False), ("(0,n2|)", False),
+])
+def test_symbol_match_agrees_with_the_walk_on_named_cases(text, valid):
+    # the grammar match reads the text; the walk words every error, so
+    # both must give the same symbol, or the same message and position
+    got = symbol_outcome(parse_symbol, text)
+    assert isinstance(got, SeifertSymbol) == valid
+    assert got == symbol_outcome(_walk, text)
+
+
+@FUZZ
+@given(SYMBOLS)
+def test_symbol_match_agrees_with_the_walk(text):
+    assert symbol_outcome(parse_symbol, text) == symbol_outcome(_walk, text)
 
 
 @FUZZ
@@ -117,7 +157,9 @@ DOCUMENTS = {
                                  ("theta2_bar", "rotation rows"))),
 }
 ROTATION_TEXTS = st.sampled_from(["0", "1/2", "-1/3", " 2/3", "+5/6", "7/3", 0, 1, -2])
-JUNK = st.sampled_from([True, 1.0, -1.0, False, 0, 2, "1", "1/0", "0.5", None, []])
+# copied per draw: an edit can append to the drawn [], which must not carry
+# over into later examples (nor end up inside itself)
+JUNK = st.sampled_from([True, 1.0, -1.0, False, 0, 2, "1", "1/0", "0.5", None, []]).map(copy)
 GROUPS = st.sampled_from(["cyclic:1", "cyclic:2", "cyclic:3", "product:cyclic:2,cyclic:2",
                           {"order": 2, "table": [[0, 1], [1, 0]]},
                           {"order": 4, "table": [[0, 1, 2, 3], [1, 0, 3, 2], [2, 3, 0, 1],

@@ -5,6 +5,7 @@ import re
 from collections import Counter
 from fractions import Fraction
 from math import gcd, lcm
+from unittest import mock
 
 import pytest
 from hypothesis import assume, given
@@ -24,7 +25,7 @@ from seifert import (
     parse_symbol,
     total_sum,
 )
-from seifert.symbols import _scaled_sum
+from seifert.symbols import _scaled_sum, _walk
 from budget import needs_alarm, time_budget
 from strategies import seifert_pairs, seifert_symbols
 
@@ -60,9 +61,12 @@ def test_parse_skips_long_whitespace_in_linear_time():
 @given(seifert_symbols(), st.data())
 def test_parse_ignores_whitespace_between_tokens(s, data):
     tokens = re.findall(r"-?[0-9]+|o1|n2|.", str(s))
-    spaces = st.text(alphabet=" \t\n\u00a0\u2003", max_size=3)
+    spaces = st.text(alphabet=" \t\n\r\x0b\x0c\x1c\u00a0\u2003\u3000", max_size=3)
     text = "".join(data.draw(spaces) + token for token in tokens) + data.draw(spaces)
-    assert parse_symbol(text) == s
+    # the grammar match reads a valid symbol alone; the token walk agrees
+    with mock.patch("seifert.symbols._walk", side_effect=AssertionError("walked")):
+        assert parse_symbol(text) == s
+    assert _walk(text) == s
 
 
 def test_str_round_trip():
