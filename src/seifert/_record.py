@@ -3,9 +3,9 @@
 A record's fields are the annotations of its own class body, in order.
 Each record class gets an ``__init__`` compiled from its field names,
 so fields pass by position or keyword and a wrong or missing one is
-Python's own ``TypeError``.  It stores the fields in the instance
-``__dict__`` (where ``cached_property`` keeps its values too), keeps
-their tuple, then calls ``self.__post_init__()``, looked up at each
+Python's own ``TypeError``.  It stores the fields and their tuple in the
+instance ``__dict__`` (where ``cached_property`` keeps its values too),
+one store each, then calls ``self.__post_init__()``, looked up at each
 construction.  Records compare and hash by that tuple, only against
 records of the same class, refuse assignment and deletion, and print
 as ``Name(field=value, ...)``, an int field in full however many digits
@@ -14,14 +14,15 @@ way but skips ``__post_init__``, for values the package has already
 checked or built correct by construction.  Every record the package
 derives from checked records is built through it: the group
 constructors (:func:`~seifert.groups.cyclic_group` and
-:func:`~seifert.groups.direct_product`), the document reader,
-projection and lift of actions (all three through
-``seifert.actions._from_view``), and the presentations read off a symbol
-(:func:`~seifert.presentations.pi1` and
-:func:`~seifert.presentations.orbifold_pi1`).  An action record holds its
-integer view from birth whichever way it is built: ``_from_view`` stores
-it with the fields, and the checked constructor's ``__post_init__`` once
-every check has passed.
+:func:`~seifert.groups.direct_product`) and the presentations read off
+a symbol (:func:`~seifert.presentations.pi1` and
+:func:`~seifert.presentations.orbifold_pi1`).  The document reader,
+projection and lift of actions build theirs through
+``seifert.actions._from_view``, which stores an action record's integer
+view and every field but the rotations; those and the tuple of fields
+are made from the view at their first read.  A checked action record
+holds the integer view too, stored by ``__post_init__`` once every
+check has passed.
 
 >>> class Point(Record):
 ...     x: int
@@ -34,18 +35,18 @@ True
 
 import sys
 
-_setattr = object.__setattr__
-
 
 class Record:
     def __init_subclass__(cls):
         fields = tuple(cls.__dict__.get("__annotations__", ()))
         args = "".join(f"{name}, " for name in fields)
+        # one store per entry into the instance __dict__: __setattr__ refuses
         source = (f"def __init__(self, {args}):\n"
-                  + "".join(f"    _setattr(self, {name!r}, {name})\n" for name in fields)
-                  + f"    _setattr(self, '_values', ({args}))\n"
+                  + "    _stored = self.__dict__\n"
+                  + "".join(f"    _stored[{name!r}] = {name}\n" for name in fields)
+                  + f"    _stored['_values'] = ({args})\n"
                   + "    self.__post_init__()\n")
-        namespace = {"_setattr": _setattr}
+        namespace = {}
         exec(source, namespace)
         cls.__init__ = namespace["__init__"]
         cls.__init__.__qualname__ = f"{cls.__qualname__}.__init__"

@@ -43,9 +43,12 @@ lift's 2n.  Every record holds that view from birth: a record the package
 derives (a read document, a projection, a lift) is built from it by one
 builder, ``_from_view``, and the shape check of a record a caller
 constructs stores it, N the lcm of its Fractions' denominators, once
-every check has passed.  :func:`lift_action`
-builds the Fraction spec once, when first called, and the spec keeps the
-descriptor's view and the passing report.  v -> v*N is exact and keeps
+every check has passed.  A record ``_from_view`` builds holds no
+Fraction: its rotation fields are made from the view at their first
+read (``_ActionRecord``), and the checks, the projection and the writer
+never read them.  :func:`lift_action` builds the spec once, when first
+called, and the spec keeps the descriptor's view and the passing
+report.  v -> v*N is exact and keeps
 the order of [0, 1), so every verdict and witness is the one the
 fractions give.  Laws (a) to (d) are decided over G x S, S the group's
 generating set, and law (e) over S alone; the witness of a failure is
@@ -54,16 +57,18 @@ not depend on S.  Each law is decided a generator at a time: the datum
 of s gives one composer (for beta and theta2 an itemgetter over
 beta(s)), and each element's datum takes one call of it.  A spec or
 descriptor is law-scanned once: the report is kept on the frozen object,
-and every function that needs valid data reads it.
+and every function that needs valid data reads it.  A spec keeps its
+covering-translation report the same way.
 
 A document has few distinct rotation values and repeats them across
 its tables, so the boundary handles each distinct value once: the
 reader parses each distinct rotation text of a document once, to a
 pair reduced mod 1, and reads every table row into integers mod N by
-one lookup per entry; the builder makes Fraction(v, N) once per
-distinct integer v; and the writer prints the checked Fractions as
-they are, with no copy, joining whole rows into the layout of
-``json.dumps(..., indent=2)``.  A group named by a constructor text is
+one lookup per entry; a record built from the view makes
+Fraction(v, N) once per distinct integer v, when a rotation field is
+first read; and the writer prints every record from its integer view,
+the text of each distinct v made once, joining whole rows into the
+layout of ``json.dumps(..., indent=2)``.  A group named by a constructor text is
 built once per process for every document that names it (see
 :func:`~seifert.groups.group_from_constructor`), and the writer writes
 it back by that text, so a projection or lift of a document over a
@@ -89,13 +94,34 @@ from math import gcd, lcm
 from operator import add, itemgetter, ne
 from pathlib import Path
 
-from ._record import Record, _built
+from ._record import Record
 from .groups import FiniteGroup, _picker, group_from_constructor, parse_group_text
 from .symbols import (Orientability, SeifertPair, SeifertSymbol, orientable_double_cover,
                       parse_symbol)
 
 
-class ExtendedProductActionSpec(Record):
+class _ActionRecord(Record):
+    """A spec or descriptor.  One built by ``_from_view`` stores no
+    rotation field: its rotation fields and ``_values`` are made from its
+    integer view at the first read of any of them, and then stored as a
+    checked record stores them, so every read, ``==``, ``hash`` and
+    ``repr`` see the same values."""
+
+    def __getattr__(self, name):
+        # Python calls this only on a miss: a rotation field or _values of
+        # a record _from_view built, not read yet; nothing else is missing
+        stored = self.__dict__
+        if "_int_view" not in stored or not (name == "_values" or name in self._tables):
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}",
+                                 name=name, obj=self)
+        mod, tables = _integer_tables(self)
+        values = (stored[self._fields[0]], stored["group"],
+                  *_rotations(self._tables.values(), tables, _PerValue(Fraction, mod).__getitem__))
+        stored.update(zip(self._fields, values), _values=values)
+        return stored[name]
+
+
+class ExtendedProductActionSpec(_ActionRecord):
     """One finite action in extended product form; tables index by element.
 
     ``theta2[g][i]`` is the meridian rotation of element g at boundary
@@ -124,9 +150,19 @@ class ExtendedProductActionSpec(Record):
         from the tables in field order, rotations as integers mod N."""
         return mod, tuple(zip(alpha, theta1, beta, theta2))
 
+    @staticmethod
+    def _integer_rotations(data) -> tuple[tuple, ...]:
+        """theta1 and theta2, as integers mod N, from the data of the view."""
+        _, theta1, _, theta2 = zip(*data)
+        return theta1, theta2
+
     @cached_property
     def _law_report(self) -> ValidationReport:
         return _scan_laws(self.group, self._int_view, self.symbol.pairs, _SPEC_LAWS)
+
+    @cached_property
+    def _tau_report(self) -> TauReport:
+        return _scan_tau(self)
 
 
 def _rotations(kinds, tables, f) -> list:
@@ -137,14 +173,21 @@ def _rotations(kinds, tables, f) -> list:
             else table for kind, table in zip(kinds, tables)]
 
 
-class _Fractions(dict):
-    """v -> Fraction(v, N), each made at the first lookup of its v."""
+class _PerValue(dict):
+    """v -> make(v, N), each made at the first lookup of its v."""
 
-    def __init__(self, mod: int):
-        self.mod = mod
+    def __init__(self, make, mod: int):
+        self.make, self.mod = make, mod
 
     def __missing__(self, v):
-        return self.setdefault(v, Fraction(v, self.mod))
+        return self.setdefault(v, self.make(v, self.mod))
+
+
+def _fraction_text(v: int, mod: int) -> str:
+    """``str(Fraction(v, N))``, made without the Fraction."""
+    common = gcd(v, mod)
+    num, den = v // common, mod // common
+    return f"{num}/{den}" if den > 1 else str(num)
 
 
 def _from_view(cls, symbol, group, mod: int, *tables):
@@ -152,15 +195,27 @@ def _from_view(cls, symbol, group, mod: int, *tables):
     each rotation entry an integer v read as v/N, for any N >= 1.
 
     The one home for building a record from an integer view: the read
-    document, the projection and the lift.  Each distinct v becomes one
-    ``Fraction(v, N)``, the record is built through ``_built`` (the
-    caller has established its shape, with 0 <= v < N) and holds the
-    integer view of these tables, as a checked record holds its own.
+    document, the projection and the lift.  The caller has established
+    its shape, with 0 <= v < N, so nothing is checked.  The record stores
+    its symbol, group, sign and permutation tables and the integer view
+    of these tables, as a checked record holds its own, and makes no
+    Fraction: its rotation fields are made at their first read (see
+    ``_ActionRecord``), one ``Fraction(v, N)`` per distinct v.
     """
-    fields = _rotations(cls._tables.values(), tables, _Fractions(mod).__getitem__)
-    record = _built(cls, symbol, group, *fields)
-    record.__dict__["_int_view"] = cls._view(mod, *tables)
+    record = object.__new__(cls)
+    record.__dict__.update(zip(cls._fields, (symbol, group)), _int_view=cls._view(mod, *tables))
+    record.__dict__.update((name, table) for (name, kind), table in zip(cls._tables.items(), tables)
+                           if not kind.startswith("rotation"))
     return record
+
+
+def _integer_tables(record) -> tuple[int, list]:
+    """(N, the element tables of record in field order, each rotation an
+    integer v mod N standing for v/N), the rotations read off its view."""
+    mod, data = record._int_view
+    rotations = iter(record._integer_rotations(data))
+    return mod, [next(rotations) if kind.startswith("rotation") else getattr(record, name)
+                 for name, kind in record._tables.items()]
 
 
 def _check_records(data):
@@ -276,7 +331,7 @@ def _scan_laws(group: FiniteGroup, view: tuple, pairs: tuple, laws: dict) -> Val
     Stops at the first failure; ``laws`` names it and words its message.
     The witness is the first one a scan of all (g, h), each law before
     the next, would name, so reports do not depend on S.  A rotation in
-    a message is Fraction(v, N).
+    a message is the text of Fraction(v, N).
     """
     def fail(law, witness, **values):
         name, message = laws[law]
@@ -316,10 +371,10 @@ def _scan_laws(group: FiniteGroup, view: tuple, pairs: tuple, laws: dict) -> Val
         got, want = component[gh], composers[h](data[g])
         if law == "theta2":
             i = next(i for i in range(len(got)) if got[i] != want[i])
-            return fail(law, (g, h, i), gh=gh, i=i, value=Fraction(got[i], mod),
-                        want=Fraction(want[i], mod))
+            return fail(law, (g, h, i), gh=gh, i=i, value=_fraction_text(got[i], mod),
+                        want=_fraction_text(want[i], mod))
         if law == "theta1":
-            got, want = Fraction(got, mod), Fraction(want, mod)
+            got, want = _fraction_text(got, mod), _fraction_text(want, mod)
         return fail(law, (g, h), g=g, h=h, gh=gh, value=got, want=want)
     # laws (a) to (d) hold, so beta is a homomorphism and the elements whose
     # beta keeps every pair form a subgroup.  Each generator is the least
@@ -505,11 +560,19 @@ def check_tau_commuting(spec: ExtendedProductActionSpec) -> TauReport:
 
     The symbol must be block doubled, the action must preserve fiber
     orientation (alpha identically +1) and pass the laws; all three are
-    preconditions and raise.
+    preconditions and raise, at every call.
     The three commutation conditions are then checked exactly, on the
     integer view: every theta1 lies in {0, 1/2} (2 * theta1 is 0 mod N),
     every beta commutes with sigma, and theta2 is negated by sigma.
+    Like the law scan, the test runs on the first call for a spec
+    object whose preconditions hold; later calls return the report kept
+    on it.
     """
+    return spec._tau_report
+
+
+def _scan_tau(spec: ExtendedProductActionSpec) -> TauReport:
+    """The preconditions and conditions of :func:`check_tau_commuting`."""
     n = len(_block_base(spec.symbol).pairs)
     if any(a != 1 for a in spec.alpha):
         raise ValueError("commutation requires a fiber-orientation-preserving action (alpha == +1)")
@@ -518,7 +581,7 @@ def check_tau_commuting(spec: ExtendedProductActionSpec) -> TauReport:
     for g, (_, t, _, _) in enumerate(data):
         if 2 * t % mod:
             return TauReport(False, "half-rotation", (g,),
-                             f"theta1({g}) = {spec.theta1[g]} is not 0 or 1/2")
+                             f"theta1({g}) = {_fraction_text(t, mod)} is not 0 or 1/2")
     # sigma is an involution, so each condition at i >= n is the one at
     # i - n: the first failure is always at some i < n
     for g, perm in enumerate(spec.beta):
@@ -534,7 +597,7 @@ def check_tau_commuting(spec: ExtendedProductActionSpec) -> TauReport:
     return _TAU_PASS
 
 
-class ProjectedActionDescriptor(Record):
+class ProjectedActionDescriptor(_ActionRecord):
     """Action data folded onto the nonorientable-base quotient.
 
     ``epsilon`` records the fiber behavior (+1 rotation-free lift, -1 the
@@ -570,6 +633,12 @@ class ProjectedActionDescriptor(Record):
             turn, row = (0, kept + crossed) if sign == 1 else (mod // 2, crossed + kept)
             data.append((1, turn, row, front + tuple(-v % mod for v in front)))
         return mod, tuple(data)
+
+    @staticmethod
+    def _integer_rotations(data) -> tuple[tuple, ...]:
+        """theta2_bar, as integers mod N: the front half of each of the
+        lift's theta2 rows in the data of the view."""
+        return (tuple(row[:len(row) // 2] for *_, row in data),)
 
     @cached_property
     def _law_report(self) -> ValidationReport:
@@ -639,7 +708,7 @@ def project_action(spec: ExtendedProductActionSpec) -> ProjectedActionDescriptor
     base = _block_base(spec.symbol)
     n = len(base.pairs)
     mod, data = spec._int_view
-    epsilon = tuple(1 if t == 0 else -1 for t in spec.theta1)
+    epsilon = tuple(1 if t == 0 else -1 for _, t, _, _ in data)
     beta_bar = tuple(tuple(j % n for j in perm[:n]) for perm in spec.beta)
     # shape holds: a beta_bar row is a permutation, as beta(i) = beta(j) mod n,
     # i != j < n, would give beta(j) = beta(i + n) by sigma-equivariance
@@ -891,9 +960,10 @@ def _format_document(symbol: SeifertSymbol, data) -> str:
     The text of ``json.dumps(document, indent=2) + "\n"``: key order, the
     group by the constructor text it was built from or else as an inline
     table, then the tables, the boundary-indexed rotation rows (the
-    transpose of theta2) and the 1-based permutation rows.  Symbols,
-    constructor texts, ints and fractions print with no character JSON
-    escapes.
+    transpose of theta2) and the 1-based permutation rows.  Rotations
+    are read off the integer view, so a record built from one makes no
+    Fraction.  Symbols, constructor texts, ints and fractions print with
+    no character JSON escapes.
     """
     group = data.group
     # a text that builds a group holds only letters, digits, ':' and ','
@@ -904,18 +974,19 @@ def _format_document(symbol: SeifertSymbol, data) -> str:
         group_text = f'{{\n    "order": {group.order},\n    "table": {rows}\n  }}'
     fields = [f'"symbol": "{symbol}"', f'"group": {group_text}']
     one_based = [str(j + 1) for j in range(len(symbol.pairs))]
-    for name, kind in data._tables.items():
-        table = getattr(data, name)
+    mod, tables = _integer_tables(data)
+    # one text per distinct rotation value v, read off the integer view
+    tables = _rotations(data._tables.values(), tables, _PerValue(_fraction_text, mod).__getitem__)
+    for (name, kind), table in zip(data._tables.items(), tables):
         if kind == "rotation":
-            text = _json_list(map(str, table), "  ", '"')
+            text = _json_list(table, "  ", '"')
         elif kind == "sign":
             text = _json_list(map(str, table), "  ")
         elif kind == "permutation":
             text = _json_list((_json_list(map(one_based.__getitem__, row), "    ")
                                for row in table), "  ")
         else:
-            text = _json_list((_json_list(map(str, column), "    ", '"')
-                               for column in zip(*table)), "  ")
+            text = _json_list((_json_list(column, "    ", '"') for column in zip(*table)), "  ")
         fields.append(f'"{name}": {text}')
     return "{\n  " + ",\n  ".join(fields) + "\n}\n"
 

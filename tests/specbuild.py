@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 from fractions import Fraction
 
 from seifert import (
@@ -233,3 +234,38 @@ def z2z3_descriptor() -> ProjectedActionDescriptor:
         beta_bar=tuple(rotate(j) for _ in range(2) for j in range(3)),
         theta2_bar=((ZERO,) * 3,) * 6,
     )
+
+
+def _document(symbol: str, group: str, theta1, beta, theta2) -> str:
+    """An action-spec document with alpha identically +1; beta rows are
+    1-based and theta2 lists one row per boundary index, as in a file."""
+    return json.dumps({"symbol": symbol, "group": group, "theta1": theta1,
+                       "alpha": [1] * len(theta1), "beta": beta, "theta2": theta2})
+
+
+# Documents whose first failure is worded with rotation values, written at
+# a larger N than their own denominators: name -> (document, the command
+# that reports the failure, law or condition, witness, message).
+MESSAGE_DOCUMENTS = {
+    "half-rotation": (_document(
+        "(0,o1|(3,1),(3,1))", "cyclic:6", ["0", "1/3", "2/3"] * 2, [[1, 2]] * 6,
+        [["0", "1/6", "1/3", "1/2", "2/3", "5/6"], ["0", "5/6", "2/3", "1/2", "1/3", "1/6"]]),
+        "check-tau", "half-rotation", (1,), "theta1(1) = 1/3 is not 0 or 1/2"),
+    "sigma-equivariance": (_document(
+        "(0,o1|(2,1),(2,1),(2,1),(2,1))", "cyclic:2", ["0", "0"],
+        [[1, 2, 3, 4], [2, 1, 3, 4]], [["0", "0"]] * 4),
+        "check-tau", "sigma-equivariance", (1, 0),
+        "beta(1) does not commute with the index swap at 0"),
+    "meridian-antisymmetry": (_document(
+        "(0,o1|(3,1),(3,1))", "cyclic:4", ["0"] * 4, [[1, 2]] * 4,
+        [["0", "1/4", "1/2", "3/4"], ["0"] * 4]),
+        "check-tau", "meridian-antisymmetry", (1, 0), "theta2(1,1) is not -theta2(0,1)"),
+    "theta1-law": (_document(
+        "(0,o1|(3,1),(3,1))", "cyclic:4", ["0", "1/4", "1/2", "1/2"], [[1, 2]] * 4,
+        [["0", "1/8", "0", "0"], ["0"] * 4]),
+        "validate-action", "theta1", (1, 2), "theta1(3) = 1/2, law gives 3/4"),
+    "theta2-law": (_document(
+        "(0,o1|(3,1),(3,1))", "cyclic:3", ["0"] * 3, [[1, 2]] * 3,
+        [["0", "1/3", "1/3"], ["0", "1/6", "0"]]),
+        "validate-action", "theta2", (1, 1, 0), "theta2(0,2) = 1/3, law gives 2/3"),
+}

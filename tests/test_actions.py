@@ -438,6 +438,22 @@ def test_tau_needs_meridian_antisymmetry():
     assert (report.condition, report.witness) == ("meridian-antisymmetry", (1, 0))
 
 
+@pytest.mark.parametrize("name", sorted(specbuild.MESSAGE_DOCUMENTS))
+def test_messages_of_a_read_document(name):
+    # the numbers of a message are those of the record's Fractions, here
+    # read from text with no field read first; each value is written at a
+    # larger N than its own denominator
+    text, command, law, witness, message = specbuild.MESSAGE_DOCUMENTS[name]
+    spec = parse_action_spec_text(text)
+    if command == "check-tau":
+        report = check_tau_commuting(spec)
+        named = report.condition
+    else:
+        report = validate_action_spec(spec)
+        named = report.law
+    assert (report.ok, named, report.witness, report.message) == (False, law, witness, message)
+
+
 def test_tau_preconditions_raise():
     with pytest.raises(ValueError, match="class o1"):
         check_tau_commuting(specbuild.trivial_spec("(1,n2|(2,1))", cyclic_group(1)))
@@ -632,22 +648,23 @@ def scans(monkeypatch):
 
 @pytest.fixture
 def built_specs(monkeypatch):
-    """Every ExtendedProductActionSpec constructed, checked or trusted, in order."""
+    """Every ExtendedProductActionSpec constructed, checked or from its
+    integer view, in order."""
     built = []
     check = ExtendedProductActionSpec.__post_init__
-    trusted = seifert.actions._built
+    from_view = seifert.actions._from_view
 
     def counted(spec):
         built.append(spec)
         check(spec)
 
-    def counted_built(cls, *values):
-        record = trusted(cls, *values)
+    def counted_from_view(cls, *args):
+        record = from_view(cls, *args)
         if cls is ExtendedProductActionSpec:
             built.append(record)
         return record
     monkeypatch.setattr(ExtendedProductActionSpec, "__post_init__", counted)
-    monkeypatch.setattr(seifert.actions, "_built", counted_built)
+    monkeypatch.setattr(seifert.actions, "_from_view", counted_from_view)
     return built
 
 
@@ -665,6 +682,41 @@ def test_spec_is_law_scanned_once(scans):
     assert lift_action(descriptor) == spec
     assert len(scans) == 2 and scans[1] is descriptor._int_view
     assert scans[1] == spec._int_view
+
+
+@pytest.fixture
+def tau_scans(monkeypatch):
+    """Every spec the covering-translation test runs on, in order."""
+    seen = []
+    scan = seifert.actions._scan_tau
+
+    def counted(spec):
+        seen.append(spec)
+        return scan(spec)
+    monkeypatch.setattr(seifert.actions, "_scan_tau", counted)
+    return seen
+
+
+def test_spec_is_tau_tested_once(tau_scans):
+    spec = specbuild.z2_swap_spec()
+    report = check_tau_commuting(spec)
+    assert report and check_tau_commuting(spec) is report
+    project_action(spec)
+    analyze_structure(spec)
+    assert tau_scans == [spec]
+    read = parse_action_spec_text(format_action_spec(specbuild.z3_rotation_spec()))
+    assert not check_tau_commuting(read)
+    assert analyze_structure(read).route == "fiber-rotation"
+    assert tau_scans == [spec, read]
+    # a precondition that fails raises at every call, and is not kept
+    for refused, message in ((specbuild.trivial_spec("(0,o1|(2,1),(3,1))", cyclic_group(1)),
+                              "not doubled in blocks"),
+                             (replace(spec, alpha=(1, -1)), "alpha == \\+1")):
+        for _ in range(2):
+            with pytest.raises(ValueError, match=message):
+                check_tau_commuting(refused)
+        assert "_tau_report" not in refused.__dict__
+    assert len(tau_scans) == 6
 
 
 def test_descriptor_is_lifted_once(built_specs):
@@ -707,6 +759,59 @@ def test_read_projected_and_lifted_records_are_not_rescaled(monkeypatch):
     assert calls == []
     assert validate_action_spec(specbuild.z2_swap_spec())
     assert len(calls) == 1
+
+
+def count_fractions(monkeypatch) -> list:
+    """From now on, the arguments of every Fraction the actions module
+    makes; the checked constructor cannot run while counting."""
+    made = []
+    make = seifert.actions.Fraction
+
+    def counted(*args):
+        made.append(args)
+        return make(*args)
+    monkeypatch.setattr(seifert.actions, "Fraction", counted)
+    return made
+
+
+def test_read_to_lift_makes_no_fraction(monkeypatch):
+    # the pipeline reads the integer view; the writer prints each value
+    # from it, so no rotation field is made until something reads it
+    texts = [format_action_spec(spec) for spec in (
+        specbuild.z2_swap_spec(), specbuild.z2z3_block_spec(),
+        lift_action(specbuild.z2z3_descriptor()), specbuild.mixed_crossing_spec())]
+    fractions_made = count_fractions(monkeypatch)
+    lifted = []
+    for text in texts:
+        spec = parse_action_spec_text(text)
+        assert validate_action_spec(spec)
+        if check_tau_commuting(spec):
+            descriptor = parse_descriptor_text(format_descriptor(project_action(spec)))
+            if validate_descriptor(descriptor):
+                lifted.append(lift_action(descriptor))
+        analyze_structure(spec)
+        beta_orbit_numbers(spec)
+        assert fractions_made == []
+        assert not {"theta1", "theta2", "_values"} & spec.__dict__.keys()
+    written = [format_action_spec(spec) for spec in lifted]
+    assert len(written) == 3 and fractions_made == []
+    # the first and third are lifts already; the second lifts to another action
+    assert (written[0], written[2]) == (texts[0], texts[2])
+
+
+def test_first_read_makes_each_rotation_value_once(monkeypatch):
+    checked = specbuild.d16_spec()
+    spec = parse_action_spec_text(format_action_spec(checked))
+    fractions_made = count_fractions(monkeypatch)
+    mod, _ = spec._int_view
+    assert fractions_made == []
+    theta2 = spec.theta2
+    values = set(spec.theta1) | {v for row in theta2 for v in row}
+    assert sorted(fractions_made) == sorted((int(v * mod), mod) for v in values)
+    assert len(values) < len(spec.theta1) + sum(map(len, theta2))
+    assert spec.theta2 is theta2 and spec._values[5] is theta2
+    assert spec.theta1 is spec._values[2]
+    assert spec == checked and len(fractions_made) == len(values)
 
 
 def test_equal_rotations_of_a_built_record_are_one_fraction():

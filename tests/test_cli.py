@@ -230,6 +230,21 @@ def test_check_tau(capsys, docs):
         "commutes=false", "condition=half-rotation", "witness=1"]
 
 
+@pytest.mark.parametrize("name", sorted(specbuild.MESSAGE_DOCUMENTS))
+def test_messages_of_read_documents(capsys, tmp_path, name):
+    # check-tau and validate-action word the first failure of a document
+    # with the values it was read with, reduced
+    text, command, law, witness, message = specbuild.MESSAGE_DOCUMENTS[name]
+    path = tmp_path / "doc.json"
+    path.write_text(text, encoding="utf-8")
+    verdict, kind = ("commutes", "condition") if command == "check-tau" else ("valid", "law")
+    witness = ",".join(map(str, witness))
+    assert run(capsys, command, str(path)) == (
+        1, "", f"{verdict} check failed: {kind} {law}, witness {witness}: {message}\n")
+    assert run(capsys, command, "--porcelain", str(path)) == (
+        1, f"{verdict}=false\n{kind}={law}\nwitness={witness}\nmessage={message}\n", "")
+
+
 def test_project(capsys, docs, tmp_path):
     expected = format_descriptor(specbuild.z2_lens_descriptor())
     assert run(capsys, "project", docs["swap"]) == (0, expected, "")

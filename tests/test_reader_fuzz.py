@@ -250,17 +250,23 @@ def test_read_documents_pass_the_checked_constructor(case):
     # the constructor's check: whatever it accepts must rebuild through the
     # checked constructor, group included, to an equal object; the integer
     # view the reader builds it with must be the one the rebuilt object's
-    # shape check stores from its Fractions
+    # shape check stores from its Fractions.  Records read from the same
+    # text, no field of them read yet, make their Fractions for ==, hash
+    # and repr and must give what the rebuilt object gives
     cls, text = case
     try:
         read = DOCUMENTS[cls][0](text)
     except ValueError:
         return
+    unread = [DOCUMENTS[cls][0](text) for _ in range(3)]
+    assert not any("_values" in record.__dict__ for record in unread)
     group = json.loads(text)["group"]
     assert isinstance(group, str) or group.keys() in ({"file"}, {"order", "table"})
     values = [getattr(read, name) for name in cls._fields]
     values[1] = FiniteGroup(values[1].table)
     fresh = cls(*values)
+    assert unread[0] == fresh and hash(unread[1]) == hash(fresh)
+    assert repr(unread[2]) == repr(fresh)
     assert fresh == read
     assert fresh.__dict__["_int_view"] == read.__dict__["_int_view"]
 
