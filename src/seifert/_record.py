@@ -19,10 +19,11 @@ a symbol (:func:`~seifert.presentations.pi1` and
 :func:`~seifert.presentations.orbifold_pi1`).  The document reader,
 projection and lift of actions build theirs through
 ``seifert.actions._from_view``, which stores an action record's integer
-view and every field but the rotations; those and the tuple of fields
-are made from the view at their first read.  A checked action record
-holds the integer view too, stored by ``__post_init__`` once every
-check has passed.
+view, its tables in field order with the rotations as integers, and
+every field but the rotations; those and the tuple of fields are made
+from the view at their first read.  A checked action record holds the
+integer view too, stored by ``__post_init__`` once every check has
+passed.
 
 >>> class Point(Record):
 ...     x: int

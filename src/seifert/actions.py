@@ -33,43 +33,49 @@ which forces the cocycle laws checked by :func:`validate_action_spec`
 plus triviality of the identity element's datum.  Rotation numbers are
 exact fractions in [0, 1), the type of every public field, document and
 report.  The checks read them as integers mod N, N a multiple of a
-spec's rotation denominators: each spec keeps that integer view of its
-data, and the law scan, the covering-translation test and the structure
-report of :mod:`seifert.structure` all read it.  A descriptor's view is
-the one of its lift, built from its own tables at any N (its ``_view``
-alone doubles an odd N where epsilon is -1).  A record is law-scanned at
-its own pairs' indices, a descriptor at its base's: the first n of its
-lift's 2n.  Every record holds that view from birth: a record the package
-derives (a read document, a projection, a lift) is built from it by one
-builder, ``_from_view``, and the shape check of a record a caller
-constructs stores it, N the lcm of its Fractions' denominators, once
-every check has passed.  A record ``_from_view`` builds holds no
-Fraction: its rotation fields are made from the view at their first
-read (``_ActionRecord``), and the checks, the projection and the writer
-never read them.  :func:`lift_action` builds the spec once, when first
-called, and the spec keeps the descriptor's view and the passing
-report.  v -> v*N is exact and keeps
-the order of [0, 1), so every verdict and witness is the one the
-fractions give.  Laws (a) to (d) are decided over G x S, S the group's
-generating set, and law (e) over S alone; the witness of a failure is
-the first one a scan of all pairs names, in a fixed order, so it does
-not depend on S.  Each law is decided a generator at a time: the datum
-of s gives one composer (for beta and theta2 an itemgetter over
-beta(s)), and each element's datum takes one call of it.  A spec or
-descriptor is law-scanned once: the report is kept on the frozen object,
-and every function that needs valid data reads it.  A spec keeps its
+record's rotation denominators: each record keeps one integer view,
+``(N, tables)``, its element tables in field order with every rotation
+an integer mod N, and the law scan, the covering-translation test, the
+projection, the writer and the structure report of
+:mod:`seifert.structure` all read it.  The law scan alone zips a spec's
+tables into one datum per element.  A descriptor works out the tables
+of its lift, in spec field order, from its own once (its ``_lift_view``,
+which alone doubles an odd N where epsilon is -1), and is law-scanned
+on them at its base's indices: the first n of its lift's 2n; a spec is
+scanned at its own pairs' indices.  Every record holds its view from
+birth: a record the package derives (a read document, a projection, a
+lift) is built from its integer tables by one builder, ``_from_view``,
+and the shape check of a record a caller constructs stores them, N the
+lcm of its Fractions' denominators, once every check has passed.  A
+record ``_from_view`` builds holds no Fraction: its rotation fields are
+made from the view at their first read (``_ActionRecord``), and the
+checks, the projection and the writer never read them.
+:func:`lift_action` builds the spec from the descriptor's lift tables
+once, when first called, and the spec keeps them as its view with the
+passing report.  v -> v*N is exact and keeps the order of [0, 1), so
+every verdict and witness is the one the fractions give.  Laws (a) to
+(d) are decided over G x S, S the group's generating set, and law (e)
+over S alone; the witness of a failure is the first one a scan of all
+pairs names, in a fixed order, so it does not depend on S.  Each law
+is decided a generator at a time: the datum of s gives one composer
+(for beta and theta2 an itemgetter over beta(s)), and each element's
+datum takes one call of it.  A spec or descriptor is law-scanned once:
+the report is kept on the frozen object, and every function that needs
+valid data reads it.  A spec keeps its
 covering-translation report the same way.
 
 A document has few distinct rotation values and repeats them across
 its tables, so the boundary handles each distinct value once: the
 reader parses each distinct rotation text of a document once, to a
 pair reduced mod 1, and reads every table row into integers mod N by
-one lookup per entry; a record built from the view makes
+one lookup per entry; a record built from its integer tables makes
 Fraction(v, N) once per distinct integer v, when a rotation field is
-first read; and the writer prints every record from its integer view,
+first read, and :func:`induced_solid_torus_action` makes only the two
+it reads; and the writer prints every record from its integer tables,
 the text of each distinct v made once, joining whole rows into the
-layout of ``json.dumps(..., indent=2)``.  A group named by a constructor text is
-built once per process for every document that names it (see
+layout of ``json.dumps(..., indent=2)``.  A group named by a
+constructor text is built once per process for every document that
+names it (see
 :func:`~seifert.groups.group_from_constructor`), and the writer writes
 it back by that text, so a projection or lift of a document over a
 named group names it too; an inline or file table is checked at every
@@ -114,7 +120,7 @@ class _ActionRecord(Record):
         if "_int_view" not in stored or not (name == "_values" or name in self._tables):
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}",
                                  name=name, obj=self)
-        mod, tables = _integer_tables(self)
+        mod, tables = self._int_view
         values = (stored[self._fields[0]], stored["group"],
                   *_rotations(self._tables.values(), tables, _PerValue(Fraction, mod).__getitem__))
         stored.update(zip(self._fields, values), _values=values)
@@ -143,18 +149,6 @@ class ExtendedProductActionSpec(_ActionRecord):
     def __post_init__(self):
         _check_records(self)
         _check_tables(self)
-
-    @staticmethod
-    def _view(mod, theta1, alpha, beta, theta2) -> tuple[int, tuple[tuple, ...]]:
-        """(N, per-element datum (alpha, theta1*N, beta row, theta2*N row)),
-        from the tables in field order, rotations as integers mod N."""
-        return mod, tuple(zip(alpha, theta1, beta, theta2))
-
-    @staticmethod
-    def _integer_rotations(data) -> tuple[tuple, ...]:
-        """theta1 and theta2, as integers mod N, from the data of the view."""
-        _, theta1, _, theta2 = zip(*data)
-        return theta1, theta2
 
     @cached_property
     def _law_report(self) -> ValidationReport:
@@ -194,28 +188,20 @@ def _from_view(cls, symbol, group, mod: int, *tables):
     """The record of cls whose tables, in field order, are ``tables`` with
     each rotation entry an integer v read as v/N, for any N >= 1.
 
-    The one home for building a record from an integer view: the read
+    The one home for building a record from its integer tables: the read
     document, the projection and the lift.  The caller has established
-    its shape, with 0 <= v < N, so nothing is checked.  The record stores
-    its symbol, group, sign and permutation tables and the integer view
-    of these tables, as a checked record holds its own, and makes no
-    Fraction: its rotation fields are made at their first read (see
-    ``_ActionRecord``), one ``Fraction(v, N)`` per distinct v.
+    their shape, with 0 <= v < N and every table and row a tuple, so
+    nothing is checked.  The record stores its symbol, group, sign and
+    permutation tables and its integer view ``(N, tables)``, as a checked
+    record holds its own, and makes no Fraction: its rotation fields are
+    made at their first read (see ``_ActionRecord``), one
+    ``Fraction(v, N)`` per distinct v.
     """
     record = object.__new__(cls)
-    record.__dict__.update(zip(cls._fields, (symbol, group)), _int_view=cls._view(mod, *tables))
+    record.__dict__.update(zip(cls._fields, (symbol, group)), _int_view=(mod, tables))
     record.__dict__.update((name, table) for (name, kind), table in zip(cls._tables.items(), tables)
                            if not kind.startswith("rotation"))
     return record
-
-
-def _integer_tables(record) -> tuple[int, list]:
-    """(N, the element tables of record in field order, each rotation an
-    integer v mod N standing for v/N), the rotations read off its view."""
-    mod, data = record._int_view
-    rotations = iter(record._integer_rotations(data))
-    return mod, [next(rotations) if kind.startswith("rotation") else getattr(record, name)
-                 for name, kind in record._tables.items()]
 
 
 def _check_records(data):
@@ -230,8 +216,9 @@ def _check_records(data):
 
 def _check_tables(data):
     """Shape check of the element tables of a spec or descriptor, which
-    then stores their integer view in it, N the lcm of their rotations'
-    denominators.
+    then stores its integer view ``(N, tables)`` in it: the tables in
+    field order, each rotation v as the integer v*N, N the lcm of the
+    rotations' denominators.
 
     ``type(data)._tables`` names them, in field order, with their kinds;
     all lengths are checked before any value.  Tables and their rows
@@ -271,8 +258,8 @@ def _check_tables(data):
                                          f"in [0,1), got {v!r}")
                     denominators.add(v.denominator)
     mod = lcm(*denominators)
-    tables = _rotations(kinds.values(), tables, lambda v: v.numerator * (mod // v.denominator))
-    data.__dict__["_int_view"] = data._view(mod, *tables)
+    data.__dict__["_int_view"] = mod, tuple(
+        _rotations(kinds.values(), tables, lambda v: v.numerator * (mod // v.denominator)))
 
 
 class ValidationReport(Record):
@@ -326,8 +313,11 @@ _COMPONENT_LAWS = (
 def _scan_laws(group: FiniteGroup, view: tuple, pairs: tuple, laws: dict) -> ValidationReport:
     """Identity, then laws (a) to (d) over G x S, then (e) over S.
 
-    Reads an integer view (N, data) at the indices of the record's own
-    ``pairs``, for a descriptor its base's: the first n of its lift's 2n.
+    Reads an integer view (N, tables), a spec's tables in field order
+    (for a descriptor its lift's), zipped into one datum (alpha, theta1,
+    beta row, theta2 row) per element, at the indices of the record's
+    own ``pairs``, for a descriptor its base's: the first n of its
+    lift's 2n.
     Stops at the first failure; ``laws`` names it and words its message.
     The witness is the first one a scan of all (g, h), each law before
     the next, would name, so reports do not depend on S.  A rotation in
@@ -338,7 +328,8 @@ def _scan_laws(group: FiniteGroup, view: tuple, pairs: tuple, laws: dict) -> Val
         return ValidationReport(False, name, witness, message.format(**values))
 
     n = len(pairs)
-    mod, data = view
+    mod, (theta1, alpha, beta, theta2) = view
+    data = list(zip(alpha, theta1, beta, theta2))
     # every law reads beta and theta2 rows cut to the n indices.  A lift's
     # beta rows commute with the index swap and its theta2 rows are
     # antisymmetric, as are the rows its composers give: a law holds at all
@@ -470,11 +461,11 @@ def induced_solid_torus_action(spec: ExtendedProductActionSpec,
                          else f"symbol {spec.symbol} has no boundary pairs")
     if not 0 <= element < spec.group.order:
         raise ValueError(f"group element must be in 0..{spec.group.order - 1}")
-    target = spec.beta[element][boundary_index]
-    glue = gluing_matrix(spec.symbol.pairs[target])
+    mod, (theta1, alpha, beta, theta2) = spec._int_view
+    glue = gluing_matrix(spec.symbol.pairs[beta[element][boundary_index]])
     longitude, meridian = glue.inverse_rotation(
-        spec.theta1[element], spec.theta2[element][boundary_index])
-    return TorusMapData(longitude, meridian, spec.alpha[element])
+        Fraction(theta1[element], mod), Fraction(theta2[element][boundary_index], mod))
+    return TorusMapData(longitude, meridian, alpha[element])
 
 
 def _egcd(a: int, b: int) -> tuple[int, int, int]:
@@ -574,22 +565,22 @@ def check_tau_commuting(spec: ExtendedProductActionSpec) -> TauReport:
 def _scan_tau(spec: ExtendedProductActionSpec) -> TauReport:
     """The preconditions and conditions of :func:`check_tau_commuting`."""
     n = len(_block_base(spec.symbol).pairs)
-    if any(a != 1 for a in spec.alpha):
+    mod, (theta1, alpha, beta, theta2) = spec._int_view
+    if any(a != 1 for a in alpha):
         raise ValueError("commutation requires a fiber-orientation-preserving action (alpha == +1)")
     _require_valid(spec)
-    mod, data = spec._int_view
-    for g, (_, t, _, _) in enumerate(data):
+    for g, t in enumerate(theta1):
         if 2 * t % mod:
             return TauReport(False, "half-rotation", (g,),
                              f"theta1({g}) = {_fraction_text(t, mod)} is not 0 or 1/2")
     # sigma is an involution, so each condition at i >= n is the one at
     # i - n: the first failure is always at some i < n
-    for g, perm in enumerate(spec.beta):
+    for g, perm in enumerate(beta):
         for i in range(n):
             if perm[i + n] != (perm[i] + n) % (2 * n):
                 return TauReport(False, "sigma-equivariance", (g, i),
                                  f"beta({g}) does not commute with the index swap at {i}")
-    for g, (_, _, _, row) in enumerate(data):
+    for g, row in enumerate(theta2):
         for i in range(n):
             if row[i + n] != -row[i] % mod:
                 return TauReport(False, "meridian-antisymmetry", (g, i),
@@ -619,41 +610,36 @@ class ProjectedActionDescriptor(_ActionRecord):
         _check_n2_base(self.base)
         _check_tables(self)
 
-    @staticmethod
-    def _view(mod, epsilon, beta_bar, fronts) -> tuple[int, tuple[tuple, ...]]:
-        """The integer view of the lift (see :func:`lift_action`), from the
-        tables in field order, theta2_bar as integers mod N, any N; the
+    @cached_property
+    def _lift_view(self) -> tuple[int, tuple[tuple, ...]]:
+        """The integer view of the lift (see :func:`lift_action`): N and
+        its tables in spec field order, from this record's at any N; the
         lift turns the fiber by 1/2 where epsilon is -1, so there an odd
         N is doubled, here and nowhere else."""
+        mod, (epsilon, beta_bar, fronts) = self._int_view
         if mod % 2 and -1 in epsilon:
             mod, fronts = 2 * mod, [tuple(2 * v for v in front) for front in fronts]
-        n, data = len(beta_bar[0]), []
-        for sign, perm, front in zip(epsilon, beta_bar, fronts):
-            kept, crossed = perm, tuple(j + n for j in perm)
-            turn, row = (0, kept + crossed) if sign == 1 else (mod // 2, crossed + kept)
-            data.append((1, turn, row, front + tuple(-v % mod for v in front)))
-        return mod, tuple(data)
-
-    @staticmethod
-    def _integer_rotations(data) -> tuple[tuple, ...]:
-        """theta2_bar, as integers mod N: the front half of each of the
-        lift's theta2 rows in the data of the view."""
-        return (tuple(row[:len(row) // 2] for *_, row in data),)
+        n, beta = len(self.base.pairs), []
+        for sign, perm in zip(epsilon, beta_bar):
+            crossed = tuple(j + n for j in perm)
+            beta.append(perm + crossed if sign == 1 else crossed + perm)
+        theta1 = tuple(0 if sign == 1 else mod // 2 for sign in epsilon)
+        theta2 = tuple(front + tuple(-v % mod for v in front) for front in fronts)
+        return mod, (theta1, (1,) * len(epsilon), tuple(beta), theta2)
 
     @cached_property
     def _law_report(self) -> ValidationReport:
-        return _scan_laws(self.group, self._int_view, self.base.pairs, _DESCRIPTOR_LAWS)
+        return _scan_laws(self.group, self._lift_view, self.base.pairs, _DESCRIPTOR_LAWS)
 
     @cached_property
     def _lifted(self) -> ExtendedProductActionSpec:
-        # read by lift_action only, once the scan of this view has passed,
-        # so the spec keeps this view object and the report and is not
-        # scanned again; its shape holds: 0 <= v < N, beta rows copy beta_bar's
-        mod, data = self._int_view
-        alpha, turns, beta, rows = zip(*data)
+        # read by lift_action only, once the scan of the lift's view has
+        # passed, so the spec keeps the report and is not scanned again;
+        # its shape holds: 0 <= v < N, beta rows copy beta_bar's
+        mod, tables = self._lift_view
         spec = _from_view(ExtendedProductActionSpec, orientable_double_cover(self.base),
-                          self.group, mod, turns, alpha, beta, rows)
-        spec.__dict__.update(_int_view=self._int_view, _law_report=_PASS)
+                          self.group, mod, *tables)
+        spec.__dict__["_law_report"] = _PASS
         return spec
 
 
@@ -681,7 +667,7 @@ def validate_descriptor(descriptor: ProjectedActionDescriptor) -> ValidationRepo
     folded law theta2_bar(i, gh) = epsilon(h) * theta2_bar(beta_bar(h)(i), g)
     + theta2_bar(i, h), and beta_bar respects the (q, p) values.  These
     are the laws of :func:`validate_action_spec` on the lift, checked on
-    its integer view; like a spec, a descriptor is scanned once.
+    its integer tables; like a spec, a descriptor is scanned once.
     """
     return descriptor._law_report
 
@@ -707,13 +693,13 @@ def project_action(spec: ExtendedProductActionSpec) -> ProjectedActionDescriptor
         raise ValueError(f"action does not commute with the covering translation: {tau.message}")
     base = _block_base(spec.symbol)
     n = len(base.pairs)
-    mod, data = spec._int_view
-    epsilon = tuple(1 if t == 0 else -1 for _, t, _, _ in data)
-    beta_bar = tuple(tuple(j % n for j in perm[:n]) for perm in spec.beta)
+    mod, (theta1, _, beta, theta2) = spec._int_view
+    epsilon = tuple(1 if t == 0 else -1 for t in theta1)
+    beta_bar = tuple(tuple(j % n for j in perm[:n]) for perm in beta)
     # shape holds: a beta_bar row is a permutation, as beta(i) = beta(j) mod n,
     # i != j < n, would give beta(j) = beta(i + n) by sigma-equivariance
     return _from_view(ProjectedActionDescriptor, base, spec.group, mod, epsilon, beta_bar,
-                      tuple(row[:n] for _, _, _, row in data))
+                      tuple(row[:n] for row in theta2))
 
 
 def lift_action(descriptor: ProjectedActionDescriptor) -> ExtendedProductActionSpec:
@@ -725,8 +711,8 @@ def lift_action(descriptor: ProjectedActionDescriptor) -> ExtendedProductActionS
     extended antisymmetrically.  The result always passes
     :func:`validate_action_spec` and :func:`check_tau_commuting`, and
     :func:`project_action` recovers the descriptor exactly.
-    The descriptor is law-scanned on the integer view of this lift; the
-    Fraction spec is built from that view once, on the first call.
+    The descriptor is law-scanned on the integer tables of this lift;
+    the spec is built from those tables once, on the first call.
     """
     report = validate_descriptor(descriptor)
     if not report:
@@ -811,7 +797,8 @@ def _field(doc: dict, name: str):
 
 def _read_tables(doc: dict, kinds: dict, order: int, n: int) -> tuple[int, list]:
     """(N, the element tables of a document in field order, indexed by
-    element, each rotation entry an integer v mod N standing for v/N).
+    element, each rotation entry an integer v mod N standing for v/N,
+    every table and row a tuple): the integer view of its record.
 
     N is the lcm of the rotations' reduced denominators.  A document
     repeats its few rotation values many times, so each distinct rotation
@@ -974,7 +961,7 @@ def _format_document(symbol: SeifertSymbol, data) -> str:
         group_text = f'{{\n    "order": {group.order},\n    "table": {rows}\n  }}'
     fields = [f'"symbol": "{symbol}"', f'"group": {group_text}']
     one_based = [str(j + 1) for j in range(len(symbol.pairs))]
-    mod, tables = _integer_tables(data)
+    mod, tables = data._int_view
     # one text per distinct rotation value v, read off the integer view
     tables = _rotations(data._tables.values(), tables, _PerValue(_fraction_text, mod).__getitem__)
     for (name, kind), table in zip(data._tables.items(), tables):

@@ -167,7 +167,9 @@ def direct_product(a: FiniteGroup, b: FiniteGroup) -> FiniteGroup:
 # takes about 40 MB and a twentieth of a second to build
 MAX_CONSTRUCTOR_ORDER = 2048
 
-# a table entry or order, or any command-line integer: an optional '-' and ASCII digits
+# the one integer grammar: a table entry or order, a command-line integer
+# and every integer of a symbol.  An optional '-' and ASCII digits: int()
+# reads other Unicode digits too, so the pattern spells out [0-9], not \d
 _INTEGER = re.compile(r"-?[0-9]+")
 # constructor text splits into these tokens and single characters; joined
 # back they give the text, so an error quotes the rest from a token on

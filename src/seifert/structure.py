@@ -1,9 +1,9 @@
 """Group-theoretic shape of a validated extended product action.
 
 The acting group is examined through its exact data: per element the
-datum (alpha, theta1, beta row, theta2 row), read in the spec's integer
-view, rotations as integers mod N, a multiple of their denominators;
-the reports themselves carry no rotations.  g -> datum(g) is a
+datum (alpha, theta1, beta row, theta2 row), read off the tables of the
+spec's integer view, rotations as integers mod N, a multiple of their
+denominators; the reports themselves carry no rotations.  g -> datum(g) is a
 homomorphism by the cocycle laws, and its image, the set of distinct
 data, is a finite group inside the product the route names.  A report
 holds counts over the data, O(|G| n), and builds no group table.  The
@@ -69,8 +69,8 @@ def analyze_structure(spec: ExtendedProductActionSpec) -> StructureReport:
     """
     _require_valid(spec)
     group = spec.group
-    mod, data = spec._int_view
-    kernel_rotations = [t for a, t, _, _ in data if a == 1]
+    mod, (theta1, alpha, beta, theta2) = spec._int_view
+    kernel_rotations = [t for a, t in zip(alpha, theta1) if a == 1]
     # t/N has denominator N/gcd(t, N); their lcm is N/gcd(N, all t)
     rotation_order = mod // gcd(mod, *kernel_rotations)
     alpha_image_order = 2 if len(kernel_rotations) < group.order else 1
@@ -82,13 +82,13 @@ def analyze_structure(spec: ExtendedProductActionSpec) -> StructureReport:
     else:
         route = "orientation-mixed"
         reversing_involution = any(
-            spec.alpha[g] == -1 and group.mul(g, g) == 0 for g in group.elements())
+            alpha[g] == -1 and group.mul(g, g) == 0 for g in group.elements())
         if reversing_involution:
             factors = f"(Z{rotation_order} x H+) semidirect Z2"
         else:
             factors = "no product decomposition (every orientation-reversing element has order > 2)"
 
     # the shadow map is a homomorphism, so its image is its set of values
-    shadow_order = len({(sign, perm, row) for sign, _, perm, row in data})
-    return StructureReport(route, rotation_order, alpha_image_order,
-                           shadow_order, factors, len(set(data)) == group.order)
+    shadow_order = len(set(zip(alpha, beta, theta2)))
+    return StructureReport(route, rotation_order, alpha_image_order, shadow_order, factors,
+                           len(set(zip(alpha, theta1, beta, theta2))) == group.order)

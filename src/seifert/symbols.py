@@ -42,6 +42,7 @@ from functools import total_ordering
 from math import gcd
 
 from ._record import Record
+from .groups import _INTEGER
 
 
 class Orientability(Enum):
@@ -149,18 +150,16 @@ class SymbolSyntaxError(ValueError):
         self.position = position
 
 
-# An integer is an optional '-' and ASCII digits: int() reads other Unicode
-# digits too, so the patterns spell out [0-9] and never say \d.  They are
-# compiled on first use, through re's cache, so that importing the package
-# does not pay for them.
-_INTEGER = r"-?[0-9]+"
+# The patterns below are built on the one integer grammar, groups._INTEGER.
+# They are compiled on first use, through re's cache, so that importing the
+# package does not pay for them.
 # One token per integer, class name or other non-space character;
 # whitespace between tokens is skipped.
-_TOKEN = rf"({_INTEGER})|(o1|n2|\S)"
+_TOKEN = rf"({_INTEGER.pattern})|(o1|n2|\S)"
 # The whole symbol, whitespace around every token: genus, class and the
 # text of the pair list.
-_PAIR = rf"\(\s*{_INTEGER}\s*,\s*{_INTEGER}\s*\)\s*"
-_SYMBOL = (rf"\s*\(\s*({_INTEGER})\s*,\s*(o1|n2)\s*\|\s*"
+_PAIR = rf"\(\s*{_INTEGER.pattern}\s*,\s*{_INTEGER.pattern}\s*\)\s*"
+_SYMBOL = (rf"\s*\(\s*({_INTEGER.pattern})\s*,\s*(o1|n2)\s*\|\s*"
            rf"((?:{_PAIR}(?:,\s*{_PAIR})*)?)\)\s*")
 _CLASSES = {cls.value: cls for cls in Orientability}
 _EXPECTED = {int: "expected an integer", Orientability: "expected class 'o1' or 'n2'"}
@@ -192,7 +191,7 @@ def parse_symbol(text: str) -> SeifertSymbol:
     match = re.fullmatch(_SYMBOL, text)
     if match:
         genus, cls, body = match.groups()
-        values = map(int, re.findall(_INTEGER, body))   # q, p, q, p, ...
+        values = map(int, _INTEGER.findall(body))   # q, p, q, p, ...
         try:
             return SeifertSymbol(int(genus), _CLASSES[cls],
                                  tuple(map(SeifertPair, values, values)))

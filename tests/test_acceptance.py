@@ -32,11 +32,13 @@ from seifert import (
     direct_product,
     equivalent,
     first_homology,
+    format_action_spec,
     lift_action,
     normalize,
     obstruction_class,
     obstruction_witness,
     orientable_double_cover,
+    parse_action_spec_text,
     parse_symbol,
     pi1_nonorientable,
     pi1_orientable,
@@ -582,11 +584,12 @@ def test_criterion_09_lift_project_round_trip():
 
 
 def test_descriptor_integer_view_is_the_lift_view():
-    # a descriptor scans the integer view it builds from its own tables;
-    # it must be the view its Fraction lift computes from the Fractions.
+    # a descriptor scans the lift view it builds from its own tables; it
+    # must be the view its Fraction lift computes from the Fractions.
     # Rebuilt by _from_view from its integer tables at the lcm N of its
-    # denominators and at 3N, odd N with an epsilon of -1 among them, it
-    # must scan and lift as the descriptor its checked constructor built
+    # denominators and at 3N, odd N with an epsilon of -1 among them, its
+    # lift view must be that one at 3 times the modulus, and it must scan
+    # and lift as the descriptor its checked constructor built
     rng = random.Random(24593)
     descriptors = [specbuild.z2_lens_descriptor(), specbuild.z2z3_descriptor(),
                    ProjectedActionDescriptor(parse_symbol("(1,n2|(3,1))"), cyclic_group(2),
@@ -596,14 +599,19 @@ def test_descriptor_integer_view_is_the_lift_view():
         lifted = lift_action(descriptor)
         fresh = ExtendedProductActionSpec(lifted.symbol, lifted.group, lifted.theta1,
                                           lifted.alpha, lifted.beta, lifted.theta2)
-        assert descriptor._int_view == fresh._int_view
+        assert descriptor._lift_view == fresh._int_view
+        lift_mod, (theta1, alpha, beta, theta2) = descriptor._lift_view
         mod = math.lcm(*(v.denominator for row in descriptor.theta2_bar for v in row))
         for n in (mod, 3 * mod):
+            k = n // mod
             fronts = tuple(tuple(v.numerator * n // v.denominator for v in row)
                            for row in descriptor.theta2_bar)
             rebuilt = _from_view(ProjectedActionDescriptor, descriptor.base, descriptor.group,
                                  n, descriptor.epsilon, descriptor.beta_bar, fronts)
             assert rebuilt == descriptor
+            assert rebuilt._lift_view == (k * lift_mod, (
+                tuple(k * t for t in theta1), alpha, beta,
+                tuple(tuple(k * v for v in row) for row in theta2)))
             assert validate_descriptor(rebuilt)
             spec = lift_action(rebuilt)
             assert spec == lifted
@@ -729,12 +737,13 @@ def test_criterion_11_structure_reports():
 def test_structure_agrees_with_naive_scan():
     # the report against a scan of the tables that builds no group, and
     # embedding_ok against the naive image group: every specbuild action
-    # (all three routes) and 200 lifts
+    # (all three routes), each also read back from its document, and 200 lifts
     specs = [specbuild.trivial_spec("(0,o1|(2,1))", cyclic_group(3)),
              specbuild.trivial_spec("(0,o1|(3,1),(3,1))", cyclic_group(2)),
              specbuild.faithful_rotation_spec(8)]
     specs += [getattr(specbuild, name)() for name in dir(specbuild)
               if name.endswith("_spec") and name not in ("trivial_spec", "faithful_rotation_spec")]
+    specs += [parse_action_spec_text(format_action_spec(spec)) for spec in specs]
     rng = random.Random(24593)
     specs += [lift_action(_random_descriptor(rng)) for _ in range(200)]
     routes = set()

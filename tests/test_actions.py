@@ -334,6 +334,19 @@ def test_induced_rotation_reflection():
     assert (rot.longitude, rot.meridian, rot.sign) == (0, 0, -1)
 
 
+def test_induced_rotation_of_a_read_document_builds_no_rotation_table():
+    # the two rotations are read off the integer view, so a read document
+    # gives what its checked spec gives and makes neither Fraction table
+    for checked in (specbuild.z4_swap_spec(), specbuild.reflection_spec(), specbuild.d16_spec()):
+        spec = parse_action_spec_text(format_action_spec(checked))
+        for i in range(len(checked.symbol.pairs)):
+            for g in checked.group.elements():
+                rot = induced_solid_torus_action(spec, i, g)
+                assert rot == induced_solid_torus_action(checked, i, g)
+                assert repr(rot) == repr(induced_solid_torus_action(checked, i, g))
+        assert not {"theta1", "theta2", "_values"} & spec.__dict__.keys()
+
+
 def test_induced_rotation_rejects_invalid_spec():
     bad = replace(specbuild.trivial_spec("(0,o1|(1,0))", cyclic_group(4)),
                   alpha=(1, -1, -1, -1))
@@ -530,9 +543,9 @@ def test_tau_agrees_with_naive_scan():
 
 
 def test_projection_keeps_the_constructor_view():
-    # project_action builds the descriptor from the fronts of the spec's
-    # integer view, at the spec's N; that must be the view the checked
-    # constructor stores in the descriptor from its Fractions
+    # project_action builds the descriptor from the spec's integer tables,
+    # at the spec's N; the lift view it gives must be the one the checked
+    # constructor's view, from the same Fractions, gives
     rng = random.Random(60623)
     specs = [specbuild.z2_swap_spec(), specbuild.z2z3_block_spec(),
              specbuild.mixed_crossing_spec(), lift_action(specbuild.z2z3_descriptor())]
@@ -545,7 +558,7 @@ def test_projection_keeps_the_constructor_view():
         d = project_action(spec)
         assert "_int_view" in d.__dict__
         fresh = ProjectedActionDescriptor(d.base, d.group, d.epsilon, d.beta_bar, d.theta2_bar)
-        assert fresh == d and fresh._int_view == d._int_view
+        assert fresh == d and fresh._lift_view == d._lift_view
         epsilons.add(-1 in d.epsilon)
     assert epsilons == {True, False}
 
@@ -565,8 +578,8 @@ def _random_descriptor(rng) -> ProjectedActionDescriptor:
 def test_constructed_records_hold_their_integer_view_from_birth():
     # the checked constructor stores the integer view _from_view builds a
     # record with from the same integer tables, N the lcm of the rotations'
-    # denominators, doubled for a descriptor's lift with an odd N and some
-    # epsilon -1
+    # denominators; a descriptor's lift view doubles it where N is odd and
+    # some epsilon is -1
     rng = random.Random(60631)
     records = [getattr(specbuild, name)() for name in dir(specbuild)
                if name.endswith(("_spec", "_descriptor"))
@@ -592,7 +605,8 @@ def test_constructed_records_hold_their_integer_view_from_birth():
         built = seifert.actions._from_view(type(record), record._values[0], record.group,
                                            mod, *scaled)
         assert built == record and record.__dict__["_int_view"] == built._int_view
-        doubled.add(record._int_view[0] == 2 * mod)
+        if isinstance(record, ProjectedActionDescriptor):
+            doubled.add(record._lift_view[0] == 2 * mod)
     assert doubled == {True, False}
 
 
@@ -680,7 +694,7 @@ def test_spec_is_law_scanned_once(scans):
     assert validate_descriptor(descriptor)
     assert lift_action(descriptor) == spec
     assert lift_action(descriptor) == spec
-    assert len(scans) == 2 and scans[1] is descriptor._int_view
+    assert len(scans) == 2 and scans[1] is descriptor._lift_view
     assert scans[1] == spec._int_view
 
 
@@ -837,12 +851,13 @@ def test_equal_rotations_of_a_built_record_are_one_fraction():
 
 
 def test_lifted_spec_keeps_the_descriptor_scan(scans):
-    # the lift's integer view is the descriptor's, already scanned
+    # the lift's integer view is the descriptor's lift view, already scanned
     descriptor = specbuild.z2z3_descriptor()
     assert validate_descriptor(descriptor)
     lifted = lift_action(descriptor)
     assert validate_action_spec(lifted)
-    assert len(scans) == 1 and lifted._int_view is descriptor._int_view
+    assert len(scans) == 1 and scans[0] is descriptor._lift_view
+    assert lifted._int_view == descriptor._lift_view
 
 
 def test_replaced_spec_is_scanned_afresh(scans):
